@@ -21,16 +21,18 @@ from temperhmc.ti import TiConfig, compare, evidence, fit_stiffness, run_ti
 
 def main():
     # probe trajectories with a too-large step size overflow harmlessly
-    # before being rejected; keep the transcript clean
-    np.seterr(over="ignore")
+    # before being rejected (an overflowed energy times a zero bridge weight
+    # is NaN, equally harmless); keep the transcript clean
+    np.seterr(over="ignore", invalid="ignore")
 
     # --- a 2D anharmonic target --------------------------------------------
     def energy_fn(w):
         return float(w[0] ** 4 + w[1] ** 4 + (w[0] * w[1]) ** 2)
 
-    def grad_fn(w):
-        return np.array([4 * w[0] ** 3 + 2 * w[0] * w[1] ** 2,
-                         4 * w[1] ** 3 + 2 * w[0] ** 2 * w[1]])
+    def value_grad(w):
+        # the samplers take value and gradient from one call
+        return energy_fn(w), np.array([4 * w[0] ** 3 + 2 * w[0] * w[1] ** 2,
+                                       4 * w[1] ** 3 + 2 * w[0] ** 2 * w[1]])
 
     box = PriorBox(np.array([5.0, 5.0]))   # uniform prior: |w_i| < 2.5
     rng = np.random.default_rng(7)
@@ -39,11 +41,11 @@ def main():
                    fit_burn_in_traj=300, fit_sample_traj=3000, dt0=0.3)
 
     print("step 1: sample the target to fit a diagonal Gaussian reference")
-    stiff = fit_stiffness(energy_fn, grad_fn, np.zeros(2), cfg, rng, box)
+    stiff = fit_stiffness(value_grad, np.zeros(2), cfg, rng, box)
     print(f"  fitted stiffness k = {np.array2string(stiff.k, precision=3)}")
 
     print("step 2: integrate the bridge from the target to the reference")
-    res = run_ti(energy_fn, grad_fn, stiff, box, cfg, rng)
+    res = run_ti(energy_fn, value_grad, stiff, box, cfg, rng)
     print(f"  F0 (reference)  = {res.f0:+.4f}")
     print(f"  TI correction   = {res.integral:+.4f}")
     print(f"  F               = {res.free_energy:+.4f}")

@@ -53,13 +53,13 @@ def main():
           f"train n={len(train)}, test n={len(test)}")
 
     # --- how fast does a single minimisation run collapse? -----------------
-    energy_fn, grad_fn = dataset_energy_fns(arch, train.inputs, train.labels)
+    _, value_grad = dataset_energy_fns(arch, train.inputs, train.labels)
     print("\nsingle runs from standard initialisation "
           "(adaptive-step Verlet descent):")
     print(f"{'seed':>5} {'steps':>6} {'final E_train':>14}")
     for seed in range(5):
         w0 = init_standard(arch, np.random.default_rng(seed))
-        res = rmin(w0, energy_fn, grad_fn, RMinConfig(n_steps=3000))
+        res = rmin(w0, value_grad, cfg=RMinConfig(n_steps=3000))
         print(f"{seed:>5} {res.n_steps:>6} {res.energy:>14.3e}")
 
     # --- the ensemble view -------------------------------------------------

@@ -56,15 +56,10 @@ def main():
                                          seed=0)
     arch = get_arch(args.model)
     box = prior_box(arch)
-    energy_fn, grad_fn = dataset_energy_fns(arch, train.inputs, train.labels)
+    _, value_grad = dataset_energy_fns(arch, train.inputs, train.labels)
 
     # a fixed 1000-image evaluation subset keeps the per-sweep cost bounded
-    rng = np.random.default_rng(12345)
-    idx = np.sort(np.concatenate(
-        [rng.choice(np.flatnonzero(test.labels == c),
-                    size=min(100, int(np.sum(test.labels == c))),
-                    replace=False)
-         for c in range(10)]))
+    idx = data.stratified_indices(test.labels, 1000, seed=12345)
     eval_fn, _ = dataset_energy_fns(arch, test.inputs[idx], test.labels[idx])
     n_eval = len(idx)
 
@@ -74,12 +69,12 @@ def main():
     print(f"\ninitialising {args.nt} replicas on a geometric ladder "
           f"[{args.tmin:g}, {args.tmax:g}] (minimise, tune, burn in)...")
     seeds = np.random.SeedSequence(args.seed).spawn(args.nt + 1)
-    replicas = [init_replica(i, float(T), energy_fn, grad_fn, box, seeds[i],
+    replicas = [init_replica(i, float(T), value_grad, box, seeds[i],
                              arch=arch, cfg=cfg)
                 for i, T in enumerate(ladder)]
 
     print(f"running {args.sweeps} exchange sweeps...")
-    trace = run_remd(replicas, energy_fn, grad_fn, box, cfg, seeds[-1],
+    trace = run_remd(replicas, value_grad, box, cfg, seeds[-1],
                      test_energy_fn=eval_fn)
     burn = args.sweeps // 5
     summary = measure_sweep(trace, burn_in_sweeps=burn)

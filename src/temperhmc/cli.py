@@ -21,7 +21,8 @@ import time
 import numpy as np
 
 from . import __name__ as _pkg
-from .data import DatasetStore, load_dataset, load_idx_split, transform
+from .data import (DatasetStore, load_dataset, load_idx_split,
+                   stratified_indices, transform)
 from .errors import BudgetError, ConfigError, NumericalError
 from .harness import (anneal_stop, baseline_optimize, sweep_table,
                       write_sweep_csv)
@@ -168,18 +169,12 @@ def cmd_remd(args):
     out_dir = cfg.get("out_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
     box = prior_box(arch)
-    energy_fn, grad_fn = dataset_energy_fns(arch, train.inputs, train.labels)
+    _, value_grad = dataset_energy_fns(arch, train.inputs, train.labels)
 
     n_eval = int(cfg.get("eval_subset", 2000))
     if n_eval and n_eval < len(test):
         # fixed stratified evaluation subset keeps the per-sweep cost bounded
-        rng = np.random.default_rng(12345)
-        idx = []
-        per = n_eval // 10
-        for c in range(10):
-            cand = np.flatnonzero(test.labels == c)
-            idx.append(rng.choice(cand, size=min(per, len(cand)), replace=False))
-        idx = np.sort(np.concatenate(idx))
+        idx = stratified_indices(test.labels, n_eval, seed=12345)
         eval_inputs, eval_labels = test.inputs[idx], test.labels[idx]
     else:
         eval_inputs, eval_labels = test.inputs, test.labels
@@ -194,11 +189,11 @@ def cmd_remd(args):
                          float(cfg.get("tmax", 1e2)), int(cfg.get("nt", 16)))
     seed = int(cfg.get("seed", 0))
     seeds = np.random.SeedSequence(seed).spawn(len(ladder) + 1)
-    replicas = [init_replica(i, T, energy_fn, grad_fn, box, seeds[i],
+    replicas = [init_replica(i, T, value_grad, box, seeds[i],
                              arch=arch, cfg=remd_cfg)
                 for i, T in enumerate(ladder)]
     ckpt_path = os.path.join(out_dir, "remd_checkpoint.npz")
-    trace = run_remd(replicas, energy_fn, grad_fn, box, remd_cfg, seeds[-1],
+    trace = run_remd(replicas, value_grad, box, remd_cfg, seeds[-1],
                      test_energy_fn=test_energy_fn,
                      checkpoint_path=ckpt_path if remd_cfg.checkpoint_every else None)
     save_checkpoint(ckpt_path, replicas, trace.n_sweeps)
@@ -232,7 +227,7 @@ def cmd_ti(args):
     if ckpt_arch.n_params != arch.n_params:
         raise ConfigError("w0 checkpoint does not match the requested model")
     box = prior_box(arch)
-    energy_fn, grad_fn = dataset_energy_fns(arch, train.inputs, train.labels)
+    energy_fn, value_grad = dataset_energy_fns(arch, train.inputs, train.labels)
     ti_cfg = TiConfig(
         n_bridge=int(cfg.get("n_bridge", 100)),
         burn_in_traj=int(cfg.get("burn_in_traj", 100)),
@@ -246,8 +241,8 @@ def cmd_ti(args):
     runs = []
     for r in range(repeats):
         rng = np.random.default_rng(seeds[r])
-        stiff = fit_stiffness(energy_fn, grad_fn, w0, ti_cfg, rng, box)
-        result = run_ti(energy_fn, grad_fn, stiff, box, ti_cfg, rng)
+        stiff = fit_stiffness(value_grad, w0, ti_cfg, rng, box)
+        result = run_ti(energy_fn, value_grad, stiff, box, ti_cfg, rng)
         evidence(result, box, dataset_tag=cfg["data"])
         runs.append(result)
 

@@ -183,6 +183,21 @@ def transform(train_raw: RawImageSet, test_raw: RawImageSet):
     return tuple(out)
 
 
+def stratified_indices(labels: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """Sorted indices of a stratified draw of n // 10 examples per class.
+
+    Classes are drawn in order 0..9 without replacement from one
+    default_rng(seed) stream; a class with fewer examples gives all it has.
+    """
+    per_class = n // N_CLASSES
+    rng = np.random.default_rng(seed)
+    chosen = []
+    for c in range(N_CLASSES):
+        idx = np.flatnonzero(labels == c)
+        chosen.append(rng.choice(idx, size=min(per_class, len(idx)), replace=False))
+    return np.sort(np.concatenate(chosen))
+
+
 def stratified_subset(train: Dataset, test: Dataset, n: int, seed: int):
     """Stratified D_n and its complement-augmented test set.
 
@@ -193,16 +208,13 @@ def stratified_subset(train: Dataset, test: Dataset, n: int, seed: int):
     if n % N_CLASSES != 0:
         raise IndivisibleSize(f"subset size {n} is not a multiple of {N_CLASSES}")
     per_class = n // N_CLASSES
-    rng = np.random.default_rng(seed)
-    chosen = []
     for c in range(N_CLASSES):
-        idx = np.flatnonzero(train.labels == c)
-        if len(idx) < per_class:
+        count = int(np.sum(train.labels == c))
+        if count < per_class:
             raise InsufficientClassCount(
-                f"class {c} has {len(idx)} examples, need {per_class}"
+                f"class {c} has {count} examples, need {per_class}"
             )
-        chosen.append(rng.choice(idx, size=per_class, replace=False))
-    chosen = np.sort(np.concatenate(chosen))
+    chosen = stratified_indices(train.labels, n, seed)
     mask = np.zeros(len(train), dtype=bool)
     mask[chosen] = True
 

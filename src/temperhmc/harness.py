@@ -39,7 +39,7 @@ def baseline_optimize(arch: NetworkArch, train, test, seed: int,
     n_restarts minimisations and keep the n_solutions lowest-training-energy
     results.
     """
-    energy_fn, grad_fn = dataset_energy_fns(arch, train.inputs, train.labels)
+    _, value_grad = dataset_energy_fns(arch, train.inputs, train.labels)
     test_energy_fn, _ = dataset_energy_fns(arch, test.inputs, test.labels)
     rmin_cfg = rmin_cfg or RMinConfig()
     seeds = np.random.SeedSequence(seed).spawn(max(restart_cap, n_restarts))
@@ -54,14 +54,14 @@ def baseline_optimize(arch: NetworkArch, train, test, seed: int,
                 )
             w0 = init_standard(arch, np.random.default_rng(seeds[restarts]))
             restarts += 1
-            res = rmin(w0, energy_fn, grad_fn, rmin_cfg)
+            res = rmin(w0, value_grad, cfg=rmin_cfg)
             if res.energy < zero_tol:
                 kept.append((res.energy, res.w))
     elif mode == "best-of":
         all_res = []
         for restarts in range(1, n_restarts + 1):
             w0 = init_standard(arch, np.random.default_rng(seeds[restarts - 1]))
-            res = rmin(w0, energy_fn, grad_fn, rmin_cfg)
+            res = rmin(w0, value_grad, cfg=rmin_cfg)
             all_res.append((res.energy, res.w))
         all_res.sort(key=lambda t: t[0])
         kept = all_res[:n_solutions]

@@ -5,6 +5,10 @@ velocity Verlet for L steps, and accepts with log-probability
 (U_old - U_new) / T where U = E + sum(p^2 / 2m).  Proposals leaving the
 uniform prior box are rejected outright; non-finite energies or gradients
 are treated as rejections so the chain stays valid.
+
+The potential is one call, value_grad(w) -> (E, gradient).  The chain
+state is (w, E, g): a trajectory starts from the carried pair and ends with
+the pair at its last Verlet step, so L steps cost exactly L calls.
 """
 
 from __future__ import annotations
@@ -34,57 +38,59 @@ class TrajectoryOutcome:
     accepted: bool
     w: np.ndarray
     energy: float          # potential energy of the returned state
+    grad: np.ndarray       # its gradient
     u_initial: float
     u_final: float
     log_accept: float      # (U_o - U_n) / T
 
 
-def velocity_verlet(w, p, grad_fn, dt, n_steps, mass=1.0):
-    """Kick-drift-kick integration of (w, p) for n_steps steps.
+def velocity_verlet(w, p, g, value_grad, dt, n_steps, mass=1.0):
+    """Kick-drift-kick integration of (w, p) for n_steps >= 1 steps.
 
-    Returns (w, p, ok); ok is False when a gradient went non-finite, in
-    which case the trajectory must be counted as rejected.
+    g is the gradient at the starting w.  Returns (w, p, e, g, ok) with the
+    energy and gradient at the final w; ok is False when a gradient went
+    non-finite, in which case the trajectory must be counted as rejected.
     """
     w = np.array(w, dtype=float)
     p = np.array(p, dtype=float)
-    g = grad_fn(w)
     if not np.all(np.isfinite(g)):
-        return w, p, False
+        return w, p, np.nan, g, False
     for _ in range(n_steps):
         p -= 0.5 * dt * g
         w += dt * p / mass
-        g = grad_fn(w)
+        e, g = value_grad(w)
         if not np.all(np.isfinite(g)):
-            return w, p, False
+            return w, p, e, g, False
         p -= 0.5 * dt * g
-    return w, p, True
+    return w, p, e, g, True
 
 
-def hmc_trajectory(w, energy_fn, grad_fn, cfg: HmcConfig, rng,
+def hmc_trajectory(w, value_grad, cfg: HmcConfig, rng,
                    box: PriorBox | None = None,
-                   current_energy: float | None = None) -> TrajectoryOutcome:
-    """One HMC proposal from w; returns the accepted or retained state."""
+                   current=None) -> TrajectoryOutcome:
+    """One HMC proposal from w; returns the accepted or retained state.
+
+    current is the (energy, gradient) pair at w carried from the previous
+    trajectory; without it one extra value_grad call computes it.
+    """
     T = cfg.temperature
     mass = cfg.mass
-    e_old = energy_fn(w) if current_energy is None else current_energy
+    e_old, g_old = value_grad(w) if current is None else current
     p0 = rng.normal(0.0, np.sqrt(np.asarray(mass, dtype=float) * T), size=w.shape)
     u_old = e_old + float(np.sum(p0 * p0 / (2.0 * mass)))
 
-    w_new, p_new, ok = velocity_verlet(w, p0, grad_fn, cfg.dt, cfg.n_steps, mass)
+    w_new, p_new, e_new, g_new, ok = velocity_verlet(w, p0, g_old, value_grad,
+                                                     cfg.dt, cfg.n_steps, mass)
     log_u = np.log(rng.uniform())
-    if not ok:
-        return TrajectoryOutcome(False, w, e_old, u_old, np.inf, -np.inf)
-
-    e_new = energy_fn(w_new)
-    if not np.isfinite(e_new):
-        return TrajectoryOutcome(False, w, e_old, u_old, np.inf, -np.inf)
+    if not ok or not np.isfinite(e_new):
+        return TrajectoryOutcome(False, w, e_old, g_old, u_old, np.inf, -np.inf)
     u_new = e_new + float(np.sum(p_new * p_new / (2.0 * mass)))
     alpha = (u_old - u_new) / T
 
     inside = box is None or in_support(w_new, box)
     if inside and log_u < alpha:
-        return TrajectoryOutcome(True, w_new, e_new, u_old, u_new, alpha)
-    return TrajectoryOutcome(False, w, e_old, u_old, u_new, alpha)
+        return TrajectoryOutcome(True, w_new, e_new, g_new, u_old, u_new, alpha)
+    return TrajectoryOutcome(False, w, e_old, g_old, u_old, u_new, alpha)
 
 
 @dataclass
@@ -101,34 +107,39 @@ class StepSizeController:
     max_rounds: int = 200
 
 
-def measure_acceptance(w, energy_fn, grad_fn, cfg: HmcConfig, rng, box,
-                       n_probe: int) -> float:
+def measure_acceptance(w, value_grad, cfg: HmcConfig, rng, box,
+                       n_probe: int, current=None) -> float:
     """Acceptance rate of n_probe probe trajectories started from a copy of w.
 
+    current is the (energy, gradient) pair at w, computed when not given.
     Probe outcomes never feed back into the main chain.
     """
     state = np.array(w, dtype=float)
-    e = energy_fn(state)
+    current = value_grad(state) if current is None else current
     accepted = 0
     for _ in range(n_probe):
-        out = hmc_trajectory(state, energy_fn, grad_fn, cfg, rng, box, e)
-        state, e = out.w, out.energy
+        out = hmc_trajectory(state, value_grad, cfg, rng, box, current)
+        state, current = out.w, (out.energy, out.grad)
         accepted += out.accepted
     return accepted / n_probe
 
 
-def tune_step_size(controller: StepSizeController, w, energy_fn, grad_fn,
-                   cfg: HmcConfig, rng, box: PriorBox | None = None) -> float:
+def tune_step_size(controller: StepSizeController, w, value_grad,
+                   cfg: HmcConfig, rng, box: PriorBox | None = None,
+                   current=None) -> float:
     """Adjust dt until probe acceptance falls inside the target band.
 
-    Raises FailedToTune when the round cap is hit outside the band.
+    Every probe round starts from w with the same (energy, gradient) pair,
+    current, computed once when not given.  Raises FailedToTune when the
+    round cap is hit outside the band.
     """
     lo, hi = controller.band
     dt = controller.dt
     rate = None
+    current = value_grad(w) if current is None else current
     for _ in range(controller.max_rounds):
-        rate = measure_acceptance(w, energy_fn, grad_fn, replace(cfg, dt=dt),
-                                  rng, box, controller.probe_batch)
+        rate = measure_acceptance(w, value_grad, replace(cfg, dt=dt),
+                                  rng, box, controller.probe_batch, current)
         if rate > hi:
             dt *= controller.grow
         elif rate < lo:

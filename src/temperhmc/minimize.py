@@ -7,11 +7,14 @@ by default FIRE's f_dec = 0.5 (Bitzek et al. 2006, PRL 97:170201).  Related
 to FIRE, but without FIRE's velocity re-projection: the momentum direction
 is never re-normalised, only reset.
 
+The potential is one call, value_grad(w) -> (E, gradient), so a step
+costs one forward and one backward pass.
+
 Why 0.5: dt stops drifting when the accepted share a satisfies
 a * dt_increment = (1 - a) * dt * (1 - dt_factor).  At dt ~ 0.1 one
 increment of 0.05 overshoots by 50% and one halving undoes it, so about
 half the steps are accepted.  At dt_factor = 0.95 it takes about 8
-rejections, each costing a gradient, an energy and the momentum, to undo
+rejections, each costing a value_grad call and the momentum, to undo
 one overshoot, and about 90% of the steps are rejected.
 """
 
@@ -43,15 +46,15 @@ class RMinResult:
     trace: list = field(default_factory=list)   # (step, best energy, dt)
 
 
-def rmin(w0, energy_fn, grad_fn, cfg: RMinConfig = None) -> RMinResult:
-    """Minimise energy_fn from w0; returns the best state seen.
+def rmin(w0, value_grad, cfg: RMinConfig = None) -> RMinResult:
+    """Minimise the energy of value_grad from w0; returns the best state seen.
 
-    Deterministic: identical (w0, cfg, energy_fn) give identical traces.
+    Deterministic: identical (w0, cfg, value_grad) give identical traces.
     """
     cfg = cfg or RMinConfig()
     w = np.array(w0, dtype=float)
     p = np.zeros_like(w)
-    e = energy_fn(w)
+    e, g = value_grad(w)
     if not np.isfinite(e):
         raise NonFiniteEnergy(f"non-finite starting energy {e}")
 
@@ -59,15 +62,13 @@ def rmin(w0, energy_fn, grad_fn, cfg: RMinConfig = None) -> RMinResult:
     trace = []
     last_improve_e = e
     last_improve_step = 0
-    g = grad_fn(w)
     steps_done = 0
     for step in range(cfg.n_steps):
-        w_save, e_save, g_save = w.copy(), e, g
+        w_save, e_save, g_save = w, e, g
         # one Verlet step (mass 1)
         p_half = p - 0.5 * dt * g
         w = w + dt * p_half
-        g_new = grad_fn(w)
-        e_new = energy_fn(w)
+        e_new, g_new = value_grad(w)
         if np.isfinite(e_new) and e_new < e_save:
             p = p_half - 0.5 * dt * g_new
             g = g_new

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,16 +49,9 @@ class NetworkArch:
             raise ShapeMismatch(f"unknown head {self.head!r}")
         if self.prior_width_factor <= 0:
             raise ShapeMismatch("prior width factor must be positive")
-
-    @property
-    def n_params(self) -> int:
-        return sum(
-            (n_in + 1) * n_out
-            for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:])
-        )
-
-    def layout(self):
-        """Per-layer (weight_slice, bias_slice, n_in, n_out) tuples."""
+        # The layout is on the hot path of every energy call, so it is built
+        # once.  Plain attributes, not fields: equality and hashing still see
+        # only the three fields above.
         out = []
         offset = 0
         for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
@@ -65,7 +59,12 @@ class NetworkArch:
             b_sl = slice(w_sl.stop, w_sl.stop + n_out)
             out.append((w_sl, b_sl, n_in, n_out))
             offset = b_sl.stop
-        return out
+        object.__setattr__(self, "_layout", tuple(out))
+        object.__setattr__(self, "n_params", offset)
+
+    def layout(self):
+        """Per-layer (weight_slice, bias_slice, n_in, n_out) tuples."""
+        return self._layout
 
     def fan_in(self) -> np.ndarray:
         """Fan-in k (bias included) of the target neuron for every parameter."""
@@ -131,12 +130,12 @@ def init_standard(arch: NetworkArch, rng) -> np.ndarray:
 
 
 def _sigmoid(a):
-    # Clipped evaluation keeps exp() finite deep inside a very wide prior box.
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
+    # exp(-|a|) stays finite deep inside a very wide prior box.  Branch-free,
+    # yet bit for bit 1 / (1 + exp(-a)) for a >= 0 and exp(a) / (1 + exp(a))
+    # below, so no sampler's accept decision moves.
+    e = np.exp(-np.abs(a))
+    out = np.where(a >= 0, 1.0, e)
+    out /= 1.0 + e
     return out
 
 
@@ -214,11 +213,11 @@ def energy_gradient(arch: NetworkArch, w: np.ndarray, inputs: np.ndarray,
     layout = arch.layout()
     hiddens, scores = _forward_pass(arch, w, inputs)
     logp = _log_softmax(scores)
-    value = -_total(logp[np.arange(len(labels)), labels])
+    rows = np.arange(len(labels))
+    value = -_total(logp[rows, labels])
 
-    probs = np.exp(logp)
-    delta = probs.copy()
-    delta[np.arange(len(labels)), labels] -= 1.0
+    delta = np.exp(logp)
+    delta[rows, labels] -= 1.0
     if arch.head == LOGISTIC_SOFTMAX:
         delta = delta * scores * (1.0 - scores)
 
@@ -235,17 +234,22 @@ def energy_gradient(arch: NetworkArch, w: np.ndarray, inputs: np.ndarray,
 
 
 def dataset_energy_fns(arch: NetworkArch, inputs: np.ndarray, labels: np.ndarray):
-    """Closures (energy_fn, grad_fn) over a fixed dataset, for the samplers."""
+    """Closures (energy_fn, value_grad) over a fixed dataset.
+
+    energy_fn(w) is the value alone, for observables; value_grad(w) returns
+    (value, gradient) from one pass and is the potential the samplers and
+    the minimiser take.
+    """
     inputs = np.ascontiguousarray(inputs, dtype=float)
     labels = np.asarray(labels)
 
     def energy_fn(w):
         return energy(arch, w, inputs, labels)
 
-    def grad_fn(w):
-        return energy_gradient(arch, w, inputs, labels)[1]
+    def value_grad(w):
+        return energy_gradient(arch, w, inputs, labels)
 
-    return energy_fn, grad_fn
+    return energy_fn, value_grad
 
 
 def save_params(path, arch: NetworkArch, w: np.ndarray) -> None:
@@ -261,9 +265,11 @@ def save_params(path, arch: NetworkArch, w: np.ndarray) -> None:
         "prior_width_factor": arch.prior_width_factor,
         "n_params": arch.n_params,
     }
-    with open(path, "wb") as fh:
+    tmp = str(path) + ".tmp"
+    with open(tmp, "wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n")
         fh.write(w.tobytes())
+    os.replace(tmp, path)
 
 
 def load_params(path):

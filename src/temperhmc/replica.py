@@ -2,8 +2,8 @@
 
 Each sweep runs every replica for a fixed number of HMC trajectories at
 its own temperature, then makes N_T random adjacent-pair swap attempts.
-A swap exchanges the parameter vectors, cached energies, and replica
-identity labels; the tuned step size and RNG stream stay with the
+A swap exchanges the parameter vectors, cached energies and gradients, and
+replica identity labels; the tuned step size and RNG stream stay with the
 temperature slot.  Per-replica seed streams plus a dedicated swap stream
 make a run bit-reproducible.
 """
@@ -11,11 +11,12 @@ make a run bit-reproducible.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientSamples
+from .errors import ConfigError, FailedToTune, InsufficientSamples
 from .hmc import (HmcConfig, StepSizeController, hmc_trajectory,
                   tune_step_size)
 from .minimize import RMinConfig, rmin
@@ -38,6 +39,7 @@ class Replica:
     dt: float
     rng: np.random.Generator
     identity: int = None        # which initial chain currently occupies the slot
+    grad: np.ndarray = None     # gradient at w; run_remd fills it when absent
 
     def __post_init__(self):
         if self.identity is None:
@@ -56,6 +58,7 @@ def attempt_swap(r_lo: Replica, r_hi: Replica, rng) -> bool:
     if np.log(rng.uniform()) < log_a:
         r_lo.w, r_hi.w = r_hi.w, r_lo.w
         r_lo.energy, r_hi.energy = r_hi.energy, r_lo.energy
+        r_lo.grad, r_hi.grad = r_hi.grad, r_lo.grad
         r_lo.identity, r_hi.identity = r_hi.identity, r_lo.identity
         return True
     return False
@@ -73,7 +76,7 @@ class RemdConfig:
     mass: float = 1.0
 
 
-def init_replica(index, temperature, energy_fn, grad_fn, box, seed,
+def init_replica(index, temperature, value_grad, box, seed,
                  arch=None, w0=None, cfg: RemdConfig = None) -> Replica:
     """Standard init -> fast minimisation -> dt tuning -> burn-in at T.
 
@@ -89,7 +92,7 @@ def init_replica(index, temperature, energy_fn, grad_fn, box, seed,
         if arch is None:
             raise ConfigError("init_replica needs arch or w0")
         w0 = init_standard(arch, rng)
-        w0 = rmin(w0, energy_fn, grad_fn, RMinConfig()).w
+        w0 = rmin(w0, value_grad, cfg=RMinConfig()).w
     w = np.array(w0, dtype=float)
     if box is not None:
         # the minimiser ignores the prior box, and a start outside it (or
@@ -101,14 +104,15 @@ def init_replica(index, temperature, energy_fn, grad_fn, box, seed,
 
     hmc_cfg = HmcConfig(temperature, cfg.dt0, cfg.n_leapfrog, cfg.mass)
     controller = StepSizeController(cfg.dt0)
-    dt = tune_step_size(controller, w, energy_fn, grad_fn, hmc_cfg, rng, box)
+    current = value_grad(w)
+    dt = tune_step_size(controller, w, value_grad, hmc_cfg, rng, box, current)
     hmc_cfg.dt = dt
 
-    e = energy_fn(w)
     for _ in range(cfg.burn_in_traj):
-        out = hmc_trajectory(w, energy_fn, grad_fn, hmc_cfg, rng, box, e)
-        w, e = out.w, out.energy
-    return Replica(index, temperature, w, e, dt, rng)
+        out = hmc_trajectory(w, value_grad, hmc_cfg, rng, box, current)
+        w, current = out.w, (out.energy, out.grad)
+    e, g = current
+    return Replica(index, temperature, w, e, dt, rng, grad=g)
 
 
 @dataclass
@@ -147,15 +151,20 @@ class RunTrace:
                              f"{self.identities[s][i]}\n")
 
 
-def run_remd(replicas, energy_fn, grad_fn, box, cfg: RemdConfig, swap_seed,
+def run_remd(replicas, value_grad, box, cfg: RemdConfig, swap_seed,
              test_energy_fn=None, checkpoint_path=None,
              trace: RunTrace = None) -> RunTrace:
     """Drive a replica-exchange simulation for cfg.sweeps sweeps.
 
     test_energy_fn(w) supplies the held-out observable recorded per sweep
-    (NaN when absent).  Passing an existing trace resumes recording.
+    (NaN when absent).  Passing an existing trace resumes recording.  A
+    replica without a carried gradient (built by hand, or loaded from a
+    checkpoint, which stores none) gets it from one value_grad call here.
     """
     replicas = list(replicas)
+    for r in replicas:
+        if r.grad is None:
+            r.grad = value_grad(r.w)[1]
     n_temps = len(replicas)
     temps = np.array([r.temperature for r in replicas])
     swap_rng = np.random.default_rng(swap_seed)
@@ -168,9 +177,9 @@ def run_remd(replicas, energy_fn, grad_fn, box, cfg: RemdConfig, swap_seed,
             for r, ctl in zip(replicas, controllers):
                 hmc_cfg = HmcConfig(r.temperature, r.dt, cfg.n_leapfrog, cfg.mass)
                 try:
-                    r.dt = tune_step_size(ctl, r.w, energy_fn, grad_fn,
-                                          hmc_cfg, r.rng, box)
-                except Exception:
+                    r.dt = tune_step_size(ctl, r.w, value_grad, hmc_cfg,
+                                          r.rng, box, (r.energy, r.grad))
+                except FailedToTune:
                     pass    # keep the previous dt; tuning retries next cadence
 
         accept = np.zeros(n_temps)
@@ -178,9 +187,9 @@ def run_remd(replicas, energy_fn, grad_fn, box, cfg: RemdConfig, swap_seed,
             hmc_cfg = HmcConfig(r.temperature, r.dt, cfg.n_leapfrog, cfg.mass)
             n_acc = 0
             for _ in range(cfg.n_traj):
-                out = hmc_trajectory(r.w, energy_fn, grad_fn, hmc_cfg,
-                                     r.rng, box, r.energy)
-                r.w, r.energy = out.w, out.energy
+                out = hmc_trajectory(r.w, value_grad, hmc_cfg, r.rng, box,
+                                     (r.energy, r.grad))
+                r.w, r.energy, r.grad = out.w, out.energy, out.grad
                 n_acc += out.accepted
             accept[i] = n_acc / cfg.n_traj
 
@@ -204,16 +213,24 @@ def run_remd(replicas, energy_fn, grad_fn, box, cfg: RemdConfig, swap_seed,
 
 
 def save_checkpoint(path, replicas, sweep):
-    """All replica states in one npz; RNG states serialised as JSON."""
+    """All replica states in one npz; RNG states serialised as JSON.
+
+    Gradients are not stored: run_remd recomputes them on resume.  The
+    file is written to a temporary name and renamed, so an interrupted
+    write leaves an earlier checkpoint intact.
+    """
     states = [json.dumps(r.rng.bit_generator.state) for r in replicas]
-    np.savez(path,
-             sweep=sweep,
-             temperatures=[r.temperature for r in replicas],
-             w=np.stack([r.w for r in replicas]),
-             energy=[r.energy for r in replicas],
-             dt=[r.dt for r in replicas],
-             identity=[r.identity for r in replicas],
-             rng_states=np.array(states, dtype=object))
+    tmp = str(path) + ".tmp"
+    with open(tmp, "wb") as fh:     # a handle: savez appends no .npz suffix
+        np.savez(fh,
+                 sweep=sweep,
+                 temperatures=[r.temperature for r in replicas],
+                 w=np.stack([r.w for r in replicas]),
+                 energy=[r.energy for r in replicas],
+                 dt=[r.dt for r in replicas],
+                 identity=[r.identity for r in replicas],
+                 rng_states=np.array(states, dtype=object))
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path):

@@ -65,7 +65,7 @@ class TIResult:
     provenance: dict = field(default_factory=dict)
 
 
-def fit_stiffness(energy_fn, grad_fn, w0, cfg: TiConfig, rng,
+def fit_stiffness(value_grad, w0, cfg: TiConfig, rng,
                   box: PriorBox | None = None) -> StiffnessDiag:
     """Fit k_ii = 1 / <(w_i - w0_i)^2> by unbounded sampling at T = 1.
 
@@ -76,20 +76,21 @@ def fit_stiffness(energy_fn, grad_fn, w0, cfg: TiConfig, rng,
     w0 = np.asarray(w0, dtype=float)
     hmc_cfg = HmcConfig(1.0, cfg.dt0, cfg.n_leapfrog)
     controller = StepSizeController(cfg.dt0)
-    dt = tune_step_size(controller, w0, energy_fn, grad_fn, hmc_cfg, rng, None)
+    current = value_grad(w0)
+    j0 = current[0]
+    dt = tune_step_size(controller, w0, value_grad, hmc_cfg, rng, None, current)
     hmc_cfg.dt = dt
 
     w = w0.copy()
-    e = energy_fn(w)
     for _ in range(cfg.fit_burn_in_traj):
-        out = hmc_trajectory(w, energy_fn, grad_fn, hmc_cfg, rng, None, e)
-        w, e = out.w, out.energy
+        out = hmc_trajectory(w, value_grad, hmc_cfg, rng, None, current)
+        w, current = out.w, (out.energy, out.grad)
 
     sq_sum = np.zeros_like(w0)
     n_outside = 0
     for _ in range(cfg.fit_sample_traj):
-        out = hmc_trajectory(w, energy_fn, grad_fn, hmc_cfg, rng, None, e)
-        w, e = out.w, out.energy
+        out = hmc_trajectory(w, value_grad, hmc_cfg, rng, None, current)
+        w, current = out.w, (out.energy, out.grad)
         d = w - w0
         sq_sum += d * d
         if box is not None and np.any(np.abs(w) >= 0.5 * box.sigma):
@@ -99,33 +100,32 @@ def fit_stiffness(energy_fn, grad_fn, w0, cfg: TiConfig, rng,
         raise DegenerateDirection("non-finite sampled variance")
     degenerate = np.flatnonzero(mean_sq < VARIANCE_FLOOR)
     mean_sq = np.maximum(mean_sq, VARIANCE_FLOOR)
-    return StiffnessDiag(w0, 1.0 / mean_sq, energy_fn(w0),
+    return StiffnessDiag(w0, 1.0 / mean_sq, j0,
                          n_outside / cfg.fit_sample_traj, degenerate)
 
 
-def bridge_energy_fns(energy_fn, grad_fn, stiff: StiffnessDiag, lam: float):
-    """Energy/gradient closures for the interpolated potential at one lambda.
+def bridge_energy_fns(value_grad, stiff: StiffnessDiag, lam: float):
+    """The interpolated potential at one lambda, as a value_grad closure.
 
-    value = (1-lam) (J(w) - J(w0)) + lam * sum k (w - w0)^2 / 2 + J(w0).
+    value = (1-lam) (J(w) - J(w0)) + lam * sum k (w - w0)^2 / 2 + J(w0),
+    with value and gradient from one call of the underlying value_grad (none
+    at lam = 1).
     """
     if not 0.0 <= lam <= 1.0:
         raise GridMismatch(f"lambda {lam} outside [0, 1]")
     w0, k, j0 = stiff.w0, stiff.k, stiff.j0
 
-    def value(w):
+    def bridge(w):
         d = w - w0
-        quad = 0.5 * float(np.dot(k * d, d))
+        kd = k * d
+        quad = 0.5 * float(np.dot(kd, d))
         if lam == 1.0:
-            return quad + j0
-        return (1.0 - lam) * (energy_fn(w) - j0) + lam * quad + j0
+            return quad + j0, kd
+        e, g = value_grad(w)
+        return ((1.0 - lam) * (e - j0) + lam * quad + j0,
+                (1.0 - lam) * g + lam * kd)
 
-    def grad(w):
-        d = w - w0
-        if lam == 1.0:
-            return k * d
-        return (1.0 - lam) * grad_fn(w) + lam * (k * d)
-
-    return value, grad
+    return bridge
 
 
 def ti_observable(energy_fn, stiff: StiffnessDiag, w) -> float:
@@ -192,9 +192,12 @@ def log_z0(stiff: StiffnessDiag, box: PriorBox) -> float:
     return float(np.sum(0.5 * np.log(2.0 * np.pi / stiff.k) + log_mass))
 
 
-def run_ti(energy_fn, grad_fn, stiff: StiffnessDiag, box: PriorBox,
+def run_ti(energy_fn, value_grad, stiff: StiffnessDiag, box: PriorBox,
            cfg: TiConfig, rng) -> TIResult:
     """Full thermodynamic integration pass.
+
+    value_grad drives the chains; energy_fn, the value alone, feeds the
+    per-sample observable.
 
     Lambda runs over a uniform inclusive [0, 1] grid with n_bridge interior
     points; chains warm-start sequentially from the previous lambda, with
@@ -208,20 +211,20 @@ def run_ti(energy_fn, grad_fn, stiff: StiffnessDiag, box: PriorBox,
     ses = np.zeros_like(lambdas)
     controller = StepSizeController(dt)
     for idx, lam in enumerate(lambdas):
-        e_fn, g_fn = bridge_energy_fns(energy_fn, grad_fn, stiff, lam)
+        bridge = bridge_energy_fns(value_grad, stiff, lam)
         hmc_cfg = HmcConfig(1.0, dt, cfg.n_leapfrog)
+        current = bridge(w)
         if idx % cfg.retune_every_lambdas == 0:
             controller.dt = dt
-            dt = tune_step_size(controller, w, e_fn, g_fn, hmc_cfg, rng, box)
+            dt = tune_step_size(controller, w, bridge, hmc_cfg, rng, box, current)
             hmc_cfg.dt = dt
-        e = e_fn(w)
         for _ in range(cfg.burn_in_traj):
-            out = hmc_trajectory(w, e_fn, g_fn, hmc_cfg, rng, box, e)
-            w, e = out.w, out.energy
+            out = hmc_trajectory(w, bridge, hmc_cfg, rng, box, current)
+            w, current = out.w, (out.energy, out.grad)
         samples = np.zeros(cfg.sample_traj)
         for t in range(cfg.sample_traj):
-            out = hmc_trajectory(w, e_fn, g_fn, hmc_cfg, rng, box, e)
-            w, e = out.w, out.energy
+            out = hmc_trajectory(w, bridge, hmc_cfg, rng, box, current)
+            w, current = out.w, (out.energy, out.grad)
             samples[t] = ti_observable(energy_fn, stiff, w)
         means[idx], ses[idx] = blocked_mean_se(samples)
 

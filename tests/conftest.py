@@ -1,3 +1,5 @@
+import builtins
+
 import numpy as np
 import pytest
 
@@ -41,3 +43,36 @@ def tiny_arch():
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+class _FailingFile:
+    """A real file whose writes after the first raise, as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._writes = 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError("no space left on device")
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.fixture
+def fail_writes(monkeypatch):
+    """fail_writes(module): files that module opens fail after one write."""
+    def install(module):
+        monkeypatch.setattr(module, "open",
+                            lambda *a, **k: _FailingFile(builtins.open(*a, **k)),
+                            raising=False)
+    return install

@@ -116,10 +116,10 @@ def test_03_energy_floors():
 def test_04_verlet_reversibility():
     rng = np.random.default_rng(104)
     h = rng.uniform(0.3, 3.0, size=8)
-    grad = lambda w: h * w
+    value_grad = lambda w: (0.5 * float(np.dot(h * w, w)), h * w)
     w0, p0 = rng.normal(size=8), rng.normal(size=8)
-    w, p, _ = velocity_verlet(w0, p0, grad, 0.05, 100)
-    w, p, _ = velocity_verlet(w, -p, grad, 0.05, 100)
+    w, p, _, g, _ = velocity_verlet(w0, p0, h * w0, value_grad, 0.05, 100)
+    w, p, _, _, _ = velocity_verlet(w, -p, g, value_grad, 0.05, 100)
     err = max(np.max(np.abs(w - w0)), np.max(np.abs(-p - p0)))
     report(4, "Verlet reversibility", err <= 1e-10,
            f"round-trip error {err:.2e} (limit 1e-10)")
@@ -130,6 +130,7 @@ def test_05_hmc_stationarity():
     h = rng.uniform(0.5, 5.0, size=10)
     energy_fn = lambda w: 0.5 * float(np.dot(h * w, w))
     grad_fn = lambda w: h * w
+    value_grad = lambda w: (energy_fn(w), grad_fn(w))
     t0 = time.time()
     failures = []
     rates = []
@@ -139,16 +140,16 @@ def test_05_hmc_stationarity():
         ctl = StepSizeController(0.05, band=(0.625, 0.675), probe_batch=1000,
                                  max_rounds=300, grow=1.05, shrink=0.95)
         cfg = HmcConfig(T, 0.05, 20)
-        dt = tune_step_size(ctl, np.zeros(10), energy_fn, grad_fn, cfg, rng)
+        dt = tune_step_size(ctl, np.zeros(10), value_grad, cfg, rng)
         cfg = HmcConfig(T, dt, 20)
         w = np.zeros(10)
-        e = energy_fn(w)
+        current = value_grad(w)
         n = 15_000
         sq = np.empty((n, 10))
         accepted = 0
         for t in range(n):
-            out = hmc_trajectory(w, energy_fn, grad_fn, cfg, rng, None, e)
-            w, e = out.w, out.energy
+            out = hmc_trajectory(w, value_grad, cfg, rng, None, current)
+            w, current = out.w, (out.energy, out.grad)
             accepted += out.accepted
             sq[t] = w * w
         rate = accepted / n
@@ -196,8 +197,8 @@ def test_07_thermodynamic_monotonicity():
     def energy_fn(w):
         return float(np.sum((w * w - 1.0) ** 2)) / 0.1
 
-    def grad_fn(w):
-        return 4.0 * w * (w * w - 1.0) / 0.1
+    def value_grad(w):
+        return energy_fn(w), 4.0 * w * (w * w - 1.0) / 0.1
 
     temps = make_ladder(0.5, 20.0, 8)
     replicas = [Replica(i, float(T), np.ones(2), energy_fn(np.ones(2)), 0.03,
@@ -205,7 +206,7 @@ def test_07_thermodynamic_monotonicity():
                 for i, T in enumerate(temps)]
     cfg = RemdConfig(n_traj=3, n_leapfrog=15, sweeps=800, retune_every=100)
     t0 = time.time()
-    trace = run_remd(replicas, energy_fn, grad_fn, None, cfg, swap_seed=107)
+    trace = run_remd(replicas, value_grad, None, cfg, swap_seed=107)
     summary = measure_sweep(trace, burn_in_sweeps=100)
     elapsed = time.time() - t0
     means = summary["e_train_mean"]
@@ -225,7 +226,7 @@ def test_07_thermodynamic_monotonicity():
 def test_08_ti_quadratic_null():
     h = np.array([0.5, 1.0, 2.0, 4.0])
     energy_fn = lambda w: 0.5 * float(np.dot(h * w, w))
-    grad_fn = lambda w: h * w
+    value_grad = lambda w: (energy_fn(w), h * w)
     from temperhmc.network import PriorBox
     box = PriorBox(np.full(4, 30.0))
     cfg = TiConfig(n_bridge=10, burn_in_traj=30, sample_traj=150,
@@ -237,8 +238,8 @@ def test_08_ti_quadratic_null():
     devs = []
     for r in range(8):
         rng = np.random.default_rng(1080 + r)
-        stiff = fit_stiffness(energy_fn, grad_fn, np.zeros(4), cfg, rng)
-        res = run_ti(energy_fn, grad_fn, stiff, box, cfg, rng)
+        stiff = fit_stiffness(value_grad, np.zeros(4), cfg, rng)
+        res = run_ti(energy_fn, value_grad, stiff, box, cfg, rng)
         devs.append(res.free_energy - res.f0)
     elapsed = time.time() - t0
     devs = np.asarray(devs)
@@ -254,9 +255,9 @@ def test_09_ti_oracle_equivalence():
     def energy_fn(w):
         return float(w[0] ** 4 + w[1] ** 4 + (w[0] * w[1]) ** 2)
 
-    def grad_fn(w):
-        return np.array([4 * w[0] ** 3 + 2 * w[0] * w[1] ** 2,
-                         4 * w[1] ** 3 + 2 * w[0] ** 2 * w[1]])
+    def value_grad(w):
+        return energy_fn(w), np.array([4 * w[0] ** 3 + 2 * w[0] * w[1] ** 2,
+                                       4 * w[1] ** 3 + 2 * w[0] ** 2 * w[1]])
 
     from temperhmc.network import PriorBox
     box = PriorBox(np.array([5.0, 5.0]))
@@ -265,8 +266,8 @@ def test_09_ti_oracle_equivalence():
                    n_leapfrog=15, retune_every_lambdas=8,
                    fit_burn_in_traj=500, fit_sample_traj=4000, dt0=0.3)
     t0 = time.time()
-    stiff = fit_stiffness(energy_fn, grad_fn, np.zeros(2), cfg, rng, box)
-    res = run_ti(energy_fn, grad_fn, stiff, box, cfg, rng)
+    stiff = fit_stiffness(value_grad, np.zeros(2), cfg, rng, box)
+    res = run_ti(energy_fn, value_grad, stiff, box, cfg, rng)
     elapsed = time.time() - t0
 
     g = np.linspace(-2.5, 2.5, 1201)
@@ -292,14 +293,14 @@ def test_11_minimizer_speed(mnist_splits):
     (train, test), source = mnist_splits
     d500, _ = data.stratified_subset(train, test, 500, seed=0)
     arch = get_arch("M3")
-    energy_fn, grad_fn = dataset_energy_fns(arch, d500.inputs, d500.labels)
+    _, value_grad = dataset_energy_fns(arch, d500.inputs, d500.labels)
     cfg = RMinConfig(n_steps=1000, energy_tol=1e-6, stall_window=1000)
     t0 = time.time()
     steps = []
     successes = 0
     for seed in range(10):
         w0 = init_standard(arch, np.random.default_rng(seed))
-        res = rmin(w0, energy_fn, grad_fn, cfg)
+        res = rmin(w0, value_grad, cfg)
         steps.append(res.n_steps if res.energy < 1e-6 else -1)
         successes += res.energy < 1e-6
     elapsed = time.time() - t0
@@ -314,7 +315,7 @@ def test_12_temperature_sweep_reproduction(mnist_splits):
     d50, d50_test = data.stratified_subset(train, test, 50, seed=0)
     arch = get_arch("M1")
     box = prior_box(arch)
-    energy_fn, grad_fn = dataset_energy_fns(arch, d50.inputs, d50.labels)
+    _, value_grad = dataset_energy_fns(arch, d50.inputs, d50.labels)
 
     # fixed stratified evaluation subset shared by sampler and baseline
     rng = np.random.default_rng(112)
@@ -330,10 +331,10 @@ def test_12_temperature_sweep_reproduction(mnist_splits):
                      retune_every=75)
     ladder = make_ladder(1e-2, 1e2, 16)
     seeds = np.random.SeedSequence(120).spawn(len(ladder) + 1)
-    replicas = [init_replica(i, float(T), energy_fn, grad_fn, box, seeds[i],
+    replicas = [init_replica(i, float(T), value_grad, box, seeds[i],
                              arch=arch, cfg=cfg)
                 for i, T in enumerate(ladder)]
-    trace = run_remd(replicas, energy_fn, grad_fn, box, cfg, seeds[-1],
+    trace = run_remd(replicas, value_grad, box, cfg, seeds[-1],
                      test_energy_fn=eval_fn)
     summary = measure_sweep(trace, burn_in_sweeps=60)
 

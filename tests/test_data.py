@@ -147,6 +147,34 @@ class TestStratifiedSubset:
         assert not np.array_equal(a.inputs, c.inputs)
 
 
+class TestStratifiedIndices:
+    @staticmethod
+    def inline_draw(labels, n_eval):
+        # the per-class draw the remd command made inline before it moved
+        # into data.stratified_indices
+        rng = np.random.default_rng(12345)
+        idx = []
+        per = n_eval // 10
+        for c in range(10):
+            cand = np.flatnonzero(labels == c)
+            idx.append(rng.choice(cand, size=min(per, len(cand)), replace=False))
+        return np.sort(np.concatenate(idx))
+
+    @pytest.mark.parametrize("n_eval", [10, 95, 300, 1000])
+    def test_pins_the_inline_draw(self, n_eval):
+        # uneven classes; class 9 has fewer than n_eval // 10 at the larger sizes
+        labels = np.random.default_rng(5).choice(
+            10, size=900, p=[0.11] * 5 + [0.1] * 4 + [0.05])
+        idx = data.stratified_indices(labels, n_eval, seed=12345)
+        np.testing.assert_array_equal(idx, self.inline_draw(labels, n_eval))
+
+    def test_matches_on_the_test_fixture(self, d50):
+        _, test = d50
+        np.testing.assert_array_equal(
+            data.stratified_indices(test.labels, 1000, seed=12345),
+            self.inline_draw(test.labels, 1000))
+
+
 class TestStore:
     def test_snapshot_bit_identical(self, tmp_path, full_splits):
         train, test = full_splits

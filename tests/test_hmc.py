@@ -8,18 +8,25 @@ from temperhmc.network import PriorBox
 
 
 def quad_fns(h):
-    """Separable quadratic target E = sum h_i w_i^2 / 2."""
+    """Separable quadratic target E = sum h_i w_i^2 / 2: (energy, value_grad)."""
     h = np.asarray(h, dtype=float)
-    return (lambda w: 0.5 * float(np.dot(h * w, w)),
-            lambda w: h * w)
+
+    def energy(w):
+        return 0.5 * float(np.dot(h * w, w))
+
+    return energy, lambda w: (energy(w), h * w)
+
+
+def flat(w):
+    return 0.0, np.zeros_like(w)
 
 
 class TestVerlet:
     def test_free_flight(self):
         w0 = np.array([1.0, -2.0])
         p0 = np.array([0.5, 0.25])
-        w, p, ok = velocity_verlet(w0, p0, lambda w: np.zeros_like(w),
-                                   dt=0.2, n_steps=30)
+        w, p, _, _, ok = velocity_verlet(w0, p0, flat(w0)[1], flat,
+                                         dt=0.2, n_steps=30)
         assert ok
         np.testing.assert_allclose(w, w0 + 30 * 0.2 * p0, atol=1e-12)
         np.testing.assert_allclose(p, p0, atol=1e-15)
@@ -27,21 +34,23 @@ class TestVerlet:
     @pytest.mark.parametrize("dt,stable", [(0.5, True), (1.9, True), (2.1, False)])
     def test_harmonic_stability_boundary(self, dt, stable):
         # unit harmonic oscillator: Verlet is stable iff dt < 2
-        _, grad = quad_fns([1.0])
+        _, value_grad = quad_fns([1.0])
         w, p = np.array([1.0]), np.array([0.0])
+        g = value_grad(w)[1]
         peak = 0.0
         for _ in range(200):
-            w, p, _ = velocity_verlet(w, p, grad, dt, 1)
+            w, p, _, g, _ = velocity_verlet(w, p, g, value_grad, dt, 1)
             peak = max(peak, abs(w[0]))
         assert (peak < 10.0) == stable
 
     def test_harmonic_energy_drift_bounded(self):
-        energy, grad = quad_fns([1.0])
+        energy, value_grad = quad_fns([1.0])
         w, p = np.array([1.3]), np.array([-0.4])
+        g = value_grad(w)[1]
         e0 = energy(w) + 0.5 * p[0] ** 2
         errs = []
         for _ in range(500):
-            w, p, _ = velocity_verlet(w, p, grad, 0.3, 1)
+            w, p, _, g, _ = velocity_verlet(w, p, g, value_grad, 0.3, 1)
             errs.append(energy(w) + 0.5 * p[0] ** 2 - e0)
         errs = np.asarray(errs)
         # oscillatory, not secular: bounded and sign-changing
@@ -50,26 +59,28 @@ class TestVerlet:
 
     def test_reversibility(self, rng):
         h = rng.uniform(0.5, 2.0, size=6)
-        _, grad = quad_fns(h)
+        _, value_grad = quad_fns(h)
         w0 = rng.normal(size=6)
         p0 = rng.normal(size=6)
-        w, p, _ = velocity_verlet(w0, p0, grad, 0.05, 100)
-        w, p, _ = velocity_verlet(w, -p, grad, 0.05, 100)
+        w, p, _, g, _ = velocity_verlet(w0, p0, value_grad(w0)[1], value_grad,
+                                        0.05, 100)
+        w, p, _, _, _ = velocity_verlet(w, -p, g, value_grad, 0.05, 100)
         np.testing.assert_allclose(w, w0, atol=1e-10)
         np.testing.assert_allclose(-p, p0, atol=1e-10)
 
     def test_nonfinite_gradient_flagged(self):
-        def grad(w):
-            return np.full_like(w, np.nan)
-        _, _, ok = velocity_verlet(np.ones(2), np.zeros(2), grad, 0.1, 3)
+        def value_grad(w):
+            return 0.0, np.full_like(w, np.nan)
+        w0 = np.ones(2)
+        _, _, _, _, ok = velocity_verlet(w0, np.zeros(2), value_grad(w0)[1],
+                                         value_grad, 0.1, 3)
         assert not ok
 
 
 class TestTrajectory:
     def test_flat_energy_always_accepted(self, rng):
         cfg = HmcConfig(temperature=1.0, dt=0.3, n_steps=10)
-        outcomes = [hmc_trajectory(np.zeros(3), lambda w: 0.0,
-                                   lambda w: np.zeros_like(w), cfg, rng)
+        outcomes = [hmc_trajectory(np.zeros(3), flat, cfg, rng)
                     for _ in range(50)]
         assert all(o.accepted for o in outcomes)
         assert all(o.log_accept == pytest.approx(0.0, abs=1e-12) for o in outcomes)
@@ -78,22 +89,21 @@ class TestTrajectory:
         # tiny box around the origin: a free-flight proposal almost surely exits
         box = PriorBox(np.full(3, 1e-6))
         cfg = HmcConfig(temperature=1.0, dt=0.5, n_steps=20)
-        out = hmc_trajectory(np.zeros(3), lambda w: 0.0,
-                             lambda w: np.zeros_like(w), cfg, rng, box)
+        out = hmc_trajectory(np.zeros(3), flat, cfg, rng, box)
         assert not out.accepted
         np.testing.assert_array_equal(out.w, 0.0)
 
     def test_gaussian_stationarity_1d(self):
-        energy, grad = quad_fns([1.0])
+        _, value_grad = quad_fns([1.0])
         cfg = HmcConfig(temperature=1.0, dt=0.1, n_steps=20)
         rng = np.random.default_rng(7)
         w = np.array([0.0])
-        e = energy(w)
+        current = value_grad(w)
         n = 100_000
         samples = np.empty(n)
         for t in range(n):
-            out = hmc_trajectory(w, energy, grad, cfg, rng, None, e)
-            w, e = out.w, out.energy
+            out = hmc_trajectory(w, value_grad, cfg, rng, None, current)
+            w, current = out.w, (out.energy, out.grad)
             samples[t] = w[0]
         # target N(0, 1); trajectories are nearly independent at L=20
         se_mean = 1.0 / np.sqrt(n)
@@ -102,32 +112,32 @@ class TestTrajectory:
         assert abs(samples.var() - 1.0) < 3 * se_var * 3
 
     def test_temperature_scales_variance(self):
-        energy, grad = quad_fns([1.0])
+        _, value_grad = quad_fns([1.0])
         rng = np.random.default_rng(8)
         T = 4.0
         cfg = HmcConfig(temperature=T, dt=0.2, n_steps=20)
         w = np.array([0.0])
-        e = energy(w)
+        current = value_grad(w)
         samples = np.empty(20_000)
         for t in range(len(samples)):
-            out = hmc_trajectory(w, energy, grad, cfg, rng, None, e)
-            w, e = out.w, out.energy
+            out = hmc_trajectory(w, value_grad, cfg, rng, None, current)
+            w, current = out.w, (out.energy, out.grad)
             samples[t] = w[0]
         assert samples.var() == pytest.approx(T, rel=0.1)
 
     def test_rejection_keeps_state_and_energy(self, rng):
-        energy, grad = quad_fns([1.0])
+        _, value_grad = quad_fns([1.0])
         cfg = HmcConfig(temperature=1e-6, dt=1.5, n_steps=5)  # cold + coarse: rejects
         w = np.array([2.0])
-        e = energy(w)
+        e, g = value_grad(w)
         rejected = False
         for _ in range(50):
-            out = hmc_trajectory(w, energy, grad, cfg, rng, None, e)
+            out = hmc_trajectory(w, value_grad, cfg, rng, None, (e, g))
             if not out.accepted:
                 np.testing.assert_array_equal(out.w, w)
                 assert out.energy == e
                 rejected = True
-            w, e = out.w, out.energy
+            w, e, g = out.w, out.energy, out.grad
         assert rejected
 
 
@@ -136,35 +146,34 @@ class TestTuning:
         # flat target accepts everything... so use a band that contains 1.0
         ctl = StepSizeController(0.25, band=(0.9, 1.0))
         cfg = HmcConfig(1.0, 0.25, 5)
-        dt = tune_step_size(ctl, np.zeros(2), lambda w: 0.0,
-                            lambda w: np.zeros_like(w), cfg, rng)
+        dt = tune_step_size(ctl, np.zeros(2), flat, cfg, rng)
         assert dt == 0.25
 
     def test_grows_under_full_acceptance(self, rng):
-        energy, grad = quad_fns([1.0])
+        _, value_grad = quad_fns([1.0])
         ctl = StepSizeController(0.001, max_rounds=200)
         cfg = HmcConfig(1.0, 0.001, 20)
-        dt = tune_step_size(ctl, np.zeros(1), energy, grad, cfg, rng)
+        dt = tune_step_size(ctl, np.zeros(1), value_grad, cfg, rng)
         assert dt > 0.001
-        rate = measure_acceptance(np.zeros(1), energy, grad,
+        rate = measure_acceptance(np.zeros(1), value_grad,
                                   HmcConfig(1.0, dt, 20), rng, None, 200)
         assert 0.45 <= rate <= 0.85
 
     def test_shrinks_when_too_coarse(self, rng):
-        energy, grad = quad_fns([1.0])
+        _, value_grad = quad_fns([1.0])
         ctl = StepSizeController(1.9, max_rounds=200)
         cfg = HmcConfig(1.0, 1.9, 20)
-        dt = tune_step_size(ctl, np.zeros(1), energy, grad, cfg, rng)
+        dt = tune_step_size(ctl, np.zeros(1), value_grad, cfg, rng)
         assert dt < 1.9
 
     def test_tuned_acceptance_near_optimum_10d(self):
         rng = np.random.default_rng(12)
         h = rng.uniform(0.5, 4.0, size=10)
-        energy, grad = quad_fns(h)
+        _, value_grad = quad_fns(h)
         ctl = StepSizeController(0.05, max_rounds=300)
         cfg = HmcConfig(1.0, 0.05, 30)
-        dt = tune_step_size(ctl, np.zeros(10), energy, grad, cfg, rng)
-        rate = measure_acceptance(np.zeros(10), energy, grad,
+        dt = tune_step_size(ctl, np.zeros(10), value_grad, cfg, rng)
+        rate = measure_acceptance(np.zeros(10), value_grad,
                                   HmcConfig(1.0, dt, 30), rng, None, 400)
         assert 0.5 < rate < 0.85
 
@@ -173,10 +182,10 @@ class TestTuning:
         def energy(w):
             return 0.0 if np.all(w == 0) else np.inf
 
-        def grad(w):
-            return np.zeros_like(w)
+        def value_grad(w):
+            return energy(w), np.zeros_like(w)
 
         ctl = StepSizeController(0.1, max_rounds=5)
         cfg = HmcConfig(1.0, 0.1, 5)
         with pytest.raises(FailedToTune):
-            tune_step_size(ctl, np.zeros(2), energy, grad, cfg, rng)
+            tune_step_size(ctl, np.zeros(2), value_grad, cfg, rng)

@@ -6,13 +6,13 @@ from temperhmc.minimize import RMinConfig, RMinResult, rmin
 
 
 def quad1d():
-    return (lambda w: 0.5 * float(w[0] ** 2), lambda w: w.copy())
+    return lambda w: (0.5 * float(w[0] ** 2), w.copy())
 
 
 class TestConvergence:
     def test_1d_quadratic_from_3(self):
-        energy, grad = quad1d()
-        res = rmin(np.array([3.0]), energy, grad,
+        value_grad = quad1d()
+        res = rmin(np.array([3.0]), value_grad,
                    RMinConfig(n_steps=500, energy_tol=0.5e-6))
         assert abs(res.w[0]) < 1e-3
         assert res.n_steps < 500
@@ -23,13 +23,13 @@ class TestConvergence:
         def energy(w):
             return 0.5 * float(np.dot(h * w, w))
 
-        res = rmin(np.array([2.0, -1.0, 0.5]), energy, lambda w: h * w,
+        res = rmin(np.array([2.0, -1.0, 0.5]), lambda w: (energy(w), h * w),
                    RMinConfig(n_steps=2000, energy_tol=1e-12))
         assert res.energy < 1e-10
 
     def test_stationary_start_never_moves(self):
-        energy, grad = quad1d()
-        res = rmin(np.array([0.0]), energy, grad, RMinConfig(n_steps=50))
+        value_grad = quad1d()
+        res = rmin(np.array([0.0]), value_grad, RMinConfig(n_steps=50))
         np.testing.assert_array_equal(res.w, 0.0)
         assert res.energy == 0.0
 
@@ -59,7 +59,7 @@ class TestStepSizeSchedule:
             state["e"] = state["e"] - 1.0 if down else state["e"] + 1.0
             return state["e"]
 
-        res = rmin(np.array([1.0]), scripted_energy, grad,
+        res = rmin(np.array([1.0]), lambda w: (scripted_energy(w), grad(w)),
                    RMinConfig(n_steps=3, dt0=0.1, energy_tol=-np.inf))
         dts = [t[2] for t in res.trace]
         np.testing.assert_allclose(dts, [0.15, 0.20, 0.10], atol=1e-12)
@@ -72,7 +72,7 @@ class TestStepSizeSchedule:
             seen.append(w.copy())
             return float(w[0] ** 2)
 
-        res = rmin(np.array([1.0]), energy, lambda w: 2 * w,
+        res = rmin(np.array([1.0]), lambda w: (energy(w), 2 * w),
                    RMinConfig(n_steps=40, energy_tol=-np.inf, stall_window=1000))
         best = min(float(w[0] ** 2) for w in seen)
         assert res.energy == pytest.approx(best, rel=1e-12)
@@ -86,24 +86,24 @@ class TestBookkeeping:
         def energy(w):
             return 0.5 * float(np.dot(h * w, w))
 
-        res = rmin(rng.normal(size=8), energy, lambda w: h * w,
+        res = rmin(rng.normal(size=8), lambda w: (energy(w), h * w),
                    RMinConfig(n_steps=300, energy_tol=-np.inf, stall_window=1000))
         energies = [t[1] for t in res.trace]
         assert all(b <= a + 1e-15 for a, b in zip(energies, energies[1:]))
 
     def test_deterministic(self):
-        energy, grad = quad1d()
-        a = rmin(np.array([2.5]), energy, grad, RMinConfig(n_steps=100))
-        b = rmin(np.array([2.5]), energy, grad, RMinConfig(n_steps=100))
+        value_grad = quad1d()
+        a = rmin(np.array([2.5]), value_grad, RMinConfig(n_steps=100))
+        b = rmin(np.array([2.5]), value_grad, RMinConfig(n_steps=100))
         assert a.energy == b.energy
         assert a.trace == b.trace
 
     def test_nonfinite_start_raises(self):
         with pytest.raises(NonFiniteEnergy):
-            rmin(np.array([1.0]), lambda w: np.nan, lambda w: w, RMinConfig())
+            rmin(np.array([1.0]), lambda w: (np.nan, w), RMinConfig())
 
     def test_result_type(self):
-        energy, grad = quad1d()
-        res = rmin(np.array([1.0]), energy, grad, RMinConfig(n_steps=10))
+        value_grad = quad1d()
+        res = rmin(np.array([1.0]), value_grad, RMinConfig(n_steps=10))
         assert isinstance(res, RMinResult)
         assert len(res.trace) == res.n_steps

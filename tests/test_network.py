@@ -199,3 +199,16 @@ class TestSerialization:
         arch2, w2 = load_params(path)
         assert arch2 == arch
         np.testing.assert_array_equal(w, w2)
+
+    def test_failed_write_keeps_earlier_file(self, tmp_path, rng, fail_writes):
+        import temperhmc.network
+        arch = NetworkArch((3, 4, 2))
+        w = rng.normal(size=arch.n_params)
+        path = tmp_path / "w.params"
+        save_params(path, arch, w)
+        before = path.read_bytes()
+        fail_writes(temperhmc.network)
+        with pytest.raises(OSError):
+            save_params(path, arch, w + 1.0)
+        assert path.read_bytes() == before
+        np.testing.assert_array_equal(load_params(path)[1], w)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from temperhmc.errors import ConfigError, InsufficientSamples
+import temperhmc.replica
+from temperhmc.errors import ConfigError, FailedToTune, InsufficientSamples
 from temperhmc.hmc import HmcConfig, hmc_trajectory
 from temperhmc.network import NetworkArch, prior_box
 from temperhmc.replica import (RemdConfig, Replica, RunTrace, attempt_swap,
@@ -20,8 +21,11 @@ def quad_replicas(temps, seed=0, dt=0.3):
 
 
 def quad_fns(h=1.0):
-    return (lambda w: 0.5 * h * float(np.dot(w, w)),
-            lambda w: h * w)
+    """E = h |w|^2 / 2 as (energy, value_grad)."""
+    def energy(w):
+        return 0.5 * h * float(np.dot(w, w))
+
+    return energy, lambda w: (energy(w), h * w)
 
 
 class TestLadder:
@@ -90,10 +94,10 @@ class TestInitReplica:
         x = rng.normal(size=(20, 2))
         labels = rng.integers(0, 3, 20)
         from temperhmc.network import dataset_energy_fns
-        e_fn, g_fn = dataset_energy_fns(arch, x, labels)
+        _, value_grad = dataset_energy_fns(arch, x, labels)
         cfg = RemdConfig(burn_in_traj=10, n_leapfrog=10)
-        a = init_replica(0, 1.0, e_fn, g_fn, box, seed=77, arch=arch, cfg=cfg)
-        b = init_replica(0, 1.0, e_fn, g_fn, box, seed=77, arch=arch, cfg=cfg)
+        a = init_replica(0, 1.0, value_grad, box, seed=77, arch=arch, cfg=cfg)
+        b = init_replica(0, 1.0, value_grad, box, seed=77, arch=arch, cfg=cfg)
         np.testing.assert_array_equal(a.w, b.w)
         assert a.energy == b.energy
         from temperhmc.network import in_support
@@ -101,47 +105,48 @@ class TestInitReplica:
 
     def test_requires_arch_or_w0(self):
         with pytest.raises(ConfigError):
-            init_replica(0, 1.0, lambda w: 0.0, lambda w: w, None, seed=0)
+            init_replica(0, 1.0, lambda w: (0.0, w), None, seed=0)
 
 
 class TestRunRemd:
     def test_single_replica_matches_plain_hmc(self):
-        energy, grad = quad_fns()
+        energy, value_grad = quad_fns()
         cfg = RemdConfig(n_traj=5, n_leapfrog=10, sweeps=20, retune_every=0)
         seed = np.random.SeedSequence(9)
         r = Replica(0, 1.0, np.array([0.5]), energy(np.array([0.5])), 0.3,
                     np.random.default_rng(seed.spawn(1)[0]))
-        trace = run_remd([r], energy, grad, None, cfg, swap_seed=1)
+        trace = run_remd([r], value_grad, None, cfg, swap_seed=1)
 
         # replay by hand with an identically seeded generator
         rng = np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0])
         w = np.array([0.5])
         e = energy(w)
+        g = value_grad(w)[1]
         hmc_cfg = HmcConfig(1.0, 0.3, 10)
         for s in range(20):
             for _ in range(5):
-                out = hmc_trajectory(w, energy, grad, hmc_cfg, rng, None, e)
-                w, e = out.w, out.energy
+                out = hmc_trajectory(w, value_grad, hmc_cfg, rng, None, (e, g))
+                w, e, g = out.w, out.energy, out.grad
             assert trace.e_train[s][0] == pytest.approx(e, rel=1e-12)
 
     def test_equal_temperature_swaps_always_accept(self):
-        energy, grad = quad_fns()
+        energy, value_grad = quad_fns()
         replicas = quad_replicas([1.0, 1.0], seed=4)
         for r in replicas:
             r.energy = energy(r.w)
         cfg = RemdConfig(n_traj=2, n_leapfrog=10, sweeps=30, retune_every=0)
-        trace = run_remd(replicas, energy, grad, None, cfg, swap_seed=2)
+        trace = run_remd(replicas, value_grad, None, cfg, swap_seed=2)
         attempts = np.sum(trace.swap_attempts)
         accepts = np.sum(trace.swap_accepts)
         assert attempts > 0 and accepts == attempts
 
     def test_identities_stay_a_permutation(self):
-        energy, grad = quad_fns()
+        energy, value_grad = quad_fns()
         replicas = quad_replicas([0.5, 1.0, 2.0, 4.0], seed=6)
         for r in replicas:
             r.energy = energy(r.w)
         cfg = RemdConfig(n_traj=2, n_leapfrog=10, sweeps=40, retune_every=0)
-        trace = run_remd(replicas, energy, grad, None, cfg, swap_seed=3)
+        trace = run_remd(replicas, value_grad, None, cfg, swap_seed=3)
         for ids in trace.identities:
             assert sorted(ids) == [0, 1, 2, 3]
         # with this ladder the chains actually migrate
@@ -152,13 +157,13 @@ class TestRunRemd:
         # quadratic target in d dims: <E>_T = T * d / 2
         d = 3
         energy = lambda w: 0.5 * float(np.dot(w, w))
-        grad = lambda w: w.copy()
+        value_grad = lambda w: (energy(w), w.copy())
         temps = [0.5, 1.0, 2.0]
         replicas = [Replica(i, T, np.zeros(d), 0.0, 0.25 * math.sqrt(T),
                             np.random.default_rng(100 + i))
                     for i, T in enumerate(temps)]
         cfg = RemdConfig(n_traj=4, n_leapfrog=15, sweeps=400, retune_every=0)
-        trace = run_remd(replicas, energy, grad, None, cfg, swap_seed=5)
+        trace = run_remd(replicas, value_grad, None, cfg, swap_seed=5)
         summary = measure_sweep(trace, burn_in_sweeps=50)
         for i, T in enumerate(temps):
             expect = T * d / 2
@@ -172,8 +177,8 @@ class TestRunRemd:
         def energy(w):
             return float((w[0] ** 2 - 1.0) ** 2) / 0.05
 
-        def grad(w):
-            return 4.0 * w * (w**2 - 1.0) / 0.05
+        def value_grad(w):
+            return energy(w), 4.0 * w * (w**2 - 1.0) / 0.05
 
         def cold_flips(n_temps):
             temps = make_ladder(1.0, 30.0, 8)[:n_temps] if n_temps > 1 else [1.0]
@@ -182,7 +187,7 @@ class TestRunRemd:
                                 np.random.default_rng(200 + i))
                         for i, T in enumerate(temps)]
             cfg = RemdConfig(n_traj=2, n_leapfrog=20, sweeps=400, retune_every=0)
-            trace = run_remd(replicas, energy, grad, None, cfg, swap_seed=6,
+            trace = run_remd(replicas, value_grad, None, cfg, swap_seed=6,
                              test_energy_fn=lambda w: w[0])
             pos = np.array([e[0] for e in trace.e_test])   # coldest-slot position
             signs = np.sign(pos[np.abs(pos) > 0.3])
@@ -191,20 +196,20 @@ class TestRunRemd:
         assert cold_flips(8) > cold_flips(1)
 
     def test_resume_from_checkpoint_is_seamless(self, tmp_path):
-        energy, grad = quad_fns()
+        energy, value_grad = quad_fns()
         cfg = RemdConfig(n_traj=2, n_leapfrog=10, sweeps=10, retune_every=0)
 
         replicas = quad_replicas([1.0, 2.0], seed=11)
         for r in replicas:
             r.energy = energy(r.w)
-        full = run_remd(replicas, energy, grad, None,
+        full = run_remd(replicas, value_grad, None,
                         RemdConfig(n_traj=2, n_leapfrog=10, sweeps=20,
                                    retune_every=0), swap_seed=7)
 
         replicas = quad_replicas([1.0, 2.0], seed=11)
         for r in replicas:
             r.energy = energy(r.w)
-        trace = run_remd(replicas, energy, grad, None, cfg, swap_seed=7)
+        trace = run_remd(replicas, value_grad, None, cfg, swap_seed=7)
         path = tmp_path / "ck.npz"
         save_checkpoint(path, replicas, 10)
         restored, sweep = load_checkpoint(path)
@@ -225,11 +230,77 @@ class TestRunRemd:
             for _ in range(2):
                 swap_rng.integers(1)
                 swap_rng.uniform()
-        cont = run_remd(restored, energy, grad, None, cfg,
+        cont = run_remd(restored, value_grad, None, cfg,
                         swap_seed=swap_rng, trace=RunTrace(trace.temperatures))
         for s in range(10):
             np.testing.assert_allclose(cont.e_train[s], full.e_train[10 + s],
                                        rtol=1e-12)
+
+
+    def test_retune_error_propagates(self):
+        # a mis-wired potential must not be swallowed by the retune: the
+        # RuntimeError comes from the first call of the retune at sweep 2,
+        # and only from that call
+        energy, value_grad = quad_fns()
+        calls = {"n": 0}
+
+        def broken(w):
+            calls["n"] += 1
+            if calls["n"] == 2 * 1 * 2 + 1:     # sweeps 0-1: 1 trajectory of L=2
+                raise RuntimeError("potential failed")
+            return value_grad(w)
+
+        r = Replica(0, 1.0, np.array([0.5]), energy(np.array([0.5])), 0.3,
+                    np.random.default_rng(0), grad=np.array([0.5]))
+        trace = RunTrace(np.array([1.0]))
+        cfg = RemdConfig(n_traj=1, n_leapfrog=2, sweeps=4, retune_every=2)
+        with pytest.raises(RuntimeError, match="potential failed"):
+            run_remd([r], broken, None, cfg, swap_seed=0, trace=trace)
+        assert trace.n_sweeps == 2
+
+    def test_failed_retune_keeps_dt(self, monkeypatch):
+        # energy +inf off the start: every probe is rejected, so the retune
+        # raises FailedToTune, which run_remd absorbs, keeping dt
+        def value_grad(w):
+            return (0.0 if np.all(w == 0) else np.inf), np.zeros_like(w)
+
+        r = Replica(0, 1.0, np.zeros(2), 0.0, 0.3, np.random.default_rng(0))
+        failures = []
+        original = temperhmc.replica.tune_step_size
+
+        def spy(*args, **kwargs):
+            try:
+                return original(*args, **kwargs)
+            except FailedToTune:
+                failures.append(1)
+                raise
+
+        monkeypatch.setattr(temperhmc.replica, "tune_step_size", spy)
+        cfg = RemdConfig(n_traj=1, n_leapfrog=2, sweeps=5, retune_every=2)
+        trace = run_remd([r], value_grad, None, cfg, swap_seed=0)
+        assert len(failures) == 2      # retunes at sweeps 2 and 4
+        assert r.dt == 0.3
+        assert trace.n_sweeps == 5
+
+
+class TestCheckpointWrite:
+    def test_failed_write_keeps_earlier_checkpoint(self, tmp_path, fail_writes):
+        replicas = quad_replicas([1.0, 2.0], seed=12)
+        path = tmp_path / "ck.npz"
+        save_checkpoint(path, replicas, 3)
+        before = path.read_bytes()
+        fail_writes(temperhmc.replica)
+        with pytest.raises(OSError):
+            save_checkpoint(path, replicas, 4)
+        assert path.read_bytes() == before
+        assert load_checkpoint(path)[1] == 3
+
+    def test_writes_the_given_path(self, tmp_path):
+        replicas = quad_replicas([1.0, 2.0], seed=13)
+        path = tmp_path / "checkpoint"
+        save_checkpoint(path, replicas, 1)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint"]
+        assert load_checkpoint(path)[1] == 1
 
 
 class TestBlockedStats:

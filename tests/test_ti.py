@@ -17,6 +17,16 @@ def quad_fns(h):
             lambda w: h * w)
 
 
+def fused(energy, grad):
+    """The (value, gradient) potential the samplers take."""
+    return lambda w: (energy(w), grad(w))
+
+
+def split(value_grad):
+    """Value and gradient of a fused potential as separate functions."""
+    return (lambda w: value_grad(w)[0]), (lambda w: value_grad(w)[1])
+
+
 SMALL_FIT = TiConfig(fit_burn_in_traj=200, fit_sample_traj=2000,
                      n_leapfrog=20, dt0=0.2)
 
@@ -26,7 +36,7 @@ class TestFitStiffness:
         h = np.array([1.0, 4.0, 0.25])
         energy, grad = quad_fns(h)
         rng = np.random.default_rng(31)
-        stiff = fit_stiffness(energy, grad, np.zeros(3), SMALL_FIT, rng)
+        stiff = fit_stiffness(fused(energy, grad), np.zeros(3), SMALL_FIT, rng)
         se = np.sqrt(2.0 / SMALL_FIT.fit_sample_traj)    # relative SE of <x^2>
         np.testing.assert_allclose(stiff.k, h, rtol=3 * se + 0.1)
         assert stiff.j0 == 0.0
@@ -37,7 +47,7 @@ class TestFitStiffness:
         energy = lambda w: float(2.0 * np.dot(w, w))
         grad = lambda w: 4.0 * w
         rng = np.random.default_rng(32)
-        stiff = fit_stiffness(energy, grad, np.zeros(2), SMALL_FIT, rng)
+        stiff = fit_stiffness(fused(energy, grad), np.zeros(2), SMALL_FIT, rng)
         np.testing.assert_allclose(stiff.k, 4.0, rtol=0.15)
 
     def test_correlated_gaussian_marginal_variance_semantics(self):
@@ -50,7 +60,7 @@ class TestFitStiffness:
         rng = np.random.default_rng(33)
         cfg = TiConfig(fit_burn_in_traj=200, fit_sample_traj=6000,
                        n_leapfrog=40, dt0=0.2)
-        stiff = fit_stiffness(energy, grad, np.zeros(2), cfg, rng)
+        stiff = fit_stiffness(fused(energy, grad), np.zeros(2), cfg, rng)
         np.testing.assert_allclose(stiff.k, 1.0 / np.diag(Sigma), rtol=0.2)
         assert not np.allclose(stiff.k, np.diag(A), rtol=0.2)
 
@@ -58,7 +68,8 @@ class TestFitStiffness:
         energy, grad = quad_fns([1.0])
         rng = np.random.default_rng(34)
         tight = PriorBox(np.array([0.1]))   # sampling at T=1 exits constantly
-        stiff = fit_stiffness(energy, grad, np.zeros(1), SMALL_FIT, rng, tight)
+        stiff = fit_stiffness(fused(energy, grad), np.zeros(1), SMALL_FIT, rng,
+                              tight)
         assert stiff.frac_outside_box > 0.5
 
 
@@ -67,7 +78,7 @@ class TestBridge:
         energy, grad = quad_fns([2.0, 0.5])
         stiff = StiffnessDiag(np.array([0.3, -0.1]), np.array([1.0, 1.0]),
                               energy(np.array([0.3, -0.1])))
-        value, g = bridge_energy_fns(energy, grad, stiff, 0.0)
+        value, g = split(bridge_energy_fns(fused(energy, grad), stiff, 0.0))
         for _ in range(5):
             w = rng.normal(size=2)
             assert value(w) == pytest.approx(energy(w), rel=1e-14)
@@ -78,7 +89,7 @@ class TestBridge:
         w0 = np.array([0.3, -0.1])
         k = np.array([3.0, 7.0])
         stiff = StiffnessDiag(w0, k, energy(w0))
-        value, g = bridge_energy_fns(energy, grad, stiff, 1.0)
+        value, g = split(bridge_energy_fns(fused(energy, grad), stiff, 1.0))
         for _ in range(5):
             w = rng.normal(size=2)
             d = w - w0
@@ -91,7 +102,7 @@ class TestBridge:
         grad = lambda w: 4.0 * w**3 + 0.3 * w[::-1]
         stiff = StiffnessDiag(np.array([0.2, -0.4]), np.array([2.0, 5.0]),
                               energy(np.array([0.2, -0.4])))
-        value, g = bridge_energy_fns(energy, grad, stiff, 0.37)
+        value, g = split(bridge_energy_fns(fused(energy, grad), stiff, 0.37))
         w = rng.normal(size=2)
         eps = 1e-6
         for i in range(2):
@@ -105,7 +116,7 @@ class TestBridge:
         energy, grad = quad_fns([1.0])
         stiff = StiffnessDiag(np.zeros(1), np.ones(1), 0.0)
         with pytest.raises(GridMismatch):
-            bridge_energy_fns(energy, grad, stiff, 1.5)
+            bridge_energy_fns(fused(energy, grad), stiff, 1.5)
 
     def test_observable_vanishes_for_matched_quadratic(self, rng):
         h = np.array([2.0, 5.0])
@@ -196,7 +207,7 @@ class TestRunTi:
         stiff = StiffnessDiag(np.zeros(2), h, 0.0)
         box = PriorBox(np.array([20.0, 20.0]))
         rng = np.random.default_rng(41)
-        res = run_ti(energy, grad, stiff, box, SMALL_TI, rng)
+        res = run_ti(energy, fused(energy, grad), stiff, box, SMALL_TI, rng)
         np.testing.assert_allclose(res.integrand_mean, 0.0, atol=1e-10)
         assert res.free_energy == pytest.approx(res.f0, abs=1e-10)
 
@@ -205,9 +216,9 @@ class TestRunTi:
         energy = lambda w: float(np.sum(w**4))
         grad = lambda w: 4.0 * w**3
         rng = np.random.default_rng(42)
-        stiff = fit_stiffness(energy, grad, np.zeros(1), SMALL_FIT, rng)
+        stiff = fit_stiffness(fused(energy, grad), np.zeros(1), SMALL_FIT, rng)
         box = PriorBox(np.array([6.0]))
-        res = run_ti(energy, grad, stiff, box, SMALL_TI, rng)
+        res = run_ti(energy, fused(energy, grad), stiff, box, SMALL_TI, rng)
         oracle = -math.log(quad(lambda x: math.exp(-x**4), -3, 3)[0])
         assert res.free_energy == pytest.approx(oracle, abs=0.05)
 
@@ -222,7 +233,7 @@ class TestRunTi:
         rng = np.random.default_rng(43)
         cfg = TiConfig(n_bridge=4, burn_in_traj=30, sample_traj=400,
                        n_leapfrog=15, retune_every_lambdas=2, dt0=0.3)
-        res = run_ti(energy, grad, stiff, box, cfg, rng)
+        res = run_ti(energy, fused(energy, grad), stiff, box, cfg, rng)
 
         def oracle_mean(lam):
             j = lambda x: (1 - lam) * x**4 + lam * k * x * x / 2
@@ -243,16 +254,16 @@ class TestRunTi:
         k = np.full(d, 2.0)
         stiff = StiffnessDiag(np.zeros(d), k, 0.0)
         from temperhmc.ti import bridge_energy_fns as bef
-        value, g = bef(energy, grad, stiff, 1.0)
+        bridge = bef(fused(energy, grad), stiff, 1.0)
         rng = np.random.default_rng(44)
         from temperhmc.hmc import HmcConfig, hmc_trajectory
         cfg = HmcConfig(1.0, 0.3, 15)
         w = np.zeros(d)
-        e = value(w)
+        current = bridge(w)
         quad_terms = []
         for _ in range(2000):
-            out = hmc_trajectory(w, value, g, cfg, rng, None, e)
-            w, e = out.w, out.energy
+            out = hmc_trajectory(w, bridge, cfg, rng, None, current)
+            w, current = out.w, (out.energy, out.grad)
             quad_terms.append(0.5 * float(np.dot(k * w, w)))
         assert np.mean(quad_terms) == pytest.approx(d / 2, rel=0.1)
 
@@ -266,9 +277,9 @@ class TestRunTi:
         box = PriorBox(np.array([15.0]))
         stiff0 = StiffnessDiag(np.zeros(1), h, 0.0)
         stiffc = StiffnessDiag(np.zeros(1), h, c)
-        res0 = run_ti(energy, grad, stiff0, box, SMALL_TI,
+        res0 = run_ti(energy, fused(energy, grad), stiff0, box, SMALL_TI,
                       np.random.default_rng(45))
-        resc = run_ti(shifted, grad, stiffc, box, SMALL_TI,
+        resc = run_ti(shifted, fused(shifted, grad), stiffc, box, SMALL_TI,
                       np.random.default_rng(45))
         assert resc.free_energy - res0.free_energy == pytest.approx(c, abs=1e-9)
 
