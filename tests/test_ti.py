@@ -5,7 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 from temperhmc.errors import DatasetMismatch, GridMismatch
+from temperhmc.hmc import HmcConfig, hmc_trajectory
 from temperhmc.network import PriorBox
+from temperhmc.replica import blocked_mean_se
 from temperhmc.ti import (StiffnessDiag, TiConfig, bridge_energy_fns, compare,
                           evidence, fit_stiffness, log_z0, run_ti,
                           simpson_uniform, ti_observable)
@@ -282,6 +284,119 @@ class TestRunTi:
         resc = run_ti(shifted, fused(shifted, grad), stiffc, box, SMALL_TI,
                       np.random.default_rng(45))
         assert resc.free_energy - res0.free_energy == pytest.approx(c, abs=1e-9)
+
+
+def replay_chain(w, value_grad, cfg, rng, box, current, n_traj):
+    """n_traj trajectories by hand: (w, current, states after each, accepts)."""
+    states, n_acc = [], 0
+    for _ in range(n_traj):
+        out = hmc_trajectory(w, value_grad, cfg, rng, box, current)
+        w, current = out.w, (out.energy, out.grad)
+        states.append(w)
+        n_acc += out.accepted
+    return w, current, states, n_acc
+
+
+def replay_tuning(w, value_grad, cfg, rng, box, current):
+    """The default tuner by hand: band (0.6, 0.7), 20 probes, x1.1 / x0.9."""
+    dt = cfg.dt
+    for _ in range(200):
+        probe = HmcConfig(cfg.temperature, dt, cfg.n_steps, cfg.mass)
+        rate = replay_chain(w, value_grad, probe, rng, box, current, 20)[3] / 20
+        if rate > 0.7:
+            dt *= 1.1
+        elif rate < 0.6:
+            dt *= 0.9
+        else:
+            return dt
+    raise AssertionError("replay tuning did not converge")
+
+
+def toy_potential():
+    """A coupled quartic: not quadratic, so every lambda window differs."""
+    def energy(w):
+        return float(np.sum(w**4) + 0.5 * np.dot(w, w) + 0.3 * w[0] * w[1])
+
+    def grad(w):
+        g = 4.0 * w**3 + w
+        g[0] += 0.3 * w[1]
+        g[1] += 0.3 * w[0]
+        return g
+
+    return energy, fused(energy, grad)
+
+
+REPLAY_TI = TiConfig(n_bridge=5, burn_in_traj=7, sample_traj=12, n_leapfrog=6,
+                     retune_every_lambdas=3, fit_burn_in_traj=15,
+                     fit_sample_traj=30, dt0=0.4)
+
+
+class TestReplay:
+    """fit_stiffness and run_ti bit for bit against hand-written loops."""
+
+    def test_fit_stiffness_matches_hand_loops(self):
+        _, value_grad = toy_potential()
+        w0 = np.array([0.2, -0.1, 0.05])
+        box = PriorBox(np.array([1.6, 1.6, 1.6]))
+        stiff = fit_stiffness(value_grad, w0, REPLAY_TI,
+                              np.random.default_rng(51), box)
+
+        rng = np.random.default_rng(51)
+        current = value_grad(w0)
+        j0 = current[0]
+        cfg = HmcConfig(1.0, REPLAY_TI.dt0, REPLAY_TI.n_leapfrog)
+        dt = replay_tuning(w0, value_grad, cfg, rng, None, current)
+        cfg = HmcConfig(1.0, dt, REPLAY_TI.n_leapfrog)
+        w, current, _, _ = replay_chain(w0.copy(), value_grad, cfg, rng, None,
+                                        current, REPLAY_TI.fit_burn_in_traj)
+        _, _, states, _ = replay_chain(w, value_grad, cfg, rng, None, current,
+                                       REPLAY_TI.fit_sample_traj)
+        sq = np.zeros(3)
+        for s in states:
+            sq += (s - w0) * (s - w0)
+        outside = sum(bool(np.any(np.abs(s) >= 0.8)) for s in states)
+
+        np.testing.assert_array_equal(stiff.k, 1.0 / (sq / len(states)))
+        assert stiff.j0 == j0
+        assert stiff.frac_outside_box == outside / len(states)
+        assert 0.0 < stiff.frac_outside_box < 1.0
+
+    def test_run_ti_matches_hand_loops(self):
+        energy, value_grad = toy_potential()
+        stiff = StiffnessDiag(np.array([0.1, -0.2, 0.0]),
+                              np.array([2.0, 3.0, 1.5]), 0.4)
+        box = PriorBox(np.array([2.0, 2.0, 2.0]))
+        res = run_ti(energy, value_grad, stiff, box, REPLAY_TI,
+                     np.random.default_rng(52))
+
+        # each lambda warm-starts from the previous window's last state
+        rng = np.random.default_rng(52)
+        lambdas = np.linspace(0.0, 1.0, REPLAY_TI.n_bridge + 2)
+        w, dt = stiff.w0.copy(), REPLAY_TI.dt0
+        means, ses = [], []
+        for idx, lam in enumerate(lambdas):
+            bridge = bridge_energy_fns(value_grad, stiff, lam)
+            current = bridge(w)
+            cfg = HmcConfig(1.0, dt, REPLAY_TI.n_leapfrog)
+            if idx % REPLAY_TI.retune_every_lambdas == 0:
+                dt = replay_tuning(w, bridge, cfg, rng, box, current)
+                cfg = HmcConfig(1.0, dt, REPLAY_TI.n_leapfrog)
+            w, current, _, _ = replay_chain(w, bridge, cfg, rng, box, current,
+                                            REPLAY_TI.burn_in_traj)
+            w, current, states, _ = replay_chain(w, bridge, cfg, rng, box,
+                                                 current, REPLAY_TI.sample_traj)
+            mean, se = blocked_mean_se([ti_observable(energy, stiff, s)
+                                        for s in states])
+            means.append(mean)
+            ses.append(se)
+        f0 = -log_z0(stiff, box)
+        free_energy = f0 + (stiff.j0 - simpson_uniform(lambdas, means))
+
+        np.testing.assert_array_equal(res.lambdas, lambdas)
+        np.testing.assert_array_equal(res.integrand_mean, means)
+        np.testing.assert_array_equal(res.integrand_se, ses)
+        assert res.free_energy == free_energy
+        assert len(set(np.round(means, 12))) == len(means)
 
 
 class TestEvidenceCompare:
