@@ -307,25 +307,8 @@ def cmd_compare_models(args):
 
 def cmd_report(args):
     """Rebuild the per-temperature table from a per-sweep trace CSV."""
-    import csv as _csv
-    by_slot = {}
-    temps = {}
-    with open(args.trace) as fh:
-        for row in _csv.DictReader(fh):
-            i = int(row["slot"])
-            temps[i] = float(row["temperature"])
-            by_slot.setdefault(i, []).append(
-                (float(row["e_train"]), float(row["e_test"])))
-    n_temps = len(by_slot)
-    trace = RunTrace(np.array([temps[i] for i in range(n_temps)]))
-    n_sweeps = len(by_slot[0])
-    for s in range(n_sweeps):
-        trace.append_sweep([by_slot[i][s][0] for i in range(n_temps)],
-                           [by_slot[i][s][1] for i in range(n_temps)],
-                           np.zeros(n_temps), np.arange(n_temps),
-                           np.zeros(max(n_temps - 1, 0), dtype=int),
-                           np.zeros(max(n_temps - 1, 0), dtype=int))
-    burn = args.burn_in if args.burn_in is not None else n_sweeps // 5
+    trace = RunTrace.read_csv(args.trace)
+    burn = args.burn_in if args.burn_in is not None else trace.n_sweeps // 5
     summary = measure_sweep(trace, burn_in_sweeps=burn)
     rows, refs = sweep_table(summary, args.n_train, args.baseline)
     write_sweep_csv(args.out, rows, refs)

@@ -9,6 +9,7 @@ are treated as rejections so the chain stays valid.
 The potential is one call, value_grad(w) -> (E, gradient).  The chain
 state is (w, E, g): a trajectory starts from the carried pair and ends with
 the pair at its last Verlet step, so L steps cost exactly L calls.
+run_chain strings trajectories together; every sampling loop drives it.
 """
 
 from __future__ import annotations
@@ -93,11 +94,27 @@ def hmc_trajectory(w, value_grad, cfg: HmcConfig, rng,
     return TrajectoryOutcome(False, w, e_old, g_old, u_old, u_new, alpha)
 
 
-@dataclass
-class StepSizeController:
-    """Multiplicative step-size tuner targeting acceptance in (0.6, 0.7)."""
+def run_chain(w, current, value_grad, cfg: HmcConfig, rng, box, n_traj,
+              observe=None):
+    """n_traj HMC trajectories from w and its carried (energy, gradient) pair.
 
-    dt: float
+    observe(w), when given, sees the state after each trajectory.  Returns
+    (w, current, n_accepted) at the end of the chain.
+    """
+    n_accepted = 0
+    for _ in range(n_traj):
+        out = hmc_trajectory(w, value_grad, cfg, rng, box, current)
+        w, current = out.w, (out.energy, out.grad)
+        n_accepted += out.accepted
+        if observe is not None:
+            observe(w)
+    return w, current, n_accepted
+
+
+@dataclass(frozen=True)
+class StepSizeController:
+    """Settings of the multiplicative tuner that targets acceptance in band."""
+
     band: tuple[float, float] = (0.6, 0.7)
     probe_batch: int = 20
     grow: float = 1.1
@@ -114,27 +131,22 @@ def measure_acceptance(w, value_grad, cfg: HmcConfig, rng, box,
     current is the (energy, gradient) pair at w, computed when not given.
     Probe outcomes never feed back into the main chain.
     """
-    state = np.array(w, dtype=float)
-    current = value_grad(state) if current is None else current
-    accepted = 0
-    for _ in range(n_probe):
-        out = hmc_trajectory(state, value_grad, cfg, rng, box, current)
-        state, current = out.w, (out.energy, out.grad)
-        accepted += out.accepted
-    return accepted / n_probe
+    w = np.array(w, dtype=float)
+    current = value_grad(w) if current is None else current
+    return run_chain(w, current, value_grad, cfg, rng, box, n_probe)[2] / n_probe
 
 
 def tune_step_size(controller: StepSizeController, w, value_grad,
                    cfg: HmcConfig, rng, box: PriorBox | None = None,
                    current=None) -> float:
-    """Adjust dt until probe acceptance falls inside the target band.
+    """Adjust dt, starting from cfg.dt, until probe acceptance is in band.
 
     Every probe round starts from w with the same (energy, gradient) pair,
-    current, computed once when not given.  Raises FailedToTune when the
-    round cap is hit outside the band.
+    current, computed once when not given.  Returns the tuned dt; raises
+    FailedToTune when the round cap is hit outside the band.
     """
     lo, hi = controller.band
-    dt = controller.dt
+    dt = cfg.dt
     rate = None
     current = value_grad(w) if current is None else current
     for _ in range(controller.max_rounds):
@@ -145,6 +157,5 @@ def tune_step_size(controller: StepSizeController, w, value_grad,
         elif rate < lo:
             dt *= controller.shrink
         else:
-            controller.dt = dt
             return dt
     raise FailedToTune(dt, rate)

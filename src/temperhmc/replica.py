@@ -10,6 +10,7 @@ make a run bit-reproducible.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from dataclasses import dataclass, field
@@ -17,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FailedToTune, InsufficientSamples
-from .hmc import (HmcConfig, StepSizeController, hmc_trajectory,
-                  tune_step_size)
+from .hmc import HmcConfig, StepSizeController, run_chain, tune_step_size
 from .minimize import RMinConfig, rmin
 from .network import PriorBox, init_standard
 
@@ -95,23 +95,21 @@ def init_replica(index, temperature, value_grad, box, seed,
         w0 = rmin(w0, value_grad, cfg=RMinConfig()).w
     w = np.array(w0, dtype=float)
     if box is not None:
-        # the minimiser ignores the prior box, and a start outside it (or
-        # pinned to a wall) rejects every proposal and throttles step-size
-        # tuning.  Move only the offending coordinates, and well into the
-        # interior so the chain has room; burn-in re-equilibrates.
+        # the minimiser ignores the prior box, and a start outside it
+        # rejects every proposal and throttles step-size tuning.  Move the
+        # coordinates on or outside a wall (|w| >= sigma/2) well into the
+        # interior; burn-in re-equilibrates.  A coordinate just inside a wall
+        # stays; criterion 12 rests on this rule (see its note in CHANGES.md).
         outside = np.abs(w) >= 0.5 * box.sigma
         w[outside] = np.sign(w[outside]) * 0.3 * box.sigma[outside]
 
-    hmc_cfg = HmcConfig(temperature, cfg.dt0, cfg.n_leapfrog, cfg.mass)
-    controller = StepSizeController(cfg.dt0)
     current = value_grad(w)
-    dt = tune_step_size(controller, w, value_grad, hmc_cfg, rng, box, current)
-    hmc_cfg.dt = dt
-
-    for _ in range(cfg.burn_in_traj):
-        out = hmc_trajectory(w, value_grad, hmc_cfg, rng, box, current)
-        w, current = out.w, (out.energy, out.grad)
-    e, g = current
+    dt = tune_step_size(StepSizeController(), w, value_grad,
+                        HmcConfig(temperature, cfg.dt0, cfg.n_leapfrog, cfg.mass),
+                        rng, box, current)
+    hmc_cfg = HmcConfig(temperature, dt, cfg.n_leapfrog, cfg.mass)
+    w, (e, g), _ = run_chain(w, current, value_grad, hmc_cfg, rng, box,
+                             cfg.burn_in_traj)
     return Replica(index, temperature, w, e, dt, rng, grad=g)
 
 
@@ -150,6 +148,23 @@ class RunTrace:
                              f"{self.e_test[s][i]:.10g},{self.accept_rate[s][i]:.4f},"
                              f"{self.identities[s][i]}\n")
 
+    @classmethod
+    def read_csv(cls, path):
+        """The trace written by write_csv; it holds no swap counts."""
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        n_temps = len({row["slot"] for row in rows})
+
+        def column(name, kind=float):
+            return np.array([kind(row[name]) for row in rows]).reshape(-1, n_temps)
+
+        trace = cls(column("temperature")[0])
+        trace.e_train = list(column("e_train"))
+        trace.e_test = list(column("e_test"))
+        trace.accept_rate = list(column("accept_rate"))
+        trace.identities = list(column("identity", int))
+        return trace
+
 
 def run_remd(replicas, value_grad, box, cfg: RemdConfig, swap_seed,
              test_energy_fn=None, checkpoint_path=None,
@@ -170,27 +185,22 @@ def run_remd(replicas, value_grad, box, cfg: RemdConfig, swap_seed,
     swap_rng = np.random.default_rng(swap_seed)
     trace = trace or RunTrace(temps)
 
-    controllers = [StepSizeController(r.dt) for r in replicas]
     start_sweep = trace.n_sweeps
     for sweep in range(start_sweep, start_sweep + cfg.sweeps):
         if cfg.retune_every and sweep > start_sweep and sweep % cfg.retune_every == 0:
-            for r, ctl in zip(replicas, controllers):
+            for r in replicas:
                 hmc_cfg = HmcConfig(r.temperature, r.dt, cfg.n_leapfrog, cfg.mass)
                 try:
-                    r.dt = tune_step_size(ctl, r.w, value_grad, hmc_cfg,
-                                          r.rng, box, (r.energy, r.grad))
+                    r.dt = tune_step_size(StepSizeController(), r.w, value_grad,
+                                          hmc_cfg, r.rng, box, (r.energy, r.grad))
                 except FailedToTune:
                     pass    # keep the previous dt; tuning retries next cadence
 
         accept = np.zeros(n_temps)
         for i, r in enumerate(replicas):
             hmc_cfg = HmcConfig(r.temperature, r.dt, cfg.n_leapfrog, cfg.mass)
-            n_acc = 0
-            for _ in range(cfg.n_traj):
-                out = hmc_trajectory(r.w, value_grad, hmc_cfg, r.rng, box,
-                                     (r.energy, r.grad))
-                r.w, r.energy, r.grad = out.w, out.energy, out.grad
-                n_acc += out.accepted
+            r.w, (r.energy, r.grad), n_acc = run_chain(
+                r.w, (r.energy, r.grad), value_grad, hmc_cfg, r.rng, box, cfg.n_traj)
             accept[i] = n_acc / cfg.n_traj
 
         attempts = np.zeros(n_temps - 1, dtype=int) if n_temps > 1 else np.zeros(0, dtype=int)

@@ -17,7 +17,7 @@ from scipy.special import log_ndtr
 
 from .errors import (DatasetMismatch, DegenerateDirection, GridMismatch,
                      NonFiniteEnergy)
-from .hmc import HmcConfig, StepSizeController, hmc_trajectory, tune_step_size
+from .hmc import HmcConfig, StepSizeController, run_chain, tune_step_size
 from .network import PriorBox
 from .replica import blocked_mean_se
 
@@ -74,27 +74,27 @@ def fit_stiffness(value_grad, w0, cfg: TiConfig, rng,
     fraction-outside diagnostic.
     """
     w0 = np.asarray(w0, dtype=float)
-    hmc_cfg = HmcConfig(1.0, cfg.dt0, cfg.n_leapfrog)
-    controller = StepSizeController(cfg.dt0)
     current = value_grad(w0)
     j0 = current[0]
-    dt = tune_step_size(controller, w0, value_grad, hmc_cfg, rng, None, current)
-    hmc_cfg.dt = dt
+    dt = tune_step_size(StepSizeController(), w0, value_grad,
+                        HmcConfig(1.0, cfg.dt0, cfg.n_leapfrog), rng, None, current)
+    hmc_cfg = HmcConfig(1.0, dt, cfg.n_leapfrog)
+    w, current, _ = run_chain(w0, current, value_grad, hmc_cfg, rng, None,
+                              cfg.fit_burn_in_traj)
 
-    w = w0.copy()
-    for _ in range(cfg.fit_burn_in_traj):
-        out = hmc_trajectory(w, value_grad, hmc_cfg, rng, None, current)
-        w, current = out.w, (out.energy, out.grad)
-
+    # accumulated in place; the samples (fit_sample_traj x n_params) are not kept
     sq_sum = np.zeros_like(w0)
     n_outside = 0
-    for _ in range(cfg.fit_sample_traj):
-        out = hmc_trajectory(w, value_grad, hmc_cfg, rng, None, current)
-        w, current = out.w, (out.energy, out.grad)
+
+    def observe(w):
+        nonlocal sq_sum, n_outside
         d = w - w0
         sq_sum += d * d
         if box is not None and np.any(np.abs(w) >= 0.5 * box.sigma):
             n_outside += 1
+
+    run_chain(w, current, value_grad, hmc_cfg, rng, None, cfg.fit_sample_traj,
+              observe)
     mean_sq = sq_sum / cfg.fit_sample_traj
     if not np.all(np.isfinite(mean_sq)):
         raise DegenerateDirection("non-finite sampled variance")
@@ -209,23 +209,18 @@ def run_ti(energy_fn, value_grad, stiff: StiffnessDiag, box: PriorBox,
     dt = cfg.dt0
     means = np.zeros_like(lambdas)
     ses = np.zeros_like(lambdas)
-    controller = StepSizeController(dt)
     for idx, lam in enumerate(lambdas):
         bridge = bridge_energy_fns(value_grad, stiff, lam)
-        hmc_cfg = HmcConfig(1.0, dt, cfg.n_leapfrog)
         current = bridge(w)
         if idx % cfg.retune_every_lambdas == 0:
-            controller.dt = dt
-            dt = tune_step_size(controller, w, bridge, hmc_cfg, rng, box, current)
-            hmc_cfg.dt = dt
-        for _ in range(cfg.burn_in_traj):
-            out = hmc_trajectory(w, bridge, hmc_cfg, rng, box, current)
-            w, current = out.w, (out.energy, out.grad)
-        samples = np.zeros(cfg.sample_traj)
-        for t in range(cfg.sample_traj):
-            out = hmc_trajectory(w, bridge, hmc_cfg, rng, box, current)
-            w, current = out.w, (out.energy, out.grad)
-            samples[t] = ti_observable(energy_fn, stiff, w)
+            dt = tune_step_size(StepSizeController(), w, bridge,
+                                HmcConfig(1.0, dt, cfg.n_leapfrog), rng, box, current)
+        hmc_cfg = HmcConfig(1.0, dt, cfg.n_leapfrog)
+        w, current, _ = run_chain(w, current, bridge, hmc_cfg, rng, box,
+                                  cfg.burn_in_traj)
+        samples = []
+        w = run_chain(w, current, bridge, hmc_cfg, rng, box, cfg.sample_traj,
+                      lambda s: samples.append(ti_observable(energy_fn, stiff, s)))[0]
         means[idx], ses[idx] = blocked_mean_se(samples)
 
     # The bridge at lambda=1 is the reference quadratic shifted by J(w0), so

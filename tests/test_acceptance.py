@@ -137,7 +137,7 @@ def test_05_hmc_stationarity():
     for T in (0.5, 1.0, 2.0):
         # a narrow inner band with a large probe batch keeps the long-run
         # acceptance strictly inside (0.6, 0.7)
-        ctl = StepSizeController(0.05, band=(0.625, 0.675), probe_batch=1000,
+        ctl = StepSizeController(band=(0.625, 0.675), probe_batch=1000,
                                  max_rounds=300, grow=1.05, shrink=0.95)
         cfg = HmcConfig(T, 0.05, 20)
         dt = tune_step_size(ctl, np.zeros(10), value_grad, cfg, rng)

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import temperhmc.hmc
 from temperhmc.errors import FailedToTune
 from temperhmc.hmc import (HmcConfig, StepSizeController, hmc_trajectory,
                            measure_acceptance, tune_step_size, velocity_verlet)
@@ -142,16 +145,39 @@ class TestTrajectory:
 
 
 class TestTuning:
+    def test_starts_from_cfg_dt(self, rng, monkeypatch):
+        dts = []
+        original = temperhmc.hmc.measure_acceptance
+
+        def spy(w, value_grad, cfg, *args):
+            dts.append(cfg.dt)
+            return original(w, value_grad, cfg, *args)
+
+        monkeypatch.setattr(temperhmc.hmc, "measure_acceptance", spy)
+        _, value_grad = quad_fns([1.0])
+        cfg = HmcConfig(1.0, 0.37, 5)
+        dt = tune_step_size(StepSizeController(max_rounds=50), np.zeros(1),
+                            value_grad, cfg, rng)
+        assert dts[0] == 0.37
+        assert dt == dts[-1]
+        assert cfg.dt == 0.37
+
+    def test_controller_is_frozen(self):
+        ctl = StepSizeController()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctl.band = (0.1, 0.2)
+        assert not hasattr(ctl, "dt")
+
     def test_in_band_unchanged(self, rng):
         # flat target accepts everything... so use a band that contains 1.0
-        ctl = StepSizeController(0.25, band=(0.9, 1.0))
+        ctl = StepSizeController(band=(0.9, 1.0))
         cfg = HmcConfig(1.0, 0.25, 5)
         dt = tune_step_size(ctl, np.zeros(2), flat, cfg, rng)
         assert dt == 0.25
 
     def test_grows_under_full_acceptance(self, rng):
         _, value_grad = quad_fns([1.0])
-        ctl = StepSizeController(0.001, max_rounds=200)
+        ctl = StepSizeController(max_rounds=200)
         cfg = HmcConfig(1.0, 0.001, 20)
         dt = tune_step_size(ctl, np.zeros(1), value_grad, cfg, rng)
         assert dt > 0.001
@@ -161,7 +187,7 @@ class TestTuning:
 
     def test_shrinks_when_too_coarse(self, rng):
         _, value_grad = quad_fns([1.0])
-        ctl = StepSizeController(1.9, max_rounds=200)
+        ctl = StepSizeController(max_rounds=200)
         cfg = HmcConfig(1.0, 1.9, 20)
         dt = tune_step_size(ctl, np.zeros(1), value_grad, cfg, rng)
         assert dt < 1.9
@@ -170,7 +196,7 @@ class TestTuning:
         rng = np.random.default_rng(12)
         h = rng.uniform(0.5, 4.0, size=10)
         _, value_grad = quad_fns(h)
-        ctl = StepSizeController(0.05, max_rounds=300)
+        ctl = StepSizeController(max_rounds=300)
         cfg = HmcConfig(1.0, 0.05, 30)
         dt = tune_step_size(ctl, np.zeros(10), value_grad, cfg, rng)
         rate = measure_acceptance(np.zeros(10), value_grad,
@@ -185,7 +211,7 @@ class TestTuning:
         def value_grad(w):
             return energy(w), np.zeros_like(w)
 
-        ctl = StepSizeController(0.1, max_rounds=5)
+        ctl = StepSizeController(max_rounds=5)
         cfg = HmcConfig(1.0, 0.1, 5)
         with pytest.raises(FailedToTune):
             tune_step_size(ctl, np.zeros(2), value_grad, cfg, rng)

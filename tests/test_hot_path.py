@@ -10,10 +10,12 @@ import pytest
 
 import temperhmc.network as network
 from temperhmc.errors import FailedToTune
-from temperhmc.hmc import HmcConfig, StepSizeController, hmc_trajectory, tune_step_size
+from temperhmc.hmc import (HmcConfig, StepSizeController, hmc_trajectory,
+                           run_chain, tune_step_size)
 from temperhmc.minimize import RMinConfig, rmin
-from temperhmc.network import (LOGISTIC_SOFTMAX, NetworkArch, dataset_energy_fns,
-                               energy, energy_gradient, init_standard, prior_box)
+from temperhmc.network import (LOGISTIC_SOFTMAX, NetworkArch, PriorBox,
+                               dataset_energy_fns, energy, energy_gradient,
+                               init_standard, prior_box)
 from temperhmc.replica import (RemdConfig, Replica, attempt_swap, init_replica,
                                run_remd)
 
@@ -104,7 +106,7 @@ class TestCallCounts:
 
     def test_tuning_round_costs_probe_batch_times_L(self):
         potential = Counting(quad)
-        ctl = StepSizeController(0.25, band=(0.0, 1.0), probe_batch=6)
+        ctl = StepSizeController(band=(0.0, 1.0), probe_batch=6)
         w = np.zeros(2)
         tune_step_size(ctl, w, potential, HmcConfig(1.0, 0.25, 4),
                        np.random.default_rng(3), None, quad(w))
@@ -130,6 +132,49 @@ class TestCallCounts:
         res = rmin(w0, value_grad, cfg=RMinConfig(n_steps=20, energy_tol=-np.inf,
                                                   stall_window=1000))
         assert counts == {"energy": 0, "energy_gradient": 1 + res.n_steps}
+
+
+class TestRunChain:
+    def test_zero_trajectories_return_the_given_state(self):
+        potential = Counting(quad)
+        w, current = np.array([0.3, -0.2]), quad(np.array([0.3, -0.2]))
+        out_w, out_current, n_acc = run_chain(w, current, potential,
+                                              HmcConfig(1.0, 0.1, 5),
+                                              np.random.default_rng(0), None, 0)
+        assert out_w is w and out_current is current and n_acc == 0
+        assert potential.calls == 0
+
+    @pytest.mark.parametrize("n_traj,n_steps", [(1, 5), (7, 3)])
+    def test_carried_pair_costs_n_traj_times_L(self, n_traj, n_steps):
+        potential = Counting(quad)
+        w = np.array([0.3, -0.2])
+        run_chain(w, quad(w), potential, HmcConfig(1.0, 0.1, n_steps),
+                  np.random.default_rng(1), None, n_traj)
+        assert potential.calls == n_traj * n_steps
+
+    def test_matches_hand_loop_and_observes_every_state(self):
+        # a tight box makes some proposals leave it, so both outcomes occur
+        box = PriorBox(np.array([1.2, 1.2]))
+        cfg = HmcConfig(1.0, 0.4, 6)
+        w0 = np.array([0.3, -0.2])
+        seen = []
+        w, (e, g), n_acc = run_chain(w0, quad(w0), quad, cfg,
+                                     np.random.default_rng(2), box, 40, seen.append)
+
+        rng = np.random.default_rng(2)
+        hand_w, current, hand_acc, states = w0, quad(w0), 0, []
+        for _ in range(40):
+            out = hmc_trajectory(hand_w, quad, cfg, rng, box, current)
+            hand_w, current = out.w, (out.energy, out.grad)
+            hand_acc += out.accepted
+            states.append(hand_w)
+        assert 0 < n_acc == hand_acc < 40
+        assert len(seen) == 40
+        for a, b in zip(seen, states):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(w, hand_w)
+        assert e == current[0]
+        np.testing.assert_array_equal(g, current[1])
 
 
 class TestSigmoid:
@@ -194,13 +239,12 @@ class TestRemdReplay:
         slots = fresh()
         for r in slots:
             r.grad = None       # the replay never reads a carried gradient
-        controllers = [StepSizeController(r.dt) for r in slots]
         swap_rng = np.random.default_rng(seeds[-1])
         for sweep in range(cfg.sweeps):
             if sweep and sweep % cfg.retune_every == 0:
-                for r, ctl in zip(slots, controllers):
+                for r in slots:
                     try:
-                        r.dt = tune_step_size(ctl, r.w, value_grad,
+                        r.dt = tune_step_size(StepSizeController(), r.w, value_grad,
                                               HmcConfig(r.temperature, r.dt, 5),
                                               r.rng, box)
                     except FailedToTune:

@@ -345,3 +345,18 @@ class TestTraceCsv:
         row = lines[1].split(",")
         assert row[:3] == ["0", "0", "0.5"]
         assert float(row[3]) == 1.0
+
+    def test_read_csv_roundtrip(self, tmp_path):
+        trace = RunTrace(np.array([0.5, 2.0, 8.0]))
+        trace.append_sweep([1.0, 2.25, 3.5], [1.5, np.nan, 4.75],
+                           [0.6, 0.7, 0.8], [0, 1, 2], [1, 1], [0, 1])
+        trace.append_sweep([1.125, 2.5, 3.0], [1.625, 2.5, 4.5],
+                           [0.7, 0.6, 0.5], [1, 0, 2], [2, 1], [1, 0])
+        path = tmp_path / "trace.csv"
+        trace.write_csv(path)
+        back = RunTrace.read_csv(path)
+        np.testing.assert_array_equal(back.temperatures, trace.temperatures)
+        assert back.n_sweeps == 2
+        for name in ("e_train", "e_test", "accept_rate", "identities"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(trace, name))
+        assert back.identities[0].dtype.kind == "i"
