@@ -24,6 +24,7 @@ from . import __name__ as _pkg
 from .data import (DatasetStore, load_dataset, load_idx_split,
                    stratified_indices, transform)
 from .errors import BudgetError, ConfigError, NumericalError
+from .files import replacing
 from .harness import (anneal_stop, baseline_optimize, sweep_table,
                       write_sweep_csv)
 from .minimize import RMinConfig
@@ -52,9 +53,13 @@ def write_manifest(out_dir, name, config, outputs):
                     if os.path.exists(p)},
     }
     path = os.path.join(out_dir, f"{name}_manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
+    _write_json(path, manifest)
     return path
+
+
+def _write_json(path, payload):
+    with replacing(path) as tmp, open(tmp, "w") as fh:
+        json.dump(payload, fh, indent=2)
 
 
 def _version():
@@ -138,7 +143,7 @@ def cmd_minimize(args):
     result = baseline_optimize(arch, train, test, int(cfg.get("seed", 0)), **kwargs)
 
     csv_path = os.path.join(out_dir, "baseline.csv")
-    with open(csv_path, "w") as fh:
+    with replacing(csv_path) as tmp, open(tmp, "w") as fh:
         fh.write("solution,e_train,e_test\n")
         for i, (et, ev) in enumerate(zip(result.train_energies,
                                          result.test_energies)):
@@ -152,8 +157,7 @@ def cmd_minimize(args):
         "n_solutions": len(result.solutions),
         "mean_test_energy": result.mean_test_energy,
     }
-    with open(os.path.join(out_dir, "baseline_summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
+    _write_json(os.path.join(out_dir, "baseline_summary.json"), summary)
     write_manifest(out_dir, "minimize", cfg, [csv_path, ckpt])
     print(json.dumps(summary))
     return 0
@@ -205,9 +209,9 @@ def cmd_remd(args):
     rows, refs = sweep_table(summary, len(train))
     table_path = os.path.join(out_dir, "remd_summary.csv")
     write_sweep_csv(table_path, rows, refs)
-    meta = dict(cfg, burn_in_sweeps=burn, n_sweeps=trace.n_sweeps)
-    with open(os.path.join(out_dir, "remd_run.json"), "w") as fh:
-        json.dump(meta, fh, indent=2)
+    meta = dict(cfg, burn_in_sweeps=burn, n_sweeps=trace.n_sweeps,
+                tune_failures=trace.tune_failures)
+    _write_json(os.path.join(out_dir, "remd_run.json"), meta)
     write_manifest(out_dir, "remd", cfg, [trace_path, table_path, ckpt_path])
     print(f"remd complete: {trace.n_sweeps} sweeps, "
           f"argmin-T(test) = {refs['argmin_test_temperature']:.4g}")
@@ -238,13 +242,15 @@ def cmd_ti(args):
     )
     repeats = int(cfg.get("repeats", 5))
     seeds = np.random.SeedSequence(int(cfg.get("seed", 0))).spawn(repeats)
-    runs = []
+    runs, fits = [], []
     for r in range(repeats):
         rng = np.random.default_rng(seeds[r])
         stiff = fit_stiffness(value_grad, w0, ti_cfg, rng, box)
         result = run_ti(energy_fn, value_grad, stiff, box, ti_cfg, rng)
         evidence(result, box, dataset_tag=cfg["data"])
         runs.append(result)
+        fits.append({"frac_outside_box": stiff.frac_outside_box,
+                     "degenerate": int(len(stiff.degenerate))})
 
     free_energies = np.array([r.free_energy for r in runs])
     payload = {
@@ -262,10 +268,10 @@ def cmd_ti(args):
             "mean": runs[0].integrand_mean.tolist(),
             "se": runs[0].integrand_se.tolist(),
         },
+        "stiffness_fit": fits,      # per repeat
     }
     out_path = os.path.join(out_dir, "ti_run.json")
-    with open(out_path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+    _write_json(out_path, payload)
     write_manifest(out_dir, "ti", cfg, [out_path])
     print(json.dumps({k: payload[k] for k in
                       ("model", "dataset", "free_energy", "log_evidence")}))

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (BadMagic, IndivisibleSize, InsufficientClassCount,
                      TruncatedPayload)
+from .files import replacing
 
 IMAGE_MAGIC = 2051
 LABEL_MAGIC = 2049
@@ -239,19 +240,15 @@ def save_dataset(path, ds: Dataset) -> None:
     inputs = np.ascontiguousarray(ds.inputs, dtype="<f8")
     labels = np.ascontiguousarray(ds.labels, dtype="<i8")
     digest = _checksum(inputs, labels)
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
+    with replacing(path) as tmp, open(tmp, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(struct.pack("<qq", inputs.shape[0], inputs.shape[1]))
         fh.write(inputs.tobytes())
         fh.write(labels.tobytes())
         fh.write(bytes.fromhex(digest))
-    os.replace(tmp, path)
     sidecar = dict(ds.provenance, checksum=digest, n=int(len(ds)))
-    tmp_json = str(path) + ".json.tmp"
-    with open(tmp_json, "w") as fh:
+    with replacing(f"{path}.json") as tmp, open(tmp, "w") as fh:
         json.dump(sidecar, fh, indent=2)
-    os.replace(tmp_json, str(path) + ".json")
 
 
 def load_dataset(path) -> Dataset:

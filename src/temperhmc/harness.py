@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, InsufficientSamples
+from .files import replacing
 from .minimize import RMinConfig, rmin
 from .network import NetworkArch, dataset_energy_fns, init_standard
 
@@ -93,7 +94,7 @@ def sweep_table(summary: dict, n_train: int, baseline_test_mean: float = None):
 
 
 def write_sweep_csv(path, rows, references):
-    with open(path, "w") as fh:
+    with replacing(path) as tmp, open(tmp, "w") as fh:
         fh.write("temperature,e_train_mean,e_train_se,e_test_mean,e_test_se\n")
         for row in rows:
             fh.write(",".join(f"{v:.10g}" for v in row) + "\n")

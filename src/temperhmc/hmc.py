@@ -77,7 +77,7 @@ def hmc_trajectory(w, value_grad, cfg: HmcConfig, rng,
     T = cfg.temperature
     mass = cfg.mass
     e_old, g_old = value_grad(w) if current is None else current
-    p0 = rng.normal(0.0, np.sqrt(np.asarray(mass, dtype=float) * T), size=w.shape)
+    p0 = _momentum(w, cfg, rng)
     u_old = e_old + float(np.sum(p0 * p0 / (2.0 * mass)))
 
     w_new, p_new, e_new, g_new, ok = velocity_verlet(w, p0, g_old, value_grad,
@@ -92,6 +92,24 @@ def hmc_trajectory(w, value_grad, cfg: HmcConfig, rng,
     if inside and log_u < alpha:
         return TrajectoryOutcome(True, w_new, e_new, g_new, u_old, u_new, alpha)
     return TrajectoryOutcome(False, w, e_old, g_old, u_old, u_new, alpha)
+
+
+def _momentum(w, cfg: HmcConfig, rng):
+    """Momenta p_i ~ N(0, m_i * T) for one trajectory from w."""
+    return rng.normal(0.0, np.sqrt(np.asarray(cfg.mass, dtype=float) * cfg.temperature),
+                      size=w.shape)
+
+
+def _skip_trajectory(w, cfg: HmcConfig, rng):
+    """Draw what hmc_trajectory(w, ...) draws, and integrate nothing.
+
+    Keep in step with hmc_trajectory: one momentum draw, then one uniform
+    for the accept test, whatever the outcome.  A probe round that stops
+    early calls this for each probe it skips, so the RNG stream is the same
+    as when it runs every probe.
+    """
+    _momentum(w, cfg, rng)
+    rng.uniform()
 
 
 def run_chain(w, current, value_grad, cfg: HmcConfig, rng, box, n_traj,
@@ -125,15 +143,33 @@ class StepSizeController:
 
 
 def measure_acceptance(w, value_grad, cfg: HmcConfig, rng, box,
-                       n_probe: int, current=None) -> float:
+                       n_probe: int, current=None, band=None) -> float:
     """Acceptance rate of n_probe probe trajectories started from a copy of w.
 
     current is the (energy, gradient) pair at w, computed when not given.
     Probe outcomes never feed back into the main chain.
+
+    With band = (lo, hi), the round stops integrating once its verdict is
+    settled: once rate > hi (grow) or rate < lo (shrink) holds for every
+    accept count the remaining probes could give.  The skipped probes still
+    draw their random numbers, so the RNG stream and the verdict are those
+    of the full round.  A settled round reports the rate of the probes it
+    ran, which lies on the same side of the band as the full round's.
+    Without a band every probe runs.
     """
     w = np.array(w, dtype=float)
     current = value_grad(w) if current is None else current
-    return run_chain(w, current, value_grad, cfg, rng, box, n_probe)[2] / n_probe
+    lo, hi = (-np.inf, np.inf) if band is None else band
+    n_acc = 0
+    for done in range(1, n_probe + 1):
+        w, current, accepted = run_chain(w, current, value_grad, cfg, rng, box, 1)
+        n_acc += accepted
+        left = n_probe - done
+        if n_acc / n_probe > hi or (n_acc + left) / n_probe < lo:
+            for _ in range(left):
+                _skip_trajectory(w, cfg, rng)
+            break
+    return n_acc / done
 
 
 def tune_step_size(controller: StepSizeController, w, value_grad,
@@ -142,16 +178,19 @@ def tune_step_size(controller: StepSizeController, w, value_grad,
     """Adjust dt, starting from cfg.dt, until probe acceptance is in band.
 
     Every probe round starts from w with the same (energy, gradient) pair,
-    current, computed once when not given.  Returns the tuned dt; raises
-    FailedToTune when the round cap is hit outside the band.
+    current, computed once when not given.  A round stops integrating once
+    its grow / shrink verdict is settled (see measure_acceptance); its dt
+    and the RNG stream are those of a round that runs every probe.  Returns
+    the tuned dt; raises FailedToTune when the round cap is hit outside the
+    band, with the last round's rate.
     """
     lo, hi = controller.band
     dt = cfg.dt
     rate = None
     current = value_grad(w) if current is None else current
     for _ in range(controller.max_rounds):
-        rate = measure_acceptance(w, value_grad, replace(cfg, dt=dt),
-                                  rng, box, controller.probe_batch, current)
+        rate = measure_acceptance(w, value_grad, replace(cfg, dt=dt), rng, box,
+                                  controller.probe_batch, current, controller.band)
         if rate > hi:
             dt *= controller.grow
         elif rate < lo:

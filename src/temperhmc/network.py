@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ShapeMismatch
+from .files import replacing
 
 N_CLASSES = 10
 N_INPUTS = 256
@@ -265,11 +265,9 @@ def save_params(path, arch: NetworkArch, w: np.ndarray) -> None:
         "prior_width_factor": arch.prior_width_factor,
         "n_params": arch.n_params,
     }
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
+    with replacing(path) as tmp, open(tmp, "wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n")
         fh.write(w.tobytes())
-    os.replace(tmp, path)
 
 
 def load_params(path):

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, FailedToTune, InsufficientSamples
+from .files import replacing
 from .hmc import HmcConfig, StepSizeController, run_chain, tune_step_size
 from .minimize import RMinConfig, rmin
 from .network import PriorBox, init_standard
@@ -124,6 +124,7 @@ class RunTrace:
     identities: list = field(default_factory=list)
     swap_attempts: list = field(default_factory=list)  # each: (N_T - 1,) counts
     swap_accepts: list = field(default_factory=list)
+    tune_failures: int = 0      # retunes that ended in FailedToTune; dt was kept
 
     @property
     def n_sweeps(self):
@@ -140,7 +141,7 @@ class RunTrace:
 
     def write_csv(self, path):
         """Long-format per-sweep trace: one row per (sweep, temperature)."""
-        with open(path, "w") as fh:
+        with replacing(path) as tmp, open(tmp, "w") as fh:
             fh.write("sweep,slot,temperature,e_train,e_test,accept_rate,identity\n")
             for s in range(self.n_sweeps):
                 for i, T in enumerate(self.temperatures):
@@ -175,6 +176,8 @@ def run_remd(replicas, value_grad, box, cfg: RemdConfig, swap_seed,
     (NaN when absent).  Passing an existing trace resumes recording.  A
     replica without a carried gradient (built by hand, or loaded from a
     checkpoint, which stores none) gets it from one value_grad call here.
+    A retune that fails to reach the band keeps the rung's dt and is
+    counted in trace.tune_failures.
     """
     replicas = list(replicas)
     for r in replicas:
@@ -194,7 +197,8 @@ def run_remd(replicas, value_grad, box, cfg: RemdConfig, swap_seed,
                     r.dt = tune_step_size(StepSizeController(), r.w, value_grad,
                                           hmc_cfg, r.rng, box, (r.energy, r.grad))
                 except FailedToTune:
-                    pass    # keep the previous dt; tuning retries next cadence
+                    # keep the previous dt; tuning retries next cadence
+                    trace.tune_failures += 1
 
         accept = np.zeros(n_temps)
         for i, r in enumerate(replicas):
@@ -230,8 +234,8 @@ def save_checkpoint(path, replicas, sweep):
     write leaves an earlier checkpoint intact.
     """
     states = [json.dumps(r.rng.bit_generator.state) for r in replicas]
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:     # a handle: savez appends no .npz suffix
+    # a handle: savez appends no .npz suffix
+    with replacing(path) as tmp, open(tmp, "wb") as fh:
         np.savez(fh,
                  sweep=sweep,
                  temperatures=[r.temperature for r in replicas],
@@ -240,7 +244,6 @@ def save_checkpoint(path, replicas, sweep):
                  dt=[r.dt for r in replicas],
                  identity=[r.identity for r in replicas],
                  rng_states=np.array(states, dtype=object))
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path):

@@ -1,9 +1,15 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from temperhmc.cli import main
+import temperhmc.cli
+import temperhmc.harness
+import temperhmc.replica
+from temperhmc.cli import main, write_manifest
+from temperhmc.harness import write_sweep_csv
+from temperhmc.replica import RunTrace
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +97,7 @@ class TestRemdAndReport:
         assert (remd_out / "remd_checkpoint.npz").exists()
         meta = json.loads((remd_out / "remd_run.json").read_text())
         assert meta["n_sweeps"] == 10
+        assert meta["tune_failures"] == 0      # 10 sweeps: no retune at the default cadence
 
     def test_report_rebuilds_table(self, remd_out, tmp_path):
         out = tmp_path / "table.csv"
@@ -129,6 +136,11 @@ class TestTiAndCompare:
         assert run["log_evidence"] == pytest.approx(
             -run["free_energy"] - run["log_prior_volume"], abs=1.0)
         assert len(run["per_lambda"]["lambdas"]) == 4
+        assert len(run["stiffness_fit"]) == 2          # one per repeat
+        for fit in run["stiffness_fit"]:
+            assert set(fit) == {"frac_outside_box", "degenerate"}
+            assert 0.0 <= fit["frac_outside_box"] <= 1.0
+            assert isinstance(fit["degenerate"], int) and fit["degenerate"] >= 0
 
         # comparing the run against itself: zero log odds
         rc = main(["compare-models", "--a", str(ti_out / "ti_run.json"),
@@ -187,3 +199,40 @@ class TestConfigFile:
         assert summary["n_restarts"] == 2     # flag beat the file value
         manifest = json.loads((out / "minimize_manifest.json").read_text())
         assert manifest["config"]["restarts"] == 2
+
+
+def _write_trace(out_dir, n):
+    trace = RunTrace(np.array([1.0, 2.0]))
+    for s in range(n):
+        trace.append_sweep([s, s + 1.0], [0.5, 0.5], [1.0, 0.0], [0, 1], [1], [0])
+    path = out_dir / "trace.csv"
+    trace.write_csv(path)
+    return path
+
+
+def _write_sweep(out_dir, n):
+    path = out_dir / "summary.csv"
+    write_sweep_csv(path, [(1.0, float(n), 0.1, 2.0, 0.2)],
+                    {"uninformed_train_energy": 5.0, "argmin_test_temperature": 1.0})
+    return path
+
+
+def _write_manifest(out_dir, n):
+    return write_manifest(str(out_dir), "run", {"n": n}, [])
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("module,write", [
+        (temperhmc.replica, _write_trace),
+        (temperhmc.harness, _write_sweep),
+        (temperhmc.cli, _write_manifest),
+    ], ids=["RunTrace.write_csv", "write_sweep_csv", "write_manifest"])
+    def test_failed_write_keeps_earlier_file(self, tmp_path, fail_writes,
+                                             module, write):
+        path = write(tmp_path, 1)
+        before = open(path, "rb").read()
+        fail_writes(module)
+        with pytest.raises(OSError):
+            write(tmp_path, 2)
+        assert open(path, "rb").read() == before
+        assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(path)]

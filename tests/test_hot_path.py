@@ -11,7 +11,7 @@ import pytest
 import temperhmc.network as network
 from temperhmc.errors import FailedToTune
 from temperhmc.hmc import (HmcConfig, StepSizeController, hmc_trajectory,
-                           run_chain, tune_step_size)
+                           measure_acceptance, run_chain, tune_step_size)
 from temperhmc.minimize import RMinConfig, rmin
 from temperhmc.network import (LOGISTIC_SOFTMAX, NetworkArch, PriorBox,
                                dataset_energy_fns, energy, energy_gradient,
@@ -175,6 +175,116 @@ class TestRunChain:
         np.testing.assert_array_equal(w, hand_w)
         assert e == current[0]
         np.testing.assert_array_equal(g, current[1])
+
+
+def reject_off_start(w):
+    """Energy +inf anywhere but the origin: every probe is rejected."""
+    return (0.0 if np.all(w == 0) else np.inf), np.zeros_like(w)
+
+
+def flat(w):
+    return 0.0, np.zeros_like(w)
+
+
+H4 = np.array([0.7, 1.3, 2.9, 4.1])
+
+
+def quad4(w):
+    return 0.5 * float(np.dot(H4 * w, w)), H4 * w
+
+
+def full_round_tuner(ctl, w, value_grad, cfg, rng, box, current):
+    """tune_step_size by hand, every round running all probe_batch probes."""
+    lo, hi = ctl.band
+    dt = cfg.dt
+    for _ in range(ctl.max_rounds):
+        probe = HmcConfig(cfg.temperature, dt, cfg.n_steps, cfg.mass)
+        pw, pc, n_acc = np.array(w, dtype=float), current, 0
+        for _ in range(ctl.probe_batch):
+            out = hmc_trajectory(pw, value_grad, probe, rng, box, pc)
+            pw, pc = out.w, (out.energy, out.grad)
+            n_acc += out.accepted
+        rate = n_acc / ctl.probe_batch
+        if rate > hi:
+            dt *= ctl.grow
+        elif rate < lo:
+            dt *= ctl.shrink
+        else:
+            return dt
+    raise FailedToTune(dt, rate)
+
+
+def tuned(tuner, ctl, w, value_grad, cfg, seed):
+    """(dt or the FailedToTune, RNG state after, potential calls) of one tuning."""
+    rng = np.random.default_rng(seed)
+    potential = Counting(value_grad)
+    try:
+        result = tuner(ctl, w, potential, cfg, rng, None, value_grad(w))
+    except FailedToTune as exc:
+        result = exc
+    return result, rng.bit_generator.state, potential.calls
+
+
+class TestSettledProbeRounds:
+    """A probe round stops integrating once its grow / shrink verdict is fixed."""
+
+    # full_seeds: the seeds on which every round could end in band, and so
+    # runs every probe (near the band, seed 1 is in band at once)
+    @pytest.mark.parametrize("value_grad,w,cfg,max_rounds,full_seeds", [
+        (reject_off_start, np.zeros(2), HmcConfig(1.0, 0.1, 3), 5, []),
+        (quad4, np.zeros(4), HmcConfig(1.0, 1e-3, 8), 200, []),    # dt far too small
+        (quad4, np.zeros(4), HmcConfig(1.0, 0.85, 8), 200, [1]),   # near the band
+    ], ids=["always-reject", "dt-too-small", "near-band"])
+    def test_dt_and_rng_stream_match_full_rounds(self, value_grad, w, cfg,
+                                                 max_rounds, full_seeds):
+        ctl = StepSizeController(max_rounds=max_rounds)
+        lo, hi = ctl.band
+        saved = []
+        for seed in range(3):
+            got, state, calls = tuned(tune_step_size, ctl, w, value_grad, cfg, seed)
+            want, want_state, full_calls = tuned(full_round_tuner, ctl, w,
+                                                 value_grad, cfg, seed)
+            assert state == want_state
+            if isinstance(want, FailedToTune):
+                assert isinstance(got, FailedToTune) and got.dt == want.dt
+                # the settled round's rate lies on the full round's side of the band
+                assert (got.rate < lo, got.rate > hi) == (want.rate < lo, want.rate > hi)
+            else:
+                assert got == want
+            saved.append(full_calls - calls)
+        assert min(saved) >= 0
+        assert [seed for seed, n in enumerate(saved) if n == 0] == full_seeds
+
+    def test_always_reject_round_costs_9_L(self):
+        # (0 + 11) / 20 < 0.6 after 9 rejections
+        potential = Counting(reject_off_start)
+        w = np.zeros(2)
+        with pytest.raises(FailedToTune) as info:
+            tune_step_size(StepSizeController(max_rounds=5), w, potential,
+                           HmcConfig(1.0, 0.1, 3), np.random.default_rng(0), None,
+                           reject_off_start(w))
+        assert potential.calls == 45 * 3
+        assert info.value.rate == 0.0
+
+    def test_all_accept_round_costs_15_L(self):
+        # 15 / 20 > 0.7 after 15 acceptances
+        potential = Counting(flat)
+        w = np.zeros(2)
+        with pytest.raises(FailedToTune) as info:
+            tune_step_size(StepSizeController(max_rounds=1), w, potential,
+                           HmcConfig(1.0, 0.1, 4), np.random.default_rng(0), None,
+                           flat(w))
+        assert potential.calls == 15 * 4
+        assert info.value.rate == 1.0
+
+    def test_without_a_band_every_probe_runs(self):
+        potential = Counting(reject_off_start)
+        w = np.zeros(2)
+        rate = measure_acceptance(w, potential, HmcConfig(1.0, 0.1, 3),
+                                  np.random.default_rng(0), None, 20,
+                                  reject_off_start(w))
+        assert rate == 0.0
+        assert potential.calls == 20 * 3
 
 
 class TestSigmoid:

@@ -279,6 +279,7 @@ class TestRunRemd:
         cfg = RemdConfig(n_traj=1, n_leapfrog=2, sweeps=5, retune_every=2)
         trace = run_remd([r], value_grad, None, cfg, swap_seed=0)
         assert len(failures) == 2      # retunes at sweeps 2 and 4
+        assert trace.tune_failures == 2
         assert r.dt == 0.3
         assert trace.n_sweeps == 5
 
