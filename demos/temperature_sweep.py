@@ -65,7 +65,7 @@ def main():
 
     ladder = make_ladder(args.tmin, args.tmax, args.nt)
     cfg = RemdConfig(n_traj=2, n_leapfrog=25, sweeps=args.sweeps,
-                     burn_in_traj=50, retune_every=50)
+                     burn_in_traj=50)
     print(f"\ninitialising {args.nt} replicas on a geometric ladder "
           f"[{args.tmin:g}, {args.tmax:g}] (minimise, tune, burn in)...")
     seeds = np.random.SeedSequence(args.seed).spawn(args.nt + 1)

@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from importlib.metadata import PackageNotFoundError, version
 
 import numpy as np
 
@@ -64,9 +65,8 @@ def _write_json(path, payload):
 
 def _version():
     try:
-        from importlib.metadata import version
         return version("temperhmc")
-    except Exception:
+    except PackageNotFoundError:
         return "unknown"
 
 
@@ -210,7 +210,9 @@ def cmd_remd(args):
     table_path = os.path.join(out_dir, "remd_summary.csv")
     write_sweep_csv(table_path, rows, refs)
     meta = dict(cfg, burn_in_sweeps=burn, n_sweeps=trace.n_sweeps,
-                tune_failures=trace.tune_failures)
+                dt=[r.dt for r in replicas],
+                swap_attempts=np.sum(trace.swap_attempts, axis=0).tolist(),
+                swap_accepts=np.sum(trace.swap_accepts, axis=0).tolist())
     _write_json(os.path.join(out_dir, "remd_run.json"), meta)
     write_manifest(out_dir, "remd", cfg, [trace_path, table_path, ckpt_path])
     print(f"remd complete: {trace.n_sweeps} sweeps, "

@@ -1,8 +1,8 @@
 """Single-temperature Hamiltonian Monte Carlo.
 
-A trajectory draws momenta p_i ~ N(0, m_i * T), propagates (w, p) with
-velocity Verlet for L steps, and accepts with log-probability
-(U_old - U_new) / T where U = E + sum(p^2 / 2m).  Proposals leaving the
+A trajectory draws unit-mass momenta p_i ~ N(0, T), propagates (w, p)
+with velocity Verlet for L steps, and accepts with log-probability
+(U_old - U_new) / T where U = E + sum(p^2) / 2.  Proposals leaving the
 uniform prior box are rejected outright; non-finite energies or gradients
 are treated as rejections so the chain stays valid.
 
@@ -27,7 +27,6 @@ class HmcConfig:
     temperature: float
     dt: float
     n_steps: int
-    mass: np.ndarray | float = 1.0
 
     def __post_init__(self):
         if self.temperature <= 0 or self.dt <= 0 or self.n_steps < 1:
@@ -45,7 +44,7 @@ class TrajectoryOutcome:
     log_accept: float      # (U_o - U_n) / T
 
 
-def velocity_verlet(w, p, g, value_grad, dt, n_steps, mass=1.0):
+def velocity_verlet(w, p, g, value_grad, dt, n_steps):
     """Kick-drift-kick integration of (w, p) for n_steps >= 1 steps.
 
     g is the gradient at the starting w.  Returns (w, p, e, g, ok) with the
@@ -58,7 +57,7 @@ def velocity_verlet(w, p, g, value_grad, dt, n_steps, mass=1.0):
         return w, p, np.nan, g, False
     for _ in range(n_steps):
         p -= 0.5 * dt * g
-        w += dt * p / mass
+        w += dt * p
         e, g = value_grad(w)
         if not np.all(np.isfinite(g)):
             return w, p, e, g, False
@@ -74,19 +73,17 @@ def hmc_trajectory(w, value_grad, cfg: HmcConfig, rng,
     current is the (energy, gradient) pair at w carried from the previous
     trajectory; without it one extra value_grad call computes it.
     """
-    T = cfg.temperature
-    mass = cfg.mass
     e_old, g_old = value_grad(w) if current is None else current
     p0 = _momentum(w, cfg, rng)
-    u_old = e_old + float(np.sum(p0 * p0 / (2.0 * mass)))
+    u_old = e_old + float(np.sum(p0 * p0 / 2.0))
 
     w_new, p_new, e_new, g_new, ok = velocity_verlet(w, p0, g_old, value_grad,
-                                                     cfg.dt, cfg.n_steps, mass)
+                                                     cfg.dt, cfg.n_steps)
     log_u = np.log(rng.uniform())
     if not ok or not np.isfinite(e_new):
         return TrajectoryOutcome(False, w, e_old, g_old, u_old, np.inf, -np.inf)
-    u_new = e_new + float(np.sum(p_new * p_new / (2.0 * mass)))
-    alpha = (u_old - u_new) / T
+    u_new = e_new + float(np.sum(p_new * p_new / 2.0))
+    alpha = (u_old - u_new) / cfg.temperature
 
     inside = box is None or in_support(w_new, box)
     if inside and log_u < alpha:
@@ -95,9 +92,8 @@ def hmc_trajectory(w, value_grad, cfg: HmcConfig, rng,
 
 
 def _momentum(w, cfg: HmcConfig, rng):
-    """Momenta p_i ~ N(0, m_i * T) for one trajectory from w."""
-    return rng.normal(0.0, np.sqrt(np.asarray(cfg.mass, dtype=float) * cfg.temperature),
-                      size=w.shape)
+    """Unit-mass momenta p_i ~ N(0, T) for one trajectory from w."""
+    return rng.normal(0.0, np.sqrt(cfg.temperature), size=w.shape)
 
 
 def _skip_trajectory(w, cfg: HmcConfig, rng):

@@ -3,7 +3,7 @@
 Each sweep runs every replica for a fixed number of HMC trajectories at
 its own temperature, then makes N_T random adjacent-pair swap attempts.
 A swap exchanges the parameter vectors, cached energies and gradients, and
-replica identity labels; the tuned step size and RNG stream stay with the
+replica identity labels; the step size and RNG stream stay with the
 temperature slot.  Per-replica seed streams plus a dedicated swap stream
 make a run bit-reproducible.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FailedToTune, InsufficientSamples
+from .errors import ConfigError, InsufficientSamples
 from .files import replacing
 from .hmc import HmcConfig, StepSizeController, run_chain, tune_step_size
 from .minimize import RMinConfig, rmin
@@ -66,14 +66,18 @@ def attempt_swap(r_lo: Replica, r_hi: Replica, rng) -> bool:
 
 @dataclass
 class RemdConfig:
+    """Settings of a replica-exchange run.
+
+    dt0 is where each rung's step-size tuning starts in init_replica; the
+    tuned dt then stays fixed for burn-in and the whole production run.
+    """
+
     n_traj: int = 10            # HMC trajectories per replica per sweep
     n_leapfrog: int = 100       # Verlet steps per trajectory
     sweeps: int = 500
     burn_in_traj: int = 100     # per-replica burn-in during initialisation
     dt0: float = 0.1
-    retune_every: int = 50      # sweeps between step-size refreshes
     checkpoint_every: int = 0   # 0 disables checkpoints
-    mass: float = 1.0
 
 
 def init_replica(index, temperature, value_grad, box, seed,
@@ -105,9 +109,9 @@ def init_replica(index, temperature, value_grad, box, seed,
 
     current = value_grad(w)
     dt = tune_step_size(StepSizeController(), w, value_grad,
-                        HmcConfig(temperature, cfg.dt0, cfg.n_leapfrog, cfg.mass),
+                        HmcConfig(temperature, cfg.dt0, cfg.n_leapfrog),
                         rng, box, current)
-    hmc_cfg = HmcConfig(temperature, dt, cfg.n_leapfrog, cfg.mass)
+    hmc_cfg = HmcConfig(temperature, dt, cfg.n_leapfrog)
     w, (e, g), _ = run_chain(w, current, value_grad, hmc_cfg, rng, box,
                              cfg.burn_in_traj)
     return Replica(index, temperature, w, e, dt, rng, grad=g)
@@ -124,7 +128,6 @@ class RunTrace:
     identities: list = field(default_factory=list)
     swap_attempts: list = field(default_factory=list)  # each: (N_T - 1,) counts
     swap_accepts: list = field(default_factory=list)
-    tune_failures: int = 0      # retunes that ended in FailedToTune; dt was kept
 
     @property
     def n_sweeps(self):
@@ -172,12 +175,13 @@ def run_remd(replicas, value_grad, box, cfg: RemdConfig, swap_seed,
              trace: RunTrace = None) -> RunTrace:
     """Drive a replica-exchange simulation for cfg.sweeps sweeps.
 
+    Every rung samples with the dt it carries in, from init_replica or a
+    checkpoint: the kernel is never adapted during the run, since adapting
+    dt from the chain's own past would break the invariance of the target.
     test_energy_fn(w) supplies the held-out observable recorded per sweep
     (NaN when absent).  Passing an existing trace resumes recording.  A
     replica without a carried gradient (built by hand, or loaded from a
     checkpoint, which stores none) gets it from one value_grad call here.
-    A retune that fails to reach the band keeps the rung's dt and is
-    counted in trace.tune_failures.
     """
     replicas = list(replicas)
     for r in replicas:
@@ -190,19 +194,9 @@ def run_remd(replicas, value_grad, box, cfg: RemdConfig, swap_seed,
 
     start_sweep = trace.n_sweeps
     for sweep in range(start_sweep, start_sweep + cfg.sweeps):
-        if cfg.retune_every and sweep > start_sweep and sweep % cfg.retune_every == 0:
-            for r in replicas:
-                hmc_cfg = HmcConfig(r.temperature, r.dt, cfg.n_leapfrog, cfg.mass)
-                try:
-                    r.dt = tune_step_size(StepSizeController(), r.w, value_grad,
-                                          hmc_cfg, r.rng, box, (r.energy, r.grad))
-                except FailedToTune:
-                    # keep the previous dt; tuning retries next cadence
-                    trace.tune_failures += 1
-
         accept = np.zeros(n_temps)
         for i, r in enumerate(replicas):
-            hmc_cfg = HmcConfig(r.temperature, r.dt, cfg.n_leapfrog, cfg.mass)
+            hmc_cfg = HmcConfig(r.temperature, r.dt, cfg.n_leapfrog)
             r.w, (r.energy, r.grad), n_acc = run_chain(
                 r.w, (r.energy, r.grad), value_grad, hmc_cfg, r.rng, box, cfg.n_traj)
             accept[i] = n_acc / cfg.n_traj

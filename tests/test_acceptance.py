@@ -204,7 +204,7 @@ def test_07_thermodynamic_monotonicity():
     replicas = [Replica(i, float(T), np.ones(2), energy_fn(np.ones(2)), 0.03,
                         np.random.default_rng(1070 + i))
                 for i, T in enumerate(temps)]
-    cfg = RemdConfig(n_traj=3, n_leapfrog=15, sweeps=800, retune_every=100)
+    cfg = RemdConfig(n_traj=3, n_leapfrog=15, sweeps=800)
     t0 = time.time()
     trace = run_remd(replicas, value_grad, None, cfg, swap_seed=107)
     summary = measure_sweep(trace, burn_in_sweeps=100)
@@ -327,8 +327,7 @@ def test_12_temperature_sweep_reproduction(mnist_splits):
                                     d50_test.labels[idx])
 
     t0 = time.time()
-    cfg = RemdConfig(n_traj=2, n_leapfrog=25, sweeps=300, burn_in_traj=50,
-                     retune_every=75)
+    cfg = RemdConfig(n_traj=2, n_leapfrog=25, sweeps=300, burn_in_traj=50)
     ladder = make_ladder(1e-2, 1e2, 16)
     seeds = np.random.SeedSequence(120).spawn(len(ladder) + 1)
     replicas = [init_replica(i, float(T), value_grad, box, seeds[i],

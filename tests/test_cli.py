@@ -1,5 +1,6 @@
 import json
 import os
+from importlib.metadata import PackageNotFoundError
 
 import numpy as np
 import pytest
@@ -97,7 +98,13 @@ class TestRemdAndReport:
         assert (remd_out / "remd_checkpoint.npz").exists()
         meta = json.loads((remd_out / "remd_run.json").read_text())
         assert meta["n_sweeps"] == 10
-        assert meta["tune_failures"] == 0      # 10 sweeps: no retune at the default cadence
+        with np.load(remd_out / "remd_checkpoint.npz", allow_pickle=True) as ckpt:
+            assert meta["dt"] == ckpt["dt"].tolist()
+        assert len(meta["dt"]) == 3
+        assert len(meta["swap_attempts"]) == len(meta["swap_accepts"]) == 2
+        assert sum(meta["swap_attempts"]) == 3 * 10      # N_T attempts a sweep
+        assert all(0 <= acc <= att for acc, att in
+                   zip(meta["swap_accepts"], meta["swap_attempts"]))
 
     def test_report_rebuilds_table(self, remd_out, tmp_path):
         out = tmp_path / "table.csv"
@@ -236,3 +243,20 @@ class TestAtomicWrites:
             write(tmp_path, 2)
         assert open(path, "rb").read() == before
         assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(path)]
+
+
+class TestVersion:
+    def test_missing_package_reads_unknown(self, monkeypatch):
+        def not_installed(name):
+            raise PackageNotFoundError(name)
+
+        monkeypatch.setattr(temperhmc.cli, "version", not_installed)
+        assert temperhmc.cli._version() == "unknown"
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(name):
+            raise RuntimeError("broken metadata")
+
+        monkeypatch.setattr(temperhmc.cli, "version", broken)
+        with pytest.raises(RuntimeError, match="broken metadata"):
+            temperhmc.cli._version()

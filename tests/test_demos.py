@@ -1,0 +1,22 @@
+"""The demos run to completion against the current package."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["demos/temperature_sweep.py", "--nt", "2", "--sweeps", "5"],
+    ["demos/evidence_comparison.py"],
+], ids=["temperature_sweep", "evidence_comparison"])
+def test_demo_runs(argv, tmp_path):
+    # the sweep demo writes its stand-in corpus under TMPDIR
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr

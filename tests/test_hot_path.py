@@ -5,6 +5,8 @@ minimiser step make, and that the cheaper network code and the carried
 (energy, gradient) pair change no output bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -198,7 +200,7 @@ def full_round_tuner(ctl, w, value_grad, cfg, rng, box, current):
     lo, hi = ctl.band
     dt = cfg.dt
     for _ in range(ctl.max_rounds):
-        probe = HmcConfig(cfg.temperature, dt, cfg.n_steps, cfg.mass)
+        probe = replace(cfg, dt=dt)
         pw, pc, n_acc = np.array(w, dtype=float), current, 0
         for _ in range(ctl.probe_batch):
             out = hmc_trajectory(pw, value_grad, probe, rng, box, pc)
@@ -328,14 +330,13 @@ class TestFusedClosure:
 
 class TestRemdReplay:
     def test_carried_gradients_match_recomputed_replay(self):
-        # run_remd carries (E, g) across trajectories, retunes and swaps;
-        # the replay recomputes the pair at the start of every trajectory
-        # and tuning, as a potential without a cache would
+        # run_remd carries (E, g) across trajectories and swaps; the replay
+        # recomputes the pair at the start of every trajectory, as a
+        # potential without a cache would
         arch, x, y = small_problem(rows=40)
         box = prior_box(arch)
         _, value_grad = dataset_energy_fns(arch, x, y)
-        cfg = RemdConfig(n_traj=2, n_leapfrog=5, sweeps=9, burn_in_traj=5,
-                         retune_every=4)
+        cfg = RemdConfig(n_traj=2, n_leapfrog=5, sweeps=9, burn_in_traj=5)
         temps = [1.0, 1.2]
         seeds = np.random.SeedSequence(8).spawn(3)
 
@@ -351,14 +352,6 @@ class TestRemdReplay:
             r.grad = None       # the replay never reads a carried gradient
         swap_rng = np.random.default_rng(seeds[-1])
         for sweep in range(cfg.sweeps):
-            if sweep and sweep % cfg.retune_every == 0:
-                for r in slots:
-                    try:
-                        r.dt = tune_step_size(StepSizeController(), r.w, value_grad,
-                                              HmcConfig(r.temperature, r.dt, 5),
-                                              r.rng, box)
-                    except FailedToTune:
-                        pass
             for i, r in enumerate(slots):
                 n_acc = 0
                 for _ in range(cfg.n_traj):
@@ -386,7 +379,7 @@ class TestRemdReplay:
         r = Replica(0, 1.0, np.array([0.4]), quad(np.array([0.4]))[0], 0.3,
                     np.random.default_rng(0))
         run_remd([r], potential, None,
-                 RemdConfig(n_traj=3, n_leapfrog=4, sweeps=2, retune_every=0),
+                 RemdConfig(n_traj=3, n_leapfrog=4, sweeps=2),
                  swap_seed=0)
         assert potential.calls == 1 + 2 * 3 * 4
         np.testing.assert_array_equal(r.grad, quad(r.w)[1])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import temperhmc.replica
-from temperhmc.errors import ConfigError, FailedToTune, InsufficientSamples
+from temperhmc.errors import ConfigError, InsufficientSamples
 from temperhmc.hmc import HmcConfig, hmc_trajectory
 from temperhmc.network import NetworkArch, prior_box
 from temperhmc.replica import (RemdConfig, Replica, RunTrace, attempt_swap,
@@ -111,7 +111,7 @@ class TestInitReplica:
 class TestRunRemd:
     def test_single_replica_matches_plain_hmc(self):
         energy, value_grad = quad_fns()
-        cfg = RemdConfig(n_traj=5, n_leapfrog=10, sweeps=20, retune_every=0)
+        cfg = RemdConfig(n_traj=5, n_leapfrog=10, sweeps=20)
         seed = np.random.SeedSequence(9)
         r = Replica(0, 1.0, np.array([0.5]), energy(np.array([0.5])), 0.3,
                     np.random.default_rng(seed.spawn(1)[0]))
@@ -134,7 +134,7 @@ class TestRunRemd:
         replicas = quad_replicas([1.0, 1.0], seed=4)
         for r in replicas:
             r.energy = energy(r.w)
-        cfg = RemdConfig(n_traj=2, n_leapfrog=10, sweeps=30, retune_every=0)
+        cfg = RemdConfig(n_traj=2, n_leapfrog=10, sweeps=30)
         trace = run_remd(replicas, value_grad, None, cfg, swap_seed=2)
         attempts = np.sum(trace.swap_attempts)
         accepts = np.sum(trace.swap_accepts)
@@ -145,7 +145,7 @@ class TestRunRemd:
         replicas = quad_replicas([0.5, 1.0, 2.0, 4.0], seed=6)
         for r in replicas:
             r.energy = energy(r.w)
-        cfg = RemdConfig(n_traj=2, n_leapfrog=10, sweeps=40, retune_every=0)
+        cfg = RemdConfig(n_traj=2, n_leapfrog=10, sweeps=40)
         trace = run_remd(replicas, value_grad, None, cfg, swap_seed=3)
         for ids in trace.identities:
             assert sorted(ids) == [0, 1, 2, 3]
@@ -162,7 +162,7 @@ class TestRunRemd:
         replicas = [Replica(i, T, np.zeros(d), 0.0, 0.25 * math.sqrt(T),
                             np.random.default_rng(100 + i))
                     for i, T in enumerate(temps)]
-        cfg = RemdConfig(n_traj=4, n_leapfrog=15, sweeps=400, retune_every=0)
+        cfg = RemdConfig(n_traj=4, n_leapfrog=15, sweeps=400)
         trace = run_remd(replicas, value_grad, None, cfg, swap_seed=5)
         summary = measure_sweep(trace, burn_in_sweeps=50)
         for i, T in enumerate(temps):
@@ -186,7 +186,7 @@ class TestRunRemd:
                                 energy(np.array([1.0])), 0.04,
                                 np.random.default_rng(200 + i))
                         for i, T in enumerate(temps)]
-            cfg = RemdConfig(n_traj=2, n_leapfrog=20, sweeps=400, retune_every=0)
+            cfg = RemdConfig(n_traj=2, n_leapfrog=20, sweeps=400)
             trace = run_remd(replicas, value_grad, None, cfg, swap_seed=6,
                              test_energy_fn=lambda w: w[0])
             pos = np.array([e[0] for e in trace.e_test])   # coldest-slot position
@@ -197,14 +197,13 @@ class TestRunRemd:
 
     def test_resume_from_checkpoint_is_seamless(self, tmp_path):
         energy, value_grad = quad_fns()
-        cfg = RemdConfig(n_traj=2, n_leapfrog=10, sweeps=10, retune_every=0)
+        cfg = RemdConfig(n_traj=2, n_leapfrog=10, sweeps=10)
 
         replicas = quad_replicas([1.0, 2.0], seed=11)
         for r in replicas:
             r.energy = energy(r.w)
         full = run_remd(replicas, value_grad, None,
-                        RemdConfig(n_traj=2, n_leapfrog=10, sweeps=20,
-                                   retune_every=0), swap_seed=7)
+                        RemdConfig(n_traj=2, n_leapfrog=10, sweeps=20), swap_seed=7)
 
         replicas = quad_replicas([1.0, 2.0], seed=11)
         for r in replicas:
@@ -237,10 +236,9 @@ class TestRunRemd:
                                        rtol=1e-12)
 
 
-    def test_retune_error_propagates(self):
-        # a mis-wired potential must not be swallowed by the retune: the
-        # RuntimeError comes from the first call of the retune at sweep 2,
-        # and only from that call
+    def test_trajectory_error_propagates(self):
+        # a mis-wired potential must not be swallowed: the RuntimeError
+        # comes from the first call of sweep 2's production trajectory
         energy, value_grad = quad_fns()
         calls = {"n": 0}
 
@@ -253,35 +251,27 @@ class TestRunRemd:
         r = Replica(0, 1.0, np.array([0.5]), energy(np.array([0.5])), 0.3,
                     np.random.default_rng(0), grad=np.array([0.5]))
         trace = RunTrace(np.array([1.0]))
-        cfg = RemdConfig(n_traj=1, n_leapfrog=2, sweeps=4, retune_every=2)
+        cfg = RemdConfig(n_traj=1, n_leapfrog=2, sweeps=4)
         with pytest.raises(RuntimeError, match="potential failed"):
             run_remd([r], broken, None, cfg, swap_seed=0, trace=trace)
         assert trace.n_sweeps == 2
 
-    def test_failed_retune_keeps_dt(self, monkeypatch):
-        # energy +inf off the start: every probe is rejected, so the retune
-        # raises FailedToTune, which run_remd absorbs, keeping dt
-        def value_grad(w):
-            return (0.0 if np.all(w == 0) else np.inf), np.zeros_like(w)
+    def test_production_never_tunes(self, monkeypatch):
+        # dt is tuned once, in init_replica; the production kernel is fixed
+        def no_tuning(*args, **kwargs):
+            raise AssertionError("run_remd tuned a step size")
 
-        r = Replica(0, 1.0, np.zeros(2), 0.0, 0.3, np.random.default_rng(0))
-        failures = []
-        original = temperhmc.replica.tune_step_size
-
-        def spy(*args, **kwargs):
-            try:
-                return original(*args, **kwargs)
-            except FailedToTune:
-                failures.append(1)
-                raise
-
-        monkeypatch.setattr(temperhmc.replica, "tune_step_size", spy)
-        cfg = RemdConfig(n_traj=1, n_leapfrog=2, sweeps=5, retune_every=2)
-        trace = run_remd([r], value_grad, None, cfg, swap_seed=0)
-        assert len(failures) == 2      # retunes at sweeps 2 and 4
-        assert trace.tune_failures == 2
-        assert r.dt == 0.3
-        assert trace.n_sweeps == 5
+        monkeypatch.setattr(temperhmc.replica, "tune_step_size", no_tuning)
+        _, value_grad = quad_fns()
+        replicas = quad_replicas([1.0, 2.0, 4.0], seed=14)
+        dts = [0.3, 0.4, 0.5]
+        for r, dt in zip(replicas, dts):
+            r.dt = dt
+        trace = run_remd(replicas, value_grad, None,
+                         RemdConfig(n_traj=1, n_leapfrog=2, sweeps=120),
+                         swap_seed=0)
+        assert trace.n_sweeps == 120
+        assert [r.dt for r in replicas] == dts
 
 
 class TestCheckpointWrite:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -301,7 +302,7 @@ def replay_tuning(w, value_grad, cfg, rng, box, current):
     """The default tuner by hand: band (0.6, 0.7), 20 probes, x1.1 / x0.9."""
     dt = cfg.dt
     for _ in range(200):
-        probe = HmcConfig(cfg.temperature, dt, cfg.n_steps, cfg.mass)
+        probe = replace(cfg, dt=dt)
         rate = replay_chain(w, value_grad, probe, rng, box, current, 20)[3] / 20
         if rate > 0.7:
             dt *= 1.1
