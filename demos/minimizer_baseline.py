@@ -30,11 +30,11 @@ def load_splits(mnist_dir):
         raw_test = data.load_idx_split(mnist_dir, "test")
         print(f"using IDX corpus from {mnist_dir}")
     else:
-        tmp = Path(tempfile.mkdtemp(prefix="temperhmc_demo_"))
-        synth.write_corpus(tmp, n_train=3000, n_test=600, seed=0)
-        raw_train = data.load_idx_split(tmp, "train")
-        raw_test = data.load_idx_split(tmp, "test")
-        print(f"no --mnist-dir given; wrote a synthetic stand-in corpus to {tmp}")
+        print("no --mnist-dir given; using a synthetic stand-in corpus")
+        with tempfile.TemporaryDirectory(prefix="temperhmc_demo_") as tmp:
+            synth.write_corpus(Path(tmp), n_train=3000, n_test=600, seed=0)
+            raw_train = data.load_idx_split(tmp, "train")
+            raw_test = data.load_idx_split(tmp, "test")
     return data.transform(raw_train, raw_test)
 
 

@@ -31,11 +31,11 @@ def load_splits(mnist_dir):
         raw_train = data.load_idx_split(mnist_dir, "train")
         raw_test = data.load_idx_split(mnist_dir, "test")
     else:
-        tmp = Path(tempfile.mkdtemp(prefix="temperhmc_demo_"))
-        synth.write_corpus(tmp, n_train=3000, n_test=600, seed=0)
-        print(f"no --mnist-dir given; synthetic stand-in corpus in {tmp}")
-        raw_train = data.load_idx_split(tmp, "train")
-        raw_test = data.load_idx_split(tmp, "test")
+        print("no --mnist-dir given; using a synthetic stand-in corpus")
+        with tempfile.TemporaryDirectory(prefix="temperhmc_demo_") as tmp:
+            synth.write_corpus(Path(tmp), n_train=3000, n_test=600, seed=0)
+            raw_train = data.load_idx_split(tmp, "train")
+            raw_test = data.load_idx_split(tmp, "test")
     return data.transform(raw_train, raw_test)
 
 

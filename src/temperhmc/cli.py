@@ -2,7 +2,10 @@
 
 Subcommands: prepare-data, minimize, remd, ti, compare-models, report,
 anneal-stop.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure, 4 restart/iteration budget exceeded.
+failure, 4 restart/iteration budget exceeded.  A command reads its flags,
+config and input files inside _reading_config, so a missing key or a bad
+value there exits 2; the same errors raised by the computation that
+follows propagate.
 
 Every run can take --config JSON; explicit flags override file values, and
 the effective configuration is echoed into a run manifest next to the
@@ -17,6 +20,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from importlib.metadata import PackageNotFoundError, version
 
 import numpy as np
@@ -70,12 +74,26 @@ def _version():
         return "unknown"
 
 
+@contextmanager
+def _reading_config():
+    """Report a missing key or a bad value as a ConfigError (exit code 2)."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"missing key {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _merge_config(args, keys):
     """File config (if any) overridden by explicitly-set CLI flags."""
     cfg = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg.update(json.load(fh))
+        with open(args.config) as fh, _reading_config():
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"{args.config} does not hold a JSON object")
+        cfg.update(loaded)
     for key in keys:
         val = getattr(args, key, None)
         if val is not None:
@@ -104,20 +122,21 @@ def cmd_prepare_data(args):
         if cfg.get(key) is None:
             raise ConfigError(f"prepare-data requires --{key.replace('_', '-')}")
     store = DatasetStore(cfg["data_dir"])
-    seed = int(cfg.get("seed", 0))
     full_paths = [os.path.join(cfg["data_dir"], "full_train.bin"),
                   os.path.join(cfg["data_dir"], "full_test.bin")]
-    if all(os.path.exists(p) for p in full_paths):
-        full_train = load_dataset(full_paths[0])
-        full_test = load_dataset(full_paths[1])
-    else:
-        raw_train = load_idx_split(cfg["mnist_dir"], "train")
-        raw_test = load_idx_split(cfg["mnist_dir"], "test")
-        full_train, full_test = transform(raw_train, raw_test)
-        from .data import save_dataset
-        save_dataset(full_paths[0], full_train)
-        save_dataset(full_paths[1], full_test)
-    train, test = store.get_or_create(full_train, full_test, int(cfg["size"]), seed)
+    with _reading_config():
+        seed, size = int(cfg.get("seed", 0)), int(cfg["size"])
+        if all(os.path.exists(p) for p in full_paths):
+            full_train = load_dataset(full_paths[0])
+            full_test = load_dataset(full_paths[1])
+        else:
+            raw_train = load_idx_split(cfg["mnist_dir"], "train")
+            raw_test = load_idx_split(cfg["mnist_dir"], "test")
+            full_train, full_test = transform(raw_train, raw_test)
+            from .data import save_dataset
+            save_dataset(full_paths[0], full_train)
+            save_dataset(full_paths[1], full_test)
+        train, test = store.get_or_create(full_train, full_test, size, seed)
     write_manifest(cfg["data_dir"], "prepare-data", cfg, full_paths)
     print(f"prepared D{cfg['size']} seed {seed}: train {len(train)}, test {len(test)}")
     return 0
@@ -127,20 +146,22 @@ def cmd_minimize(args):
     cfg = _merge_config(args, ["model", "data", "data_dir", "data_seed",
                                "restarts", "seed", "mode", "dt0", "n_steps",
                                "out_dir"])
-    arch = get_arch(cfg["model"])
-    train, test = _dataset_pair(cfg)
+    with _reading_config():
+        arch = get_arch(cfg["model"])
+        train, test = _dataset_pair(cfg)
+        mode = cfg.get("mode", "zero-energy")
+        rmin_cfg = RMinConfig(n_steps=int(cfg.get("n_steps", 2000)),
+                              dt0=float(cfg.get("dt0", 0.1)))
+        kwargs = {"mode": mode, "rmin_cfg": rmin_cfg}
+        if mode == "best-of":
+            kwargs["n_restarts"] = int(cfg.get("restarts", 4000))
+        else:
+            kwargs["n_solutions"] = int(cfg.get("restarts", 100))
+            kwargs["restart_cap"] = 40 * int(cfg.get("restarts", 100))
+        seed = int(cfg.get("seed", 0))
     out_dir = cfg.get("out_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
-    mode = cfg.get("mode", "zero-energy")
-    rmin_cfg = RMinConfig(n_steps=int(cfg.get("n_steps", 2000)),
-                          dt0=float(cfg.get("dt0", 0.1)))
-    kwargs = {"mode": mode, "rmin_cfg": rmin_cfg}
-    if mode == "best-of":
-        kwargs["n_restarts"] = int(cfg.get("restarts", 4000))
-    else:
-        kwargs["n_solutions"] = int(cfg.get("restarts", 100))
-        kwargs["restart_cap"] = 40 * int(cfg.get("restarts", 100))
-    result = baseline_optimize(arch, train, test, int(cfg.get("seed", 0)), **kwargs)
+    result = baseline_optimize(arch, train, test, seed, **kwargs)
 
     csv_path = os.path.join(out_dir, "baseline.csv")
     with replacing(csv_path) as tmp, open(tmp, "w") as fh:
@@ -168,14 +189,23 @@ def cmd_remd(args):
                                "tmin", "tmax", "nt", "ntraj", "L", "sweeps",
                                "seed", "checkpoint_every", "out_dir",
                                "eval_subset", "burn_in_traj"])
-    arch = get_arch(cfg["model"])
-    train, test = _dataset_pair(cfg)
+    with _reading_config():
+        arch = get_arch(cfg["model"])
+        train, test = _dataset_pair(cfg)
+        n_eval = int(cfg.get("eval_subset", 2000))
+        remd_cfg = RemdConfig(n_traj=int(cfg.get("ntraj", 10)),
+                              n_leapfrog=int(cfg.get("L", 100)),
+                              sweeps=int(cfg.get("sweeps", 500)),
+                              burn_in_traj=int(cfg.get("burn_in_traj", 100)),
+                              checkpoint_every=int(cfg.get("checkpoint_every", 0)))
+        ladder = make_ladder(float(cfg.get("tmin", 1e-2)),
+                             float(cfg.get("tmax", 1e2)), int(cfg.get("nt", 16)))
+        seed = int(cfg.get("seed", 0))
     out_dir = cfg.get("out_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
     box = prior_box(arch)
     _, value_grad = dataset_energy_fns(arch, train.inputs, train.labels)
 
-    n_eval = int(cfg.get("eval_subset", 2000))
     if n_eval and n_eval < len(test):
         # fixed stratified evaluation subset keeps the per-sweep cost bounded
         idx = stratified_indices(test.labels, n_eval, seed=12345)
@@ -184,14 +214,6 @@ def cmd_remd(args):
         eval_inputs, eval_labels = test.inputs, test.labels
     test_energy_fn, _ = dataset_energy_fns(arch, eval_inputs, eval_labels)
 
-    remd_cfg = RemdConfig(n_traj=int(cfg.get("ntraj", 10)),
-                          n_leapfrog=int(cfg.get("L", 100)),
-                          sweeps=int(cfg.get("sweeps", 500)),
-                          burn_in_traj=int(cfg.get("burn_in_traj", 100)),
-                          checkpoint_every=int(cfg.get("checkpoint_every", 0)))
-    ladder = make_ladder(float(cfg.get("tmin", 1e-2)),
-                         float(cfg.get("tmax", 1e2)), int(cfg.get("nt", 16)))
-    seed = int(cfg.get("seed", 0))
     seeds = np.random.SeedSequence(seed).spawn(len(ladder) + 1)
     replicas = [init_replica(i, T, value_grad, box, seeds[i],
                              arch=arch, cfg=remd_cfg)
@@ -225,25 +247,27 @@ def cmd_ti(args):
                                "repeats", "seed", "out_dir", "n_bridge",
                                "burn_in_traj", "sample_traj", "L",
                                "fit_burn_in_traj", "fit_sample_traj"])
-    arch = get_arch(cfg["model"])
-    train, _ = _dataset_pair(cfg)
+    with _reading_config():
+        arch = get_arch(cfg["model"])
+        train, _ = _dataset_pair(cfg)
+        ckpt_arch, w0 = load_params(cfg["w0"])
+        if ckpt_arch.n_params != arch.n_params:
+            raise ConfigError("w0 checkpoint does not match the requested model")
+        ti_cfg = TiConfig(
+            n_bridge=int(cfg.get("n_bridge", 100)),
+            burn_in_traj=int(cfg.get("burn_in_traj", 100)),
+            sample_traj=int(cfg.get("sample_traj", 100)),
+            n_leapfrog=int(cfg.get("L", 100)),
+            fit_burn_in_traj=int(cfg.get("fit_burn_in_traj", 1000)),
+            fit_sample_traj=int(cfg.get("fit_sample_traj", 1000)),
+        )
+        repeats = int(cfg.get("repeats", 5))
+        seed = int(cfg.get("seed", 0))
     out_dir = cfg.get("out_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
-    ckpt_arch, w0 = load_params(cfg["w0"])
-    if ckpt_arch.n_params != arch.n_params:
-        raise ConfigError("w0 checkpoint does not match the requested model")
     box = prior_box(arch)
     energy_fn, value_grad = dataset_energy_fns(arch, train.inputs, train.labels)
-    ti_cfg = TiConfig(
-        n_bridge=int(cfg.get("n_bridge", 100)),
-        burn_in_traj=int(cfg.get("burn_in_traj", 100)),
-        sample_traj=int(cfg.get("sample_traj", 100)),
-        n_leapfrog=int(cfg.get("L", 100)),
-        fit_burn_in_traj=int(cfg.get("fit_burn_in_traj", 1000)),
-        fit_sample_traj=int(cfg.get("fit_sample_traj", 1000)),
-    )
-    repeats = int(cfg.get("repeats", 5))
-    seeds = np.random.SeedSequence(int(cfg.get("seed", 0))).spawn(repeats)
+    seeds = np.random.SeedSequence(seed).spawn(repeats)
     runs, fits = [], []
     for r in range(repeats):
         rng = np.random.default_rng(seeds[r])
@@ -281,9 +305,9 @@ def cmd_ti(args):
 
 
 def cmd_compare_models(args):
-    with open(args.a) as fh:
+    with open(args.a) as fh, _reading_config():
         a = json.load(fh)
-    with open(args.b) as fh:
+    with open(args.b) as fh, _reading_config():
         b = json.load(fh)
     if a.get("dataset") != b.get("dataset"):
         raise ConfigError(
@@ -299,8 +323,9 @@ def cmd_compare_models(args):
     def err(run):
         return float(run.get("free_energy_std", run.get("log_integral_std", 0.0)))
 
-    log_odds = log_ev(a) - log_ev(b) + float(args.log_prior_ratio)
-    sigma = float(np.hypot(err(a), err(b)))
+    with _reading_config():
+        log_odds = log_ev(a) - log_ev(b) + float(args.log_prior_ratio)
+        sigma = float(np.hypot(err(a), err(b)))
     report = {
         "model_a": a.get("model"),
         "model_b": b.get("model"),
@@ -315,7 +340,8 @@ def cmd_compare_models(args):
 
 def cmd_report(args):
     """Rebuild the per-temperature table from a per-sweep trace CSV."""
-    trace = RunTrace.read_csv(args.trace)
+    with _reading_config():
+        trace = RunTrace.read_csv(args.trace)
     burn = args.burn_in if args.burn_in is not None else trace.n_sweeps // 5
     summary = measure_sweep(trace, burn_in_sweeps=burn)
     rows, refs = sweep_table(summary, args.n_train, args.baseline)
@@ -327,7 +353,7 @@ def cmd_report(args):
 def cmd_anneal_stop(args):
     import csv as _csv
     temps, vals = [], []
-    with open(args.table) as fh:
+    with open(args.table) as fh, _reading_config():
         for row in _csv.DictReader(fh):
             temps.append(float(row["temperature"]))
             vals.append(float(row["val_energy"]))
@@ -429,7 +455,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, InsufficientSamples
+from .errors import BudgetError, ConfigError, InsufficientSamples
 from .files import replacing
 from .minimize import RMinConfig, rmin
 from .network import NetworkArch, dataset_energy_fns, init_standard
@@ -67,7 +67,7 @@ def baseline_optimize(arch: NetworkArch, train, test, seed: int,
         all_res.sort(key=lambda t: t[0])
         kept = all_res[:n_solutions]
     else:
-        raise ValueError(f"unknown baseline mode {mode!r}")
+        raise ConfigError(f"unknown baseline mode {mode!r}")
 
     train_e = np.array([e for e, _ in kept])
     test_e = np.array([test_energy_fn(w) for _, w in kept])

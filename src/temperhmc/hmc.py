@@ -14,6 +14,7 @@ run_chain strings trajectories together; every sampling loop drives it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -133,8 +134,9 @@ class StepSizeController:
     probe_batch: int = 20
     grow: float = 1.1
     shrink: float = 0.9
-    # near a hard prior-box wall the workable dt can be orders of magnitude
-    # below dt0, so allow a long geometric descent before giving up
+    # rounds before giving up; consecutive stalls compound the shrink, so a
+    # dt orders of magnitude below dt0 takes a dozen rounds, and the cap
+    # bounds a walk that keeps stepping across the band
     max_rounds: int = 200
 
 
@@ -176,21 +178,40 @@ def tune_step_size(controller: StepSizeController, w, value_grad,
     Every probe round starts from w with the same (energy, gradient) pair,
     current, computed once when not given.  A round stops integrating once
     its grow / shrink verdict is settled (see measure_acceptance); its dt
-    and the RNG stream are those of a round that runs every probe.  Returns
-    the tuned dt; raises FailedToTune when the round cap is hit outside the
-    band, with the last round's rate.
+    and the RNG stream are those of a round that runs every probe.
+
+    A round above the band multiplies dt by grow, one below it by shrink.
+    A stall, a round whose rate is 0.0, is strong evidence that dt is far
+    too large, so the shrink compounds over consecutive stalls: the j-th
+    in a row multiplies dt by shrink ** 2 ** (j - 1), an exponential search
+    down to a workable dt (Hoffman & Gelman 2014, Alg. 4).  A compounded
+    step that would reach a smaller dt already measured above the band
+    stops at the geometric mean of dt and the largest such one.  Returns
+    the tuned dt; raises FailedToTune, with the last round's rate, when
+    the round cap is hit outside the band or dt leaves the positive finite
+    floats.
     """
     lo, hi = controller.band
     dt = cfg.dt
     rate = None
+    stalls = 0
+    above = []                  # every dt measured above the band
     current = value_grad(w) if current is None else current
     for _ in range(controller.max_rounds):
         rate = measure_acceptance(w, value_grad, replace(cfg, dt=dt), rng, box,
                                   controller.probe_batch, current, controller.band)
+        stalls = stalls + 1 if rate == 0.0 else 0
         if rate > hi:
+            above.append(dt)
             dt *= controller.grow
-        elif rate < lo:
+        elif rate < lo and stalls < 2:
             dt *= controller.shrink
+        elif rate < lo:
+            floor = max((d for d in above if d < dt), default=0.0)
+            step = dt * controller.shrink ** 2 ** (stalls - 1)
+            dt = step if step > floor else math.sqrt(dt * floor)
         else:
             return dt
+        if not 0.0 < dt < math.inf:
+            raise FailedToTune(dt, rate)
     raise FailedToTune(dt, rate)

@@ -2,10 +2,10 @@
 
 Each sweep runs every replica for a fixed number of HMC trajectories at
 its own temperature, then makes N_T random adjacent-pair swap attempts.
-A swap exchanges the parameter vectors, cached energies and gradients, and
-replica identity labels; the step size and RNG stream stay with the
-temperature slot.  Per-replica seed streams plus a dedicated swap stream
-make a run bit-reproducible.
+A swap exchanges the parameter vectors, cached energies, gradients and
+held-out energies, and replica identity labels; the step size and RNG
+stream stay with the temperature slot.  Per-replica seed streams plus a
+dedicated swap stream make a run bit-reproducible.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ class Replica:
     rng: np.random.Generator
     identity: int = None        # which initial chain currently occupies the slot
     grad: np.ndarray = None     # gradient at w; run_remd fills it when absent
+    e_test: float = None        # held-out energy at w; run_remd fills it
 
     def __post_init__(self):
         if self.identity is None:
@@ -59,6 +60,7 @@ def attempt_swap(r_lo: Replica, r_hi: Replica, rng) -> bool:
         r_lo.w, r_hi.w = r_hi.w, r_lo.w
         r_lo.energy, r_hi.energy = r_hi.energy, r_lo.energy
         r_lo.grad, r_hi.grad = r_hi.grad, r_lo.grad
+        r_lo.e_test, r_hi.e_test = r_hi.e_test, r_lo.e_test
         r_lo.identity, r_hi.identity = r_hi.identity, r_lo.identity
         return True
     return False
@@ -179,9 +181,12 @@ def run_remd(replicas, value_grad, box, cfg: RemdConfig, swap_seed,
     checkpoint: the kernel is never adapted during the run, since adapting
     dt from the chain's own past would break the invariance of the target.
     test_energy_fn(w) supplies the held-out observable recorded per sweep
-    (NaN when absent).  Passing an existing trace resumes recording.  A
-    replica without a carried gradient (built by hand, or loaded from a
-    checkpoint, which stores none) gets it from one value_grad call here.
+    (NaN when absent).  A rung evaluates it only after a sweep in which it
+    accepted a trajectory, or when it holds no value yet; a rejected
+    trajectory leaves w, and so the value, unchanged.  Passing an existing
+    trace resumes recording.  A replica without a carried gradient (built
+    by hand, or loaded from a checkpoint, which stores none) gets it from
+    one value_grad call here.
     """
     replicas = list(replicas)
     for r in replicas:
@@ -200,6 +205,8 @@ def run_remd(replicas, value_grad, box, cfg: RemdConfig, swap_seed,
             r.w, (r.energy, r.grad), n_acc = run_chain(
                 r.w, (r.energy, r.grad), value_grad, hmc_cfg, r.rng, box, cfg.n_traj)
             accept[i] = n_acc / cfg.n_traj
+            if test_energy_fn and (n_acc or r.e_test is None):
+                r.e_test = test_energy_fn(r.w)
 
         attempts = np.zeros(n_temps - 1, dtype=int) if n_temps > 1 else np.zeros(0, dtype=int)
         accepts = np.zeros_like(attempts)
@@ -209,8 +216,7 @@ def run_remd(replicas, value_grad, box, cfg: RemdConfig, swap_seed,
                 attempts[j] += 1
                 accepts[j] += attempt_swap(replicas[j], replicas[j + 1], swap_rng)
 
-        e_test = [test_energy_fn(r.w) if test_energy_fn else np.nan
-                  for r in replicas]
+        e_test = [r.e_test if test_energy_fn else np.nan for r in replicas]
         trace.append_sweep([r.energy for r in replicas], e_test, accept,
                            [r.identity for r in replicas], attempts, accepts)
 
@@ -223,9 +229,9 @@ def run_remd(replicas, value_grad, box, cfg: RemdConfig, swap_seed,
 def save_checkpoint(path, replicas, sweep):
     """All replica states in one npz; RNG states serialised as JSON.
 
-    Gradients are not stored: run_remd recomputes them on resume.  The
-    file is written to a temporary name and renamed, so an interrupted
-    write leaves an earlier checkpoint intact.
+    Gradients and held-out energies are not stored: run_remd recomputes
+    them on resume.  The file is written to a temporary name and renamed,
+    so an interrupted write leaves an earlier checkpoint intact.
     """
     states = [json.dumps(r.rng.bit_generator.state) for r in replicas]
     # a handle: savez appends no .npz suffix

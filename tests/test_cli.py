@@ -245,6 +245,41 @@ class TestAtomicWrites:
         assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(path)]
 
 
+class TestExitCodes:
+    """Exit code 2 only for errors in flags, config files and input files."""
+
+    RUN = ["--ntraj", "1", "--L", "3", "--sweeps", "2", "--burn-in-traj", "1"]
+
+    def remd(self, data_dir, out_dir, *flags):
+        return main(["remd", "--data", "D50", "--data-dir", str(data_dir),
+                     "--out-dir", str(out_dir), *self.RUN, *flags])
+
+    def test_numerical_value_error_propagates(self, data_dir, tmp_path,
+                                              monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("math domain error")
+
+        monkeypatch.setattr(temperhmc.cli, "run_remd", broken)
+        with pytest.raises(ValueError, match="math domain error"):
+            self.remd(data_dir, tmp_path, "--model", "M1", "--nt", "2")
+
+    def test_missing_model_exit_2(self, data_dir, tmp_path):
+        assert self.remd(data_dir, tmp_path, "--nt", "2") == 2
+
+    def test_bad_config_value_exit_2(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nt": "many"}))
+        assert self.remd(data_dir, tmp_path, "--model", "M1",
+                         "--config", str(cfg)) == 2
+        assert "many" in capsys.readouterr().err
+
+    def test_config_not_an_object_exit_2(self, data_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert self.remd(data_dir, tmp_path, "--model", "M1", "--nt", "2",
+                         "--config", str(cfg)) == 2
+
+
 class TestVersion:
     def test_missing_package_reads_unknown(self, monkeypatch):
         def not_installed(name):

@@ -13,10 +13,12 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("argv", [
     ["demos/temperature_sweep.py", "--nt", "2", "--sweeps", "5"],
     ["demos/evidence_comparison.py"],
-], ids=["temperature_sweep", "evidence_comparison"])
+    ["demos/minimizer_baseline.py", "--restarts", "2"],
+], ids=["temperature_sweep", "evidence_comparison", "minimizer_baseline"])
 def test_demo_runs(argv, tmp_path):
-    # the sweep demo writes its stand-in corpus under TMPDIR
+    # the demos write their stand-in corpus under TMPDIR, and remove it
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.glob("temperhmc_demo_*")) == []

@@ -24,6 +24,20 @@ def flat(w):
     return 0.0, np.zeros_like(w)
 
 
+def scripted_walk(monkeypatch, rate_of, dt0):
+    """(tuned dt, dt of every round) when round k at dt reports rate_of(dt, k)."""
+    dts = []
+
+    def scripted(w, value_grad, cfg, *args):
+        dts.append(cfg.dt)
+        return rate_of(cfg.dt, len(dts) - 1)
+
+    monkeypatch.setattr(temperhmc.hmc, "measure_acceptance", scripted)
+    dt = tune_step_size(StepSizeController(), np.zeros(1), flat,
+                        HmcConfig(1.0, dt0, 5), np.random.default_rng(0))
+    return dt, dts
+
+
 class TestVerlet:
     def test_free_flight(self):
         w0 = np.array([1.0, -2.0])
@@ -215,3 +229,40 @@ class TestTuning:
         cfg = HmcConfig(1.0, 0.1, 5)
         with pytest.raises(FailedToTune):
             tune_step_size(ctl, np.zeros(2), value_grad, cfg, rng)
+
+
+class TestCompoundedShrink:
+    """Consecutive stalls (rate 0.0) compound the shrink; other rounds do not."""
+
+    def test_stalls_reach_a_far_smaller_dt_in_few_rounds(self, monkeypatch):
+        dt, dts = scripted_walk(monkeypatch,
+                                lambda dt, k: 0.0 if dt > 1e-3 else 0.65, 0.1)
+        assert dt == dts[-1] <= 1e-3
+        assert len(dts) <= 9
+        for j in range(1, len(dts) - 1):        # the j-th stall in a row
+            assert dts[j] / dts[j - 1] == pytest.approx(0.9 ** 2 ** (j - 1))
+        # one x0.9 step a round would take 45 rounds
+        plain, rounds = 0.1, 1
+        while plain > 1e-3:
+            plain, rounds = plain * 0.9, rounds + 1
+        assert rounds == 45
+
+    def test_lone_stalls_step_as_plain_rounds(self, monkeypatch):
+        rates = [0.0, 0.3, 0.0, 0.9, 0.0, 0.3, 0.0, 0.65]
+        dt, dts = scripted_walk(monkeypatch, lambda dt, k: rates[k], 0.1)
+        want = [0.1]
+        for rate in rates[:-1]:
+            want.append(want[-1] * (1.1 if rate > 0.7 else 0.9))
+        assert dts == want and dt == want[-1]
+
+    def test_compounded_step_never_crosses_a_dt_measured_above_band(
+            self, monkeypatch):
+        # noisy rounds: four above the band, then stalls at larger dt
+        rates = [0.9] * 4 + [0.0] * 6 + [0.65]
+        dt, dts = scripted_walk(monkeypatch, lambda dt, k: rates[k], 1.0)
+        above = dts[:4]
+        assert dts[5] * 0.81 < max(above)       # the step would cross 1.21
+        for prev, nxt in zip(dts[5:-1], dts[6:]):
+            floor = max(d for d in above if d < prev)
+            assert floor < nxt < prev
+            assert nxt == np.sqrt(prev * floor)

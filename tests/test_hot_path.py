@@ -18,8 +18,8 @@ from temperhmc.minimize import RMinConfig, rmin
 from temperhmc.network import (LOGISTIC_SOFTMAX, NetworkArch, PriorBox,
                                dataset_energy_fns, energy, energy_gradient,
                                init_standard, prior_box)
-from temperhmc.replica import (RemdConfig, Replica, attempt_swap, init_replica,
-                               run_remd)
+from temperhmc.replica import (RemdConfig, Replica, RunTrace, attempt_swap,
+                               init_replica, run_remd)
 
 
 class Counting:
@@ -196,23 +196,36 @@ def quad4(w):
 
 
 def full_round_tuner(ctl, w, value_grad, cfg, rng, box, current):
-    """tune_step_size by hand, every round running all probe_batch probes."""
+    """tune_step_size by hand, every round running all probe_batch probes.
+
+    A round stalls when its first n_settle probes were all rejected: then,
+    and only then, the settled round stops with rate 0.0 (with the default
+    controller, (0 + 11) / 20 < 0.6 after 9 rejections).
+    """
     lo, hi = ctl.band
-    dt = cfg.dt
+    n = ctl.probe_batch
+    n_settle = min((d for d in range(1, n + 1) if (n - d) / n < lo), default=n)
+    dt, stalls, above = cfg.dt, 0, []
     for _ in range(ctl.max_rounds):
         probe = replace(cfg, dt=dt)
-        pw, pc, n_acc = np.array(w, dtype=float), current, 0
-        for _ in range(ctl.probe_batch):
+        pw, pc, accepted = np.array(w, dtype=float), current, []
+        for _ in range(n):
             out = hmc_trajectory(pw, value_grad, probe, rng, box, pc)
             pw, pc = out.w, (out.energy, out.grad)
-            n_acc += out.accepted
-        rate = n_acc / ctl.probe_batch
+            accepted.append(out.accepted)
+        rate = sum(accepted) / n
+        stalls = 0 if any(accepted[:n_settle]) else stalls + 1
         if rate > hi:
+            above.append(dt)
             dt *= ctl.grow
         elif rate < lo:
-            dt *= ctl.shrink
+            step = dt * ctl.shrink ** 2 ** max(stalls - 1, 0)
+            floor = max([d for d in above if d < dt] + [0.0])
+            dt = step if stalls < 2 or step > floor else np.sqrt(dt * floor)
         else:
             return dt
+        if not (np.isfinite(dt) and dt > 0):
+            raise FailedToTune(dt, rate)
     raise FailedToTune(dt, rate)
 
 
@@ -267,6 +280,19 @@ class TestSettledProbeRounds:
                            reject_off_start(w))
         assert potential.calls == 45 * 3
         assert info.value.rate == 0.0
+
+    def test_always_reject_fails_within_15_rounds_at_default_cap(self):
+        # consecutive stalls compound the shrink until dt underflows to 0.0,
+        # which raises FailedToTune before HmcConfig could reject dt = 0
+        potential = Counting(reject_off_start)
+        w = np.zeros(2)
+        with pytest.raises(FailedToTune) as info:
+            tune_step_size(StepSizeController(), w, potential,
+                           HmcConfig(1.0, 0.1, 3), np.random.default_rng(0), None,
+                           reject_off_start(w))
+        assert potential.calls % (9 * 3) == 0
+        assert potential.calls // (9 * 3) <= 15
+        assert info.value.dt == 0.0 and info.value.rate == 0.0
 
     def test_all_accept_round_costs_15_L(self):
         # 15 / 20 > 0.7 after 15 acceptances
@@ -328,42 +354,59 @@ class TestFusedClosure:
         assert a.n_params == 256 * 40 + 40 + 40 * 10 + 10
 
 
+def replayed_remd(value_grad, box, cfg, slots, swap_seed):
+    """run_remd's sweeps by hand, recomputing (E, g) at every trajectory.
+
+    Yields (per-slot acceptance, slots) after each sweep's swaps.
+    """
+    for r in slots:
+        r.grad = None           # the replay never reads a carried gradient
+    swap_rng = np.random.default_rng(swap_seed)
+    for _ in range(cfg.sweeps):
+        accept = []
+        for r in slots:
+            n_acc = 0
+            for _ in range(cfg.n_traj):
+                out = hmc_trajectory(r.w, value_grad,
+                                     HmcConfig(r.temperature, r.dt, cfg.n_leapfrog),
+                                     r.rng, box)
+                r.w, r.energy = out.w, out.energy
+                n_acc += out.accepted
+            accept.append(n_acc / cfg.n_traj)
+        for _ in range(len(slots)):
+            j = int(swap_rng.integers(len(slots) - 1))
+            attempt_swap(slots[j], slots[j + 1], swap_rng)
+        yield accept, slots
+
+
 class TestRemdReplay:
-    def test_carried_gradients_match_recomputed_replay(self):
-        # run_remd carries (E, g) across trajectories and swaps; the replay
-        # recomputes the pair at the start of every trajectory, as a
-        # potential without a cache would
+    @pytest.fixture
+    def two_rungs(self):
+        """(value_grad, test_energy_fn, box, cfg, fresh replicas, swap seed)."""
         arch, x, y = small_problem(rows=40)
         box = prior_box(arch)
         _, value_grad = dataset_energy_fns(arch, x, y)
+        test_energy_fn, _ = dataset_energy_fns(arch, *small_problem(rows=20, seed=4)[1:])
         cfg = RemdConfig(n_traj=2, n_leapfrog=5, sweeps=9, burn_in_traj=5)
-        temps = [1.0, 1.2]
         seeds = np.random.SeedSequence(8).spawn(3)
 
         def fresh():
             return [init_replica(i, T, value_grad, box, seeds[i], arch=arch, cfg=cfg)
-                    for i, T in enumerate(temps)]
+                    for i, T in enumerate([1.0, 1.2])]
+        return value_grad, test_energy_fn, box, cfg, fresh, seeds[-1]
 
+    def test_carried_gradients_match_recomputed_replay(self, two_rungs):
+        # run_remd carries (E, g) across trajectories and swaps; the replay
+        # recomputes the pair at the start of every trajectory, as a
+        # potential without a cache would
+        value_grad, _, box, cfg, fresh, swap_seed = two_rungs
         replicas = fresh()
-        trace = run_remd(replicas, value_grad, box, cfg, seeds[-1])
+        trace = run_remd(replicas, value_grad, box, cfg, swap_seed)
 
         slots = fresh()
-        for r in slots:
-            r.grad = None       # the replay never reads a carried gradient
-        swap_rng = np.random.default_rng(seeds[-1])
-        for sweep in range(cfg.sweeps):
-            for i, r in enumerate(slots):
-                n_acc = 0
-                for _ in range(cfg.n_traj):
-                    out = hmc_trajectory(r.w, value_grad,
-                                         HmcConfig(r.temperature, r.dt, 5),
-                                         r.rng, box)
-                    r.w, r.energy = out.w, out.energy
-                    n_acc += out.accepted
-                assert trace.accept_rate[sweep][i] == n_acc / cfg.n_traj
-            for _ in range(len(slots)):
-                swap_rng.integers(1)
-                attempt_swap(slots[0], slots[1], swap_rng)
+        for sweep, (accept, slots) in enumerate(
+                replayed_remd(value_grad, box, cfg, slots, swap_seed)):
+            np.testing.assert_array_equal(trace.accept_rate[sweep], accept)
             np.testing.assert_array_equal(trace.e_train[sweep],
                                           [r.energy for r in slots])
             np.testing.assert_array_equal(trace.identities[sweep],
@@ -373,6 +416,29 @@ class TestRemdReplay:
             np.testing.assert_array_equal(a.w, b.w)
             assert a.dt == b.dt
             np.testing.assert_array_equal(a.grad, value_grad(a.w)[1])
+
+    def test_test_energy_evaluated_only_after_a_move(self, two_rungs):
+        # a rung whose trajectories were all rejected keeps w, so its cached
+        # held-out energy stands; the replay evaluates every slot every sweep
+        value_grad, test_energy_fn, box, cfg, fresh, swap_seed = two_rungs
+        trace = RunTrace(np.array([1.0, 1.2]))
+        call_sweeps = []
+
+        def counted(w):
+            call_sweeps.append(trace.n_sweeps)
+            return test_energy_fn(w)
+
+        run_remd(fresh(), value_grad, box, cfg, swap_seed,
+                 test_energy_fn=counted, trace=trace)
+        moved = [int(np.count_nonzero(a)) for a in trace.accept_rate]
+        assert [call_sweeps.count(s) for s in range(cfg.sweeps)] == [2] + moved[1:]
+        assert 0 < sum(moved[1:]) < 2 * (cfg.sweeps - 1)  # some rungs stood still
+        assert np.sum(trace.swap_accepts) > 0
+
+        for sweep, (_, slots) in enumerate(
+                replayed_remd(value_grad, box, cfg, fresh(), swap_seed)):
+            np.testing.assert_array_equal(trace.e_test[sweep],
+                                          [test_energy_fn(r.w) for r in slots])
 
     def test_replica_without_gradient_gets_one(self):
         potential = Counting(quad)
