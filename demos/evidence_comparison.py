@@ -58,7 +58,7 @@ def main():
     print(f"  dense quadrature: F = {-math.log(z):+.4f} "
           f"(TI error {abs(res.free_energy + math.log(z)):.4f})")
 
-    log_ev = evidence(res, box, dataset_tag="toy-2d")
+    log_ev = evidence(res, box)
     print(f"  log evidence    = {log_ev:+.4f} "
           f"(log prior volume {box.log_volume:.4f})")
 

@@ -2,19 +2,21 @@
 
 Subcommands: prepare-data, minimize, remd, ti, compare-models, report,
 anneal-stop.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure, 4 restart/iteration budget exceeded.  A command reads its flags,
-config and input files inside _reading_config, so a missing key or a bad
-value there exits 2; the same errors raised by the computation that
-follows propagate.
+failure, 4 restart/iteration budget exceeded.
 
-Every run can take --config JSON; explicit flags override file values, and
-the effective configuration is echoed into a run manifest next to the
-outputs.
+prepare-data, minimize, remd and ti declare each setting once in SETTINGS,
+which generates their flags and help.  _resolve takes a setting from its
+flag, else the --config JSON file, else its default (read from RemdConfig,
+TiConfig or RMinConfig where one holds it), and the run manifest echoes
+every resolved setting.  Flags, config and input files are read inside
+_reading_config, so a missing setting, a bad value or an unknown config key
+exits 2; the same errors raised by the computation that follows propagate.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -22,11 +24,11 @@ import sys
 import time
 from contextlib import contextmanager
 from importlib.metadata import PackageNotFoundError, version
+from typing import NamedTuple
 
 import numpy as np
 
-from . import __name__ as _pkg
-from .data import (DatasetStore, load_dataset, load_idx_split,
+from .data import (DatasetStore, load_dataset, load_idx_split, save_dataset,
                    stratified_indices, transform)
 from .errors import BudgetError, ConfigError, NumericalError
 from .files import replacing
@@ -38,6 +40,63 @@ from .network import (dataset_energy_fns, get_arch, load_params, prior_box,
 from .replica import (RemdConfig, RunTrace, init_replica, make_ladder,
                       measure_sweep, run_remd, save_checkpoint)
 from .ti import TiConfig, evidence, fit_stiffness, run_ti
+
+REQUIRED = object()    # a setting with no default
+
+
+class Setting(NamedTuple):     # flag --name with - for _; config key name
+    name: str
+    type: type
+    default: object = REQUIRED      # None: the command picks one
+    help: str = None
+    choices: tuple = None
+
+
+_RUN = [                # shared by the commands that run on a dataset
+    Setting("data_dir", str),
+    Setting("data", str, help="dataset tag, e.g. D500"),
+    Setting("data_seed", int, 0),
+    Setting("seed", int, 0),
+    Setting("out_dir", str, "."),
+    Setting("model", str),
+]
+
+SETTINGS = {
+    "prepare-data": [
+        Setting("mnist_dir", str),
+        Setting("data_dir", str),
+        Setting("size", int),
+        Setting("seed", int, 0),
+    ],
+    "minimize": _RUN + [
+        Setting("restarts", int, None,
+                "(default: 4000 for best-of, 100 for zero-energy)"),
+        Setting("mode", str, "zero-energy", choices=("zero-energy", "best-of")),
+        Setting("dt0", float, RMinConfig.dt0),
+        Setting("n_steps", int, RMinConfig.n_steps),
+    ],
+    "remd": _RUN + [
+        Setting("tmin", float, 1e-2),
+        Setting("tmax", float, 1e2),
+        Setting("nt", int, 16),
+        Setting("ntraj", int, RemdConfig.n_traj),
+        Setting("L", int, RemdConfig.n_leapfrog),
+        Setting("sweeps", int, RemdConfig.sweeps),
+        Setting("burn_in_traj", int, RemdConfig.burn_in_traj),
+        Setting("eval_subset", int, 2000),
+        Setting("checkpoint_every", int, RemdConfig.checkpoint_every),
+    ],
+    "ti": _RUN + [
+        Setting("w0", str, help="parameter checkpoint of the reference minimum"),
+        Setting("repeats", int, 5),
+        Setting("n_bridge", int, TiConfig.n_bridge),
+        Setting("burn_in_traj", int, TiConfig.burn_in_traj),
+        Setting("sample_traj", int, TiConfig.sample_traj),
+        Setting("fit_burn_in_traj", int, TiConfig.fit_burn_in_traj),
+        Setting("fit_sample_traj", int, TiConfig.fit_sample_traj),
+        Setting("L", int, TiConfig.n_leapfrog),
+    ],
+}
 
 
 def _file_checksum(path):
@@ -85,47 +144,72 @@ def _reading_config():
         raise ConfigError(str(exc)) from exc
 
 
-def _merge_config(args, keys):
-    """File config (if any) overridden by explicitly-set CLI flags."""
-    cfg = {}
-    if getattr(args, "config", None):
+def _flag(s):
+    return "--" + s.name.replace("_", "-")
+
+
+def _help(s):
+    """The setting's help text, then its default or "(required)"."""
+    if s.default is None:
+        return s.help
+    note = "(required)" if s.default is REQUIRED else f"(default: {s.default})"
+    return f"{s.help} {note}" if s.help else note
+
+
+def _resolve(args):
+    """Each of the command's settings: its flag, else --config, else its default."""
+    loaded = {}
+    if args.config:
         with open(args.config) as fh, _reading_config():
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ConfigError(f"{args.config} does not hold a JSON object")
-        cfg.update(loaded)
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+    settings = SETTINGS[args.command]
+    unknown = sorted(set(loaded) - {s.name for s in settings})
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(unknown)} in {args.config}")
+    cfg = {}
+    for s in settings:
+        value = getattr(args, s.name)
+        if value is None:
+            value = loaded.get(s.name)      # a JSON null counts as unset
+        if value is None and s.default is REQUIRED:
+            raise ConfigError(f"{args.command} requires {_flag(s)}")
+        with _reading_config():
+            cfg[s.name] = s.default if value is None else s.type(value)
     return cfg
 
 
-def _dataset_pair(cfg):
+def _model_and_data(cfg):
+    arch = get_arch(cfg["model"])
     store = DatasetStore(cfg["data_dir"])
     tag = cfg["data"]
     if not tag.startswith("D"):
         raise ConfigError(f"dataset tag {tag!r} should look like D500")
-    n = int(tag[1:])
-    seed = int(cfg.get("data_seed", 0))
+    n, seed = int(tag[1:]), cfg["data_seed"]
     if not store.has(n, seed):
         raise ConfigError(
             f"dataset {tag} (seed {seed}) not found in {cfg['data_dir']}; "
             "run prepare-data first"
         )
-    return store.load(n, seed)
+    return (arch, *store.load(n, seed))
+
+
+def _write_table(path, trace, n_train, burn, baseline=None):
+    """The per-temperature table of a trace, written to path; returns its references."""
+    rows, refs = sweep_table(measure_sweep(trace, burn_in_sweeps=burn),
+                             n_train, baseline)
+    write_sweep_csv(path, rows, refs)
+    return refs
 
 
 def cmd_prepare_data(args):
-    cfg = _merge_config(args, ["mnist_dir", "data_dir", "size", "seed"])
-    for key in ("mnist_dir", "data_dir", "size"):
-        if cfg.get(key) is None:
-            raise ConfigError(f"prepare-data requires --{key.replace('_', '-')}")
+    cfg = _resolve(args)
+    # creates data_dir, which the full_*.bin files go into
     store = DatasetStore(cfg["data_dir"])
     full_paths = [os.path.join(cfg["data_dir"], "full_train.bin"),
                   os.path.join(cfg["data_dir"], "full_test.bin")]
     with _reading_config():
-        seed, size = int(cfg.get("seed", 0)), int(cfg["size"])
         if all(os.path.exists(p) for p in full_paths):
             full_train = load_dataset(full_paths[0])
             full_test = load_dataset(full_paths[1])
@@ -133,35 +217,30 @@ def cmd_prepare_data(args):
             raw_train = load_idx_split(cfg["mnist_dir"], "train")
             raw_test = load_idx_split(cfg["mnist_dir"], "test")
             full_train, full_test = transform(raw_train, raw_test)
-            from .data import save_dataset
             save_dataset(full_paths[0], full_train)
             save_dataset(full_paths[1], full_test)
-        train, test = store.get_or_create(full_train, full_test, size, seed)
+        train, test = store.get_or_create(full_train, full_test, cfg["size"],
+                                          cfg["seed"])
     write_manifest(cfg["data_dir"], "prepare-data", cfg, full_paths)
-    print(f"prepared D{cfg['size']} seed {seed}: train {len(train)}, test {len(test)}")
+    print(f"prepared D{cfg['size']} seed {cfg['seed']}: "
+          f"train {len(train)}, test {len(test)}")
     return 0
 
 
 def cmd_minimize(args):
-    cfg = _merge_config(args, ["model", "data", "data_dir", "data_seed",
-                               "restarts", "seed", "mode", "dt0", "n_steps",
-                               "out_dir"])
+    cfg = _resolve(args)
+    best_of = cfg["mode"] == "best-of"
+    if cfg["restarts"] is None:
+        cfg["restarts"] = 4000 if best_of else 100
     with _reading_config():
-        arch = get_arch(cfg["model"])
-        train, test = _dataset_pair(cfg)
-        mode = cfg.get("mode", "zero-energy")
-        rmin_cfg = RMinConfig(n_steps=int(cfg.get("n_steps", 2000)),
-                              dt0=float(cfg.get("dt0", 0.1)))
-        kwargs = {"mode": mode, "rmin_cfg": rmin_cfg}
-        if mode == "best-of":
-            kwargs["n_restarts"] = int(cfg.get("restarts", 4000))
-        else:
-            kwargs["n_solutions"] = int(cfg.get("restarts", 100))
-            kwargs["restart_cap"] = 40 * int(cfg.get("restarts", 100))
-        seed = int(cfg.get("seed", 0))
-    out_dir = cfg.get("out_dir", ".")
+        arch, train, test = _model_and_data(cfg)
+    restarts, out_dir = cfg["restarts"], cfg["out_dir"]
+    kwargs = ({"n_restarts": restarts} if best_of
+              else {"n_solutions": restarts, "restart_cap": 40 * restarts})
     os.makedirs(out_dir, exist_ok=True)
-    result = baseline_optimize(arch, train, test, seed, **kwargs)
+    result = baseline_optimize(
+        arch, train, test, cfg["seed"], mode=cfg["mode"],
+        rmin_cfg=RMinConfig(n_steps=cfg["n_steps"], dt0=cfg["dt0"]), **kwargs)
 
     csv_path = os.path.join(out_dir, "baseline.csv")
     with replacing(csv_path) as tmp, open(tmp, "w") as fh:
@@ -185,23 +264,14 @@ def cmd_minimize(args):
 
 
 def cmd_remd(args):
-    cfg = _merge_config(args, ["model", "data", "data_dir", "data_seed",
-                               "tmin", "tmax", "nt", "ntraj", "L", "sweeps",
-                               "seed", "checkpoint_every", "out_dir",
-                               "eval_subset", "burn_in_traj"])
+    cfg = _resolve(args)
     with _reading_config():
-        arch = get_arch(cfg["model"])
-        train, test = _dataset_pair(cfg)
-        n_eval = int(cfg.get("eval_subset", 2000))
-        remd_cfg = RemdConfig(n_traj=int(cfg.get("ntraj", 10)),
-                              n_leapfrog=int(cfg.get("L", 100)),
-                              sweeps=int(cfg.get("sweeps", 500)),
-                              burn_in_traj=int(cfg.get("burn_in_traj", 100)),
-                              checkpoint_every=int(cfg.get("checkpoint_every", 0)))
-        ladder = make_ladder(float(cfg.get("tmin", 1e-2)),
-                             float(cfg.get("tmax", 1e2)), int(cfg.get("nt", 16)))
-        seed = int(cfg.get("seed", 0))
-    out_dir = cfg.get("out_dir", ".")
+        arch, train, test = _model_and_data(cfg)
+        ladder = make_ladder(cfg["tmin"], cfg["tmax"], cfg["nt"])
+    remd_cfg = RemdConfig(n_traj=cfg["ntraj"], n_leapfrog=cfg["L"],
+                          sweeps=cfg["sweeps"], burn_in_traj=cfg["burn_in_traj"],
+                          checkpoint_every=cfg["checkpoint_every"])
+    n_eval, out_dir = cfg["eval_subset"], cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     box = prior_box(arch)
     _, value_grad = dataset_energy_fns(arch, train.inputs, train.labels)
@@ -214,7 +284,7 @@ def cmd_remd(args):
         eval_inputs, eval_labels = test.inputs, test.labels
     test_energy_fn, _ = dataset_energy_fns(arch, eval_inputs, eval_labels)
 
-    seeds = np.random.SeedSequence(seed).spawn(len(ladder) + 1)
+    seeds = np.random.SeedSequence(cfg["seed"]).spawn(len(ladder) + 1)
     replicas = [init_replica(i, T, value_grad, box, seeds[i],
                              arch=arch, cfg=remd_cfg)
                 for i, T in enumerate(ladder)]
@@ -226,11 +296,9 @@ def cmd_remd(args):
 
     trace_path = os.path.join(out_dir, "remd_trace.csv")
     trace.write_csv(trace_path)
-    burn = trace.n_sweeps // 5
-    summary = measure_sweep(trace, burn_in_sweeps=burn)
-    rows, refs = sweep_table(summary, len(train))
     table_path = os.path.join(out_dir, "remd_summary.csv")
-    write_sweep_csv(table_path, rows, refs)
+    burn = trace.n_sweeps // 5
+    refs = _write_table(table_path, trace, len(train), burn)
     meta = dict(cfg, burn_in_sweeps=burn, n_sweeps=trace.n_sweeps,
                 dt=[r.dt for r in replicas],
                 swap_attempts=np.sum(trace.swap_attempts, axis=0).tolist(),
@@ -243,37 +311,27 @@ def cmd_remd(args):
 
 
 def cmd_ti(args):
-    cfg = _merge_config(args, ["model", "data", "data_dir", "data_seed", "w0",
-                               "repeats", "seed", "out_dir", "n_bridge",
-                               "burn_in_traj", "sample_traj", "L",
-                               "fit_burn_in_traj", "fit_sample_traj"])
+    cfg = _resolve(args)
     with _reading_config():
-        arch = get_arch(cfg["model"])
-        train, _ = _dataset_pair(cfg)
+        arch, train, _ = _model_and_data(cfg)
         ckpt_arch, w0 = load_params(cfg["w0"])
         if ckpt_arch.n_params != arch.n_params:
             raise ConfigError("w0 checkpoint does not match the requested model")
-        ti_cfg = TiConfig(
-            n_bridge=int(cfg.get("n_bridge", 100)),
-            burn_in_traj=int(cfg.get("burn_in_traj", 100)),
-            sample_traj=int(cfg.get("sample_traj", 100)),
-            n_leapfrog=int(cfg.get("L", 100)),
-            fit_burn_in_traj=int(cfg.get("fit_burn_in_traj", 1000)),
-            fit_sample_traj=int(cfg.get("fit_sample_traj", 1000)),
-        )
-        repeats = int(cfg.get("repeats", 5))
-        seed = int(cfg.get("seed", 0))
-    out_dir = cfg.get("out_dir", ".")
+    ti_cfg = TiConfig(n_bridge=cfg["n_bridge"], burn_in_traj=cfg["burn_in_traj"],
+                      sample_traj=cfg["sample_traj"], n_leapfrog=cfg["L"],
+                      fit_burn_in_traj=cfg["fit_burn_in_traj"],
+                      fit_sample_traj=cfg["fit_sample_traj"])
+    repeats, out_dir = cfg["repeats"], cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     box = prior_box(arch)
     energy_fn, value_grad = dataset_energy_fns(arch, train.inputs, train.labels)
-    seeds = np.random.SeedSequence(seed).spawn(repeats)
+    seeds = np.random.SeedSequence(cfg["seed"]).spawn(repeats)
     runs, fits = [], []
     for r in range(repeats):
         rng = np.random.default_rng(seeds[r])
         stiff = fit_stiffness(value_grad, w0, ti_cfg, rng, box)
         result = run_ti(energy_fn, value_grad, stiff, box, ti_cfg, rng)
-        evidence(result, box, dataset_tag=cfg["data"])
+        evidence(result, box)
         runs.append(result)
         fits.append({"frac_outside_box": stiff.frac_outside_box,
                      "degenerate": int(len(stiff.degenerate))})
@@ -343,18 +401,15 @@ def cmd_report(args):
     with _reading_config():
         trace = RunTrace.read_csv(args.trace)
     burn = args.burn_in if args.burn_in is not None else trace.n_sweeps // 5
-    summary = measure_sweep(trace, burn_in_sweeps=burn)
-    rows, refs = sweep_table(summary, args.n_train, args.baseline)
-    write_sweep_csv(args.out, rows, refs)
+    refs = _write_table(args.out, trace, args.n_train, burn, args.baseline)
     print(f"wrote {args.out}; argmin-T(test) = {refs['argmin_test_temperature']:.4g}")
     return 0
 
 
 def cmd_anneal_stop(args):
-    import csv as _csv
     temps, vals = [], []
     with open(args.table) as fh, _reading_config():
-        for row in _csv.DictReader(fh):
+        for row in csv.DictReader(fh):
             temps.append(float(row["temperature"]))
             vals.append(float(row["val_energy"]))
     res = anneal_stop(temps, vals, smoothing_window=args.smoothing)
@@ -374,57 +429,17 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for name, func, help_ in [
+        ("prepare-data", cmd_prepare_data, "build and persist stratified subsets"),
+        ("minimize", cmd_minimize, "baseline repeated fast minimisation"),
+        ("remd", cmd_remd, "replica-exchange temperature sweep"),
+        ("ti", cmd_ti, "thermodynamic integration evidence run"),
+    ]:
+        p = sub.add_parser(name, help=help_)
         p.add_argument("--config", help="JSON config file; flags override")
-        p.add_argument("--data-dir", dest="data_dir")
-        p.add_argument("--data", help="dataset tag, e.g. D500")
-        p.add_argument("--data-seed", dest="data_seed", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out-dir", dest="out_dir")
-
-    p = sub.add_parser("prepare-data", help="build and persist stratified subsets")
-    p.add_argument("--config")
-    p.add_argument("--mnist-dir", dest="mnist_dir")
-    p.add_argument("--data-dir", dest="data_dir")
-    p.add_argument("--size", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_prepare_data)
-
-    p = sub.add_parser("minimize", help="baseline repeated fast minimisation")
-    add_common(p)
-    p.add_argument("--model")
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--mode", choices=["zero-energy", "best-of"])
-    p.add_argument("--dt0", type=float)
-    p.add_argument("--n-steps", dest="n_steps", type=int)
-    p.set_defaults(func=cmd_minimize)
-
-    p = sub.add_parser("remd", help="replica-exchange temperature sweep")
-    add_common(p)
-    p.add_argument("--model")
-    p.add_argument("--tmin", type=float)
-    p.add_argument("--tmax", type=float)
-    p.add_argument("--nt", type=int)
-    p.add_argument("--ntraj", type=int)
-    p.add_argument("--L", type=int)
-    p.add_argument("--sweeps", type=int)
-    p.add_argument("--burn-in-traj", dest="burn_in_traj", type=int)
-    p.add_argument("--eval-subset", dest="eval_subset", type=int)
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
-    p.set_defaults(func=cmd_remd)
-
-    p = sub.add_parser("ti", help="thermodynamic integration evidence run")
-    add_common(p)
-    p.add_argument("--model")
-    p.add_argument("--w0", help="parameter checkpoint of the reference minimum")
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--n-bridge", dest="n_bridge", type=int)
-    p.add_argument("--burn-in-traj", dest="burn_in_traj", type=int)
-    p.add_argument("--sample-traj", dest="sample_traj", type=int)
-    p.add_argument("--fit-burn-in-traj", dest="fit_burn_in_traj", type=int)
-    p.add_argument("--fit-sample-traj", dest="fit_sample_traj", type=int)
-    p.add_argument("--L", type=int)
-    p.set_defaults(func=cmd_ti)
+        for s in SETTINGS[name]:
+            p.add_argument(_flag(s), type=s.type, choices=s.choices, help=_help(s))
+        p.set_defaults(func=func)
 
     p = sub.add_parser("compare-models", help="log odds from two ti run files")
     p.add_argument("--a", required=True)

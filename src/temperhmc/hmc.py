@@ -40,8 +40,6 @@ class TrajectoryOutcome:
     w: np.ndarray
     energy: float          # potential energy of the returned state
     grad: np.ndarray       # its gradient
-    u_initial: float
-    u_final: float
     log_accept: float      # (U_o - U_n) / T
 
 
@@ -82,14 +80,14 @@ def hmc_trajectory(w, value_grad, cfg: HmcConfig, rng,
                                                      cfg.dt, cfg.n_steps)
     log_u = np.log(rng.uniform())
     if not ok or not np.isfinite(e_new):
-        return TrajectoryOutcome(False, w, e_old, g_old, u_old, np.inf, -np.inf)
+        return TrajectoryOutcome(False, w, e_old, g_old, -np.inf)
     u_new = e_new + float(np.sum(p_new * p_new / 2.0))
     alpha = (u_old - u_new) / cfg.temperature
 
     inside = box is None or in_support(w_new, box)
     if inside and log_u < alpha:
-        return TrajectoryOutcome(True, w_new, e_new, g_new, u_old, u_new, alpha)
-    return TrajectoryOutcome(False, w, e_old, g_old, u_old, u_new, alpha)
+        return TrajectoryOutcome(True, w_new, e_new, g_new, alpha)
+    return TrajectoryOutcome(False, w, e_old, g_old, alpha)
 
 
 def _momentum(w, cfg: HmcConfig, rng):

@@ -19,9 +19,6 @@ import numpy as np
 from .errors import ShapeMismatch
 from .files import replacing
 
-N_CLASSES = 10
-N_INPUTS = 256
-
 LINEAR_SOFTMAX = "linear-softmax"
 LOGISTIC_SOFTMAX = "logistic-softmax"
 

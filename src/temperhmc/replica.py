@@ -227,7 +227,7 @@ def run_remd(replicas, value_grad, box, cfg: RemdConfig, swap_seed,
 
 
 def save_checkpoint(path, replicas, sweep):
-    """All replica states in one npz; RNG states serialised as JSON.
+    """All replica states in one npz; RNG states as JSON strings, no pickle.
 
     Gradients and held-out energies are not stored: run_remd recomputes
     them on resume.  The file is written to a temporary name and renamed,
@@ -243,12 +243,12 @@ def save_checkpoint(path, replicas, sweep):
                  energy=[r.energy for r in replicas],
                  dt=[r.dt for r in replicas],
                  identity=[r.identity for r in replicas],
-                 rng_states=np.array(states, dtype=object))
+                 rng_states=np.array(states))
 
 
 def load_checkpoint(path):
     """Rebuild the replica list saved by save_checkpoint; returns (replicas, sweep)."""
-    with np.load(path, allow_pickle=True) as data:
+    with np.load(path) as data:
         replicas = []
         for i, T in enumerate(data["temperatures"]):
             rng = np.random.default_rng()

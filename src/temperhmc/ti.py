@@ -10,7 +10,7 @@ The log evidence follows by subtracting the log prior volume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -62,7 +62,6 @@ class TIResult:
     integrand_mean: np.ndarray
     integrand_se: np.ndarray
     log_evidence: float = None      # -F - log prior volume; set by evidence()
-    provenance: dict = field(default_factory=dict)
 
 
 def fit_stiffness(value_grad, w0, cfg: TiConfig, rng,
@@ -150,22 +149,14 @@ def simpson_uniform(lambdas, means) -> float:
     h = (lambdas[-1] - lambdas[0]) / n
     if not np.allclose(np.diff(lambdas), h, rtol=1e-10, atol=1e-14):
         raise GridMismatch("grid is not uniform")
-    if n % 2 == 0:
-        m = n
-        tail = 0.0
-    else:
-        if n < 5:
-            # 3 intervals: pure 3/8 rule
-            m = 0
-            tail = 3 * h / 8 * (means[0] + 3 * means[1] + 3 * means[2] + means[3])
-        else:
-            m = n - 3
-            y = means[m:]
-            tail = 3 * h / 8 * (y[0] + 3 * y[1] + 3 * y[2] + y[3])
-    core = 0.0
+    m = n if n % 2 == 0 else n - 3      # Simpson over [0, m], 3/8 rule after it
+    core = tail = 0.0
     if m:
         y = means[: m + 1]
         core = h / 3 * (y[0] + y[-1] + 4 * np.sum(y[1:-1:2]) + 2 * np.sum(y[2:-2:2]))
+    if m < n:
+        y = means[m:]
+        tail = 3 * h / 8 * (y[0] + 3 * y[1] + 3 * y[2] + y[3])
     return float(core + tail)
 
 
@@ -231,11 +222,9 @@ def run_ti(energy_fn, value_grad, stiff: StiffnessDiag, box: PriorBox,
     return TIResult(f0 + correction, f0, correction, lambdas, means, ses)
 
 
-def evidence(ti: TIResult, box: PriorBox, dataset_tag=None) -> float:
+def evidence(ti: TIResult, box: PriorBox) -> float:
     """Log evidence: box-restricted likelihood integral minus log prior volume."""
     ti.log_evidence = -ti.free_energy - box.log_volume
-    if dataset_tag is not None:
-        ti.provenance["dataset"] = dataset_tag
     return ti.log_evidence
 
 

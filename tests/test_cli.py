@@ -8,9 +8,16 @@ import pytest
 import temperhmc.cli
 import temperhmc.harness
 import temperhmc.replica
-from temperhmc.cli import main, write_manifest
+from temperhmc.cli import SETTINGS, build_parser, main, write_manifest
 from temperhmc.harness import write_sweep_csv
-from temperhmc.replica import RunTrace
+from temperhmc.minimize import RMinConfig
+from temperhmc.network import get_arch, save_params
+from temperhmc.replica import RemdConfig, RunTrace
+from temperhmc.ti import TiConfig
+
+
+def setting_names(command):
+    return {s.name for s in SETTINGS[command]}
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +37,7 @@ class TestPrepareData:
         manifest = json.loads((data_dir / "prepare-data_manifest.json").read_text())
         assert manifest["command"] == "prepare-data"
         assert manifest["config"]["size"] == 50
+        assert set(manifest["config"]) == setting_names("prepare-data")
 
     def test_idempotent(self, data_dir, corpus_dir):
         rc = main(["prepare-data", "--mnist-dir", str(corpus_dir),
@@ -56,6 +64,9 @@ class TestMinimize:
         assert (out / "baseline_best.params").exists()
         manifest = json.loads((out / "minimize_manifest.json").read_text())
         assert "baseline.csv" in manifest["outputs"]
+        assert set(manifest["config"]) == setting_names("minimize")
+        assert manifest["config"]["restarts"] == 3
+        assert manifest["config"]["dt0"] == RMinConfig.dt0      # a default
 
     def test_unknown_model_exit_2(self, data_dir, tmp_path):
         rc = main(["minimize", "--model", "M9", "--data", "D50",
@@ -98,7 +109,12 @@ class TestRemdAndReport:
         assert (remd_out / "remd_checkpoint.npz").exists()
         meta = json.loads((remd_out / "remd_run.json").read_text())
         assert meta["n_sweeps"] == 10
-        with np.load(remd_out / "remd_checkpoint.npz", allow_pickle=True) as ckpt:
+        manifest = json.loads((remd_out / "remd_manifest.json").read_text())
+        assert set(manifest["config"]) == setting_names("remd")
+        assert setting_names("remd") <= set(meta)
+        assert meta["ntraj"] == manifest["config"]["ntraj"] == 1
+        assert meta["checkpoint_every"] == RemdConfig.checkpoint_every
+        with np.load(remd_out / "remd_checkpoint.npz", allow_pickle=False) as ckpt:
             assert meta["dt"] == ckpt["dt"].tolist()
         assert len(meta["dt"]) == 3
         assert len(meta["swap_attempts"]) == len(meta["swap_accepts"]) == 2
@@ -139,6 +155,9 @@ class TestTiAndCompare:
         assert rc == 0
         run = json.loads((ti_out / "ti_run.json").read_text())
         assert run["model"] == "M1" and run["dataset"] == "D50"
+        manifest = json.loads((ti_out / "ti_manifest.json").read_text())
+        assert set(manifest["config"]) == setting_names("ti")
+        assert manifest["config"]["data_seed"] == 0            # a default
         assert np.isfinite(run["free_energy"])
         assert run["log_evidence"] == pytest.approx(
             -run["free_energy"] - run["log_prior_volume"], abs=1.0)
@@ -279,6 +298,14 @@ class TestExitCodes:
         assert self.remd(data_dir, tmp_path, "--model", "M1", "--nt", "2",
                          "--config", str(cfg)) == 2
 
+    def test_unknown_config_key_exit_2(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_traj": 1}))      # the flag is --ntraj
+        assert self.remd(data_dir, tmp_path, "--model", "M1", "--nt", "2",
+                         "--config", str(cfg)) == 2
+        assert "n_traj" in capsys.readouterr().err
+        assert not (tmp_path / "remd_manifest.json").exists()
+
 
 class TestVersion:
     def test_missing_package_reads_unknown(self, monkeypatch):
@@ -295,3 +322,103 @@ class TestVersion:
         monkeypatch.setattr(temperhmc.cli, "version", broken)
         with pytest.raises(RuntimeError, match="broken metadata"):
             temperhmc.cli._version()
+
+
+class _Stop(Exception):
+    """Raised by a stand-in to end a run once it has captured its input."""
+
+
+@pytest.fixture(scope="module")
+def w0_path(tmp_path_factory):
+    arch = get_arch("M1")
+    path = tmp_path_factory.mktemp("w0") / "w0.params"
+    save_params(path, arch, np.zeros(arch.n_params))
+    return path
+
+
+class TestSettingsTable:
+    """SETTINGS drives the flags, the --config merge, the defaults and help."""
+
+    # the flags of each config-reading command, besides -h and --config
+    FLAGS = {
+        "prepare-data": {"--mnist-dir", "--data-dir", "--size", "--seed"},
+        "minimize": {"--data-dir", "--data", "--data-seed", "--seed", "--out-dir",
+                     "--model", "--restarts", "--mode", "--dt0", "--n-steps"},
+        "remd": {"--data-dir", "--data", "--data-seed", "--seed", "--out-dir",
+                 "--model", "--tmin", "--tmax", "--nt", "--ntraj", "--L",
+                 "--sweeps", "--burn-in-traj", "--eval-subset",
+                 "--checkpoint-every"},
+        "ti": {"--data-dir", "--data", "--data-seed", "--seed", "--out-dir",
+               "--model", "--w0", "--repeats", "--n-bridge", "--burn-in-traj",
+               "--sample-traj", "--fit-burn-in-traj", "--fit-sample-traj", "--L"},
+    }
+
+    def built(self, monkeypatch, command, data_dir, w0_path, tmp_path, *flags):
+        """The RemdConfig, TiConfig or RMinConfig a command builds."""
+        seen = []
+
+        def capture(pick):
+            def stop(*args, **kwargs):
+                seen.append(pick(args, kwargs))
+                raise _Stop
+            return stop
+
+        monkeypatch.setattr(temperhmc.cli, "init_replica",
+                            capture(lambda a, kw: kw["cfg"]))
+        monkeypatch.setattr(temperhmc.cli, "fit_stiffness",
+                            capture(lambda a, kw: a[2]))
+        monkeypatch.setattr(temperhmc.cli, "baseline_optimize",
+                            capture(lambda a, kw: kw["rmin_cfg"]))
+        argv = [command, "--model", "M1", "--data", "D50",
+                "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "o")]
+        if command == "ti":
+            argv += ["--w0", str(w0_path)]
+        with pytest.raises(_Stop):
+            main(argv + list(flags))
+        return seen[0]
+
+    def test_flags_unchanged(self):
+        parser = build_parser()
+        commands = parser._subparsers._group_actions[0].choices
+        for command, flags in self.FLAGS.items():
+            found = {opt for action in commands[command]._actions
+                     for opt in action.option_strings}
+            assert found == flags | {"-h", "--help", "--config"}, command
+            assert {"--" + name.replace("_", "-")
+                    for name in setting_names(command)} == flags
+
+    def test_no_run_flags_build_the_dataclass_defaults(
+            self, monkeypatch, data_dir, w0_path, tmp_path):
+        for command, default in [("remd", RemdConfig()), ("ti", TiConfig()),
+                                 ("minimize", RMinConfig())]:
+            assert self.built(monkeypatch, command, data_dir, w0_path,
+                              tmp_path) == default, command
+
+    @pytest.mark.parametrize("command,key,text,field,value", [
+        ("remd", "ntraj", "2", "n_traj", 2),
+        ("remd", "L", "7", "n_leapfrog", 7),
+        ("ti", "fit_sample_traj", "30", "fit_sample_traj", 30),
+        ("minimize", "dt0", "0.05", "dt0", 0.05),
+    ])
+    def test_flag_and_config_string_agree(self, monkeypatch, data_dir, w0_path,
+                                          tmp_path, command, key, text, field,
+                                          value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: text}))
+        flag = "--" + key.replace("_", "-")
+        via_flag, via_file = (
+            getattr(self.built(monkeypatch, command, data_dir, w0_path, tmp_path,
+                               *argv), field)
+            for argv in ([flag, text], ["--config", str(cfg)]))
+        assert via_flag == via_file == value
+        assert type(via_flag) is type(via_file) is type(value)
+
+    def test_help_shows_each_default_or_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["remd", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"--ntraj NTRAJ (default: {RemdConfig.n_traj})" in text
+        assert f"--L L (default: {RemdConfig.n_leapfrog})" in text
+        assert "--model MODEL (required)" in text
+        assert "--data DATA dataset tag, e.g. D500 (required)" in text

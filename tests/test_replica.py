@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -292,6 +293,17 @@ class TestCheckpointWrite:
         save_checkpoint(path, replicas, 1)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint"]
         assert load_checkpoint(path)[1] == 1
+
+    def test_loads_without_pickle(self, tmp_path):
+        replicas = quad_replicas([1.0, 2.0], seed=14)
+        path = tmp_path / "ck.npz"
+        save_checkpoint(path, replicas, 2)
+        with np.load(path, allow_pickle=False) as data:
+            states = data["rng_states"]
+            assert states.dtype.kind == "U"
+            assert json.loads(str(states[1])) == replicas[1].rng.bit_generator.state
+        restored, _ = load_checkpoint(path)
+        assert [r.rng.random() for r in restored] == [r.rng.random() for r in replicas]
 
 
 class TestBlockedStats:
