@@ -65,8 +65,7 @@ def main():
     # --- the ensemble view -------------------------------------------------
     print(f"\ncollecting {args.restarts} zero-training-energy solutions...")
     base = baseline_optimize(arch, train, test, seed=1,
-                             n_solutions=args.restarts,
-                             restart_cap=40 * args.restarts)
+                             n_solutions=args.restarts)
     per_ex = base.test_energies / len(test)
     uninformed = UNINFORMED_PER_EXAMPLE
     print(f"  restarts used:           {base.n_restarts}")

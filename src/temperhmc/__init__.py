@@ -7,7 +7,7 @@ from .network import (NetworkArch, PriorBox, STANDARD_ARCHS, get_arch,
 from .data import (Dataset, DatasetStore, RawImageSet, parse_idx,
                    transform, stratified_indices, stratified_subset)
 from .hmc import HmcConfig, StepSizeController, hmc_trajectory, \
-    run_chain, velocity_verlet, tune_step_size
+    run_chain, velocity_verlet, tune_step_size, adapt_step_size
 from .minimize import RMinConfig, RMinResult, rmin
 from .replica import (RemdConfig, Replica, RunTrace, attempt_swap,
                       init_replica, make_ladder, measure_sweep, run_remd)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -42,6 +43,7 @@ from .replica import (RemdConfig, RunTrace, init_replica, make_ladder,
 from .ti import TiConfig, evidence, fit_stiffness, run_ti
 
 REQUIRED = object()    # a setting with no default
+BASELINE_PARAMS = inspect.signature(baseline_optimize).parameters
 
 
 class Setting(NamedTuple):     # flag --name with - for _; config key name
@@ -70,7 +72,8 @@ SETTINGS = {
     ],
     "minimize": _RUN + [
         Setting("restarts", int, None,
-                "(default: 4000 for best-of, 100 for zero-energy)"),
+                f"(default: {BASELINE_PARAMS['n_restarts'].default} for best-of, "
+                f"{BASELINE_PARAMS['n_solutions'].default} for zero-energy)"),
         Setting("mode", str, "zero-energy", choices=("zero-energy", "best-of")),
         Setting("dt0", float, RMinConfig.dt0),
         Setting("n_steps", int, RMinConfig.n_steps),
@@ -140,7 +143,7 @@ def _reading_config():
         yield
     except KeyError as exc:
         raise ConfigError(f"missing key {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -176,8 +179,17 @@ def _resolve(args):
         if value is None and s.default is REQUIRED:
             raise ConfigError(f"{args.command} requires {_flag(s)}")
         with _reading_config():
-            cfg[s.name] = s.default if value is None else s.type(value)
+            cfg[s.name] = s.default if value is None else _typed(s, value)
     return cfg
+
+
+def _typed(s, value):
+    """value as the setting's type; a non-string must convert exactly."""
+    typed = s.type(value) if isinstance(value, (str, int, float)) else None
+    if isinstance(value, bool) or (not isinstance(value, str) and typed != value):
+        raise ConfigError(f"{s.name} = {json.dumps(value)} is not "
+                          f"a {s.type.__name__}")
+    return typed
 
 
 def _model_and_data(cfg):
@@ -229,18 +241,17 @@ def cmd_prepare_data(args):
 
 def cmd_minimize(args):
     cfg = _resolve(args)
-    best_of = cfg["mode"] == "best-of"
+    budget = "n_restarts" if cfg["mode"] == "best-of" else "n_solutions"
     if cfg["restarts"] is None:
-        cfg["restarts"] = 4000 if best_of else 100
+        cfg["restarts"] = BASELINE_PARAMS[budget].default
     with _reading_config():
         arch, train, test = _model_and_data(cfg)
-    restarts, out_dir = cfg["restarts"], cfg["out_dir"]
-    kwargs = ({"n_restarts": restarts} if best_of
-              else {"n_solutions": restarts, "restart_cap": 40 * restarts})
+    out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     result = baseline_optimize(
         arch, train, test, cfg["seed"], mode=cfg["mode"],
-        rmin_cfg=RMinConfig(n_steps=cfg["n_steps"], dt0=cfg["dt0"]), **kwargs)
+        rmin_cfg=RMinConfig(n_steps=cfg["n_steps"], dt0=cfg["dt0"]),
+        **{budget: cfg["restarts"]})
 
     csv_path = os.path.join(out_dir, "baseline.csv")
     with replacing(csv_path) as tmp, open(tmp, "w") as fh:
@@ -301,6 +312,7 @@ def cmd_remd(args):
     refs = _write_table(table_path, trace, len(train), burn)
     meta = dict(cfg, burn_in_sweeps=burn, n_sweeps=trace.n_sweeps,
                 dt=[r.dt for r in replicas],
+                accept_rate=np.mean(trace.accept_rate, axis=0).tolist(),
                 swap_attempts=np.sum(trace.swap_attempts, axis=0).tolist(),
                 swap_accepts=np.sum(trace.swap_accepts, axis=0).tolist())
     _write_json(os.path.join(out_dir, "remd_run.json"), meta)

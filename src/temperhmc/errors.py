@@ -38,7 +38,7 @@ class InsufficientClassCount(ConfigError):
 
 
 class FailedToTune(NumericalError):
-    """Step-size controller hit its iteration cap outside the target band."""
+    """Step-size tuning hit its round cap, or dt left the positive floats."""
 
     def __init__(self, dt, rate, msg=None):
         self.dt = dt

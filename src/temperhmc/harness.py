@@ -30,20 +30,22 @@ class BaselineResult:
 
 def baseline_optimize(arch: NetworkArch, train, test, seed: int,
                       n_solutions: int = 100, mode: str = "zero-energy",
-                      restart_cap: int = 2000, n_restarts: int = 4000,
+                      restart_cap: int = None, n_restarts: int = 4000,
                       rmin_cfg: RMinConfig = None,
                       zero_tol: float = 1e-10) -> BaselineResult:
     """Repeated fast minimisation, the non-Bayesian reference point.
 
     mode "zero-energy": restart until n_solutions minima with training energy
-    below zero_tol (BudgetError past restart_cap).  mode "best-of": run
-    n_restarts minimisations and keep the n_solutions lowest-training-energy
-    results.
+    below zero_tol (BudgetError past restart_cap, 40 * n_solutions when not
+    given).  mode "best-of": run n_restarts minimisations and keep the
+    n_solutions lowest-training-energy results.
     """
     _, value_grad = dataset_energy_fns(arch, train.inputs, train.labels)
     test_energy_fn, _ = dataset_energy_fns(arch, test.inputs, test.labels)
     rmin_cfg = rmin_cfg or RMinConfig()
-    seeds = np.random.SeedSequence(seed).spawn(max(restart_cap, n_restarts))
+    restart_cap = 40 * n_solutions if restart_cap is None else restart_cap
+    seeds = np.random.SeedSequence(seed).spawn(
+        restart_cap if mode == "zero-energy" else n_restarts)
 
     kept = []
     restarts = 0

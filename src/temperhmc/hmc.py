@@ -9,7 +9,8 @@ are treated as rejections so the chain stays valid.
 The potential is one call, value_grad(w) -> (E, gradient).  The chain
 state is (w, E, g): a trajectory starts from the carried pair and ends with
 the pair at its last Verlet step, so L steps cost exactly L calls.
-run_chain strings trajectories together; every sampling loop drives it.
+run_chain strings trajectories together; every sampling loop drives it,
+and so does adapt_step_size, the burn-in that sets each sampler's fixed dt.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class TrajectoryOutcome:
     w: np.ndarray
     energy: float          # potential energy of the returned state
     grad: np.ndarray       # its gradient
-    log_accept: float      # (U_o - U_n) / T
+    log_accept: float      # (U_o - U_n) / T; -inf for a proposal never accepted
 
 
 def velocity_verlet(w, p, g, value_grad, dt, n_steps):
@@ -73,46 +74,28 @@ def hmc_trajectory(w, value_grad, cfg: HmcConfig, rng,
     trajectory; without it one extra value_grad call computes it.
     """
     e_old, g_old = value_grad(w) if current is None else current
-    p0 = _momentum(w, cfg, rng)
+    p0 = rng.normal(0.0, np.sqrt(cfg.temperature), size=w.shape)
     u_old = e_old + float(np.sum(p0 * p0 / 2.0))
 
     w_new, p_new, e_new, g_new, ok = velocity_verlet(w, p0, g_old, value_grad,
                                                      cfg.dt, cfg.n_steps)
     log_u = np.log(rng.uniform())
-    if not ok or not np.isfinite(e_new):
+    outside = box is not None and not in_support(w_new, box)
+    if not ok or not np.isfinite(e_new) or outside:
         return TrajectoryOutcome(False, w, e_old, g_old, -np.inf)
     u_new = e_new + float(np.sum(p_new * p_new / 2.0))
     alpha = (u_old - u_new) / cfg.temperature
-
-    inside = box is None or in_support(w_new, box)
-    if inside and log_u < alpha:
+    if log_u < alpha:
         return TrajectoryOutcome(True, w_new, e_new, g_new, alpha)
     return TrajectoryOutcome(False, w, e_old, g_old, alpha)
-
-
-def _momentum(w, cfg: HmcConfig, rng):
-    """Unit-mass momenta p_i ~ N(0, T) for one trajectory from w."""
-    return rng.normal(0.0, np.sqrt(cfg.temperature), size=w.shape)
-
-
-def _skip_trajectory(w, cfg: HmcConfig, rng):
-    """Draw what hmc_trajectory(w, ...) draws, and integrate nothing.
-
-    Keep in step with hmc_trajectory: one momentum draw, then one uniform
-    for the accept test, whatever the outcome.  A probe round that stops
-    early calls this for each probe it skips, so the RNG stream is the same
-    as when it runs every probe.
-    """
-    _momentum(w, cfg, rng)
-    rng.uniform()
 
 
 def run_chain(w, current, value_grad, cfg: HmcConfig, rng, box, n_traj,
               observe=None):
     """n_traj HMC trajectories from w and its carried (energy, gradient) pair.
 
-    observe(w), when given, sees the state after each trajectory.  Returns
-    (w, current, n_accepted) at the end of the chain.
+    observe(outcome), when given, sees the TrajectoryOutcome of each
+    trajectory.  Returns (w, current, n_accepted) at the end of the chain.
     """
     n_accepted = 0
     for _ in range(n_traj):
@@ -120,8 +103,53 @@ def run_chain(w, current, value_grad, cfg: HmcConfig, rng, box, n_traj,
         w, current = out.w, (out.energy, out.grad)
         n_accepted += out.accepted
         if observe is not None:
-            observe(w)
+            observe(out)
     return w, current, n_accepted
+
+
+# Dual averaging of log dt (Hoffman & Gelman 2014, JMLR 15:1593, Alg. 5): the
+# middle of StepSizeController's default band, then the paper's constants.
+TARGET_ACCEPT, DA_GAMMA, DA_T0, DA_KAPPA = 0.65, 0.05, 10.0, 0.75
+
+
+def adapt_step_size(w, current, value_grad, cfg: HmcConfig, rng, box, n_traj):
+    """n_traj burn-in trajectories from w that adapt dt by dual averaging.
+
+    The first trajectory runs at cfg.dt.  After the m-th, h, the running
+    mean of TARGET_ACCEPT - min(1, e^alpha) (damped by DA_T0), sets the next
+    trajectory's log dt = mu - sqrt(m) / DA_GAMMA * h, mu = log(10 cfg.dt),
+    and weight m^-DA_KAPPA folds that log dt into the averaged iterate.
+    Returns (w, current, dt) after the last trajectory, dt the averaged
+    iterate (cfg.dt when n_traj = 0); callers sample with it fixed (Andrieu &
+    Thoms 2008, Stat. Comput. 18:343).  Accepting nothing only drives dt
+    down; a dt that leaves the positive finite floats raises FailedToTune.
+    """
+    mu = math.log(10.0 * cfg.dt)
+    dt, h, log_dt_bar = cfg.dt, 0.0, 0.0
+    accept = []         # each trajectory's acceptance probability
+    for m in range(1, n_traj + 1):
+        w, current, _ = run_chain(
+            w, current, value_grad, replace(cfg, dt=dt), rng, box, 1,
+            lambda out: accept.append(math.exp(min(out.log_accept, 0.0))))
+        t = 1.0 / (m + DA_T0)
+        h = (1.0 - t) * h + t * (TARGET_ACCEPT - accept[-1])
+        log_dt = mu - math.sqrt(m) / DA_GAMMA * h
+        eta = m ** -DA_KAPPA
+        log_dt_bar = eta * log_dt + (1.0 - eta) * log_dt_bar
+        dt = _exp_dt(log_dt, accept)
+    return w, current, _exp_dt(log_dt_bar, accept) if n_traj else cfg.dt
+
+
+def _exp_dt(log_dt, accept):
+    """e^log_dt as a step size; FailedToTune, with the mean acceptance so
+    far, unless it is a positive finite float."""
+    try:
+        dt = math.exp(log_dt)
+    except OverflowError:
+        dt = math.inf
+    if not 0.0 < dt < math.inf:
+        raise FailedToTune(dt, sum(accept) / len(accept))
+    return dt
 
 
 @dataclass(frozen=True)
@@ -132,84 +160,38 @@ class StepSizeController:
     probe_batch: int = 20
     grow: float = 1.1
     shrink: float = 0.9
-    # rounds before giving up; consecutive stalls compound the shrink, so a
-    # dt orders of magnitude below dt0 takes a dozen rounds, and the cap
-    # bounds a walk that keeps stepping across the band
-    max_rounds: int = 200
+    max_rounds: int = 200       # rounds before FailedToTune
 
 
 def measure_acceptance(w, value_grad, cfg: HmcConfig, rng, box,
-                       n_probe: int, current=None, band=None) -> float:
+                       n_probe: int, current=None) -> float:
     """Acceptance rate of n_probe probe trajectories started from a copy of w.
 
     current is the (energy, gradient) pair at w, computed when not given.
     Probe outcomes never feed back into the main chain.
-
-    With band = (lo, hi), the round stops integrating once its verdict is
-    settled: once rate > hi (grow) or rate < lo (shrink) holds for every
-    accept count the remaining probes could give.  The skipped probes still
-    draw their random numbers, so the RNG stream and the verdict are those
-    of the full round.  A settled round reports the rate of the probes it
-    ran, which lies on the same side of the band as the full round's.
-    Without a band every probe runs.
     """
     w = np.array(w, dtype=float)
     current = value_grad(w) if current is None else current
-    lo, hi = (-np.inf, np.inf) if band is None else band
-    n_acc = 0
-    for done in range(1, n_probe + 1):
-        w, current, accepted = run_chain(w, current, value_grad, cfg, rng, box, 1)
-        n_acc += accepted
-        left = n_probe - done
-        if n_acc / n_probe > hi or (n_acc + left) / n_probe < lo:
-            for _ in range(left):
-                _skip_trajectory(w, cfg, rng)
-            break
-    return n_acc / done
+    return run_chain(w, current, value_grad, cfg, rng, box, n_probe)[2] / n_probe
 
 
 def tune_step_size(controller: StepSizeController, w, value_grad,
                    cfg: HmcConfig, rng, box: PriorBox | None = None,
                    current=None) -> float:
-    """Adjust dt, starting from cfg.dt, until probe acceptance is in band.
+    """Walk dt, starting from cfg.dt, until probe acceptance is in band.
 
     Every probe round starts from w with the same (energy, gradient) pair,
-    current, computed once when not given.  A round stops integrating once
-    its grow / shrink verdict is settled (see measure_acceptance); its dt
-    and the RNG stream are those of a round that runs every probe.
-
-    A round above the band multiplies dt by grow, one below it by shrink.
-    A stall, a round whose rate is 0.0, is strong evidence that dt is far
-    too large, so the shrink compounds over consecutive stalls: the j-th
-    in a row multiplies dt by shrink ** 2 ** (j - 1), an exponential search
-    down to a workable dt (Hoffman & Gelman 2014, Alg. 4).  A compounded
-    step that would reach a smaller dt already measured above the band
-    stops at the geometric mean of dt and the largest such one.  Returns
-    the tuned dt; raises FailedToTune, with the last round's rate, when
-    the round cap is hit outside the band or dt leaves the positive finite
-    floats.
+    current, computed once when not given.  A round above the band
+    multiplies dt by grow, one below it by shrink.  Returns the tuned dt;
+    raises FailedToTune, with the last round's rate, at the round cap.
     """
     lo, hi = controller.band
-    dt = cfg.dt
-    rate = None
-    stalls = 0
-    above = []                  # every dt measured above the band
+    dt, rate = cfg.dt, None
     current = value_grad(w) if current is None else current
     for _ in range(controller.max_rounds):
         rate = measure_acceptance(w, value_grad, replace(cfg, dt=dt), rng, box,
-                                  controller.probe_batch, current, controller.band)
-        stalls = stalls + 1 if rate == 0.0 else 0
-        if rate > hi:
-            above.append(dt)
-            dt *= controller.grow
-        elif rate < lo and stalls < 2:
-            dt *= controller.shrink
-        elif rate < lo:
-            floor = max((d for d in above if d < dt), default=0.0)
-            step = dt * controller.shrink ** 2 ** (stalls - 1)
-            dt = step if step > floor else math.sqrt(dt * floor)
-        else:
+                                  controller.probe_batch, current)
+        if lo <= rate <= hi:
             return dt
-        if not 0.0 < dt < math.inf:
-            raise FailedToTune(dt, rate)
+        dt *= controller.grow if rate > hi else controller.shrink
     raise FailedToTune(dt, rate)

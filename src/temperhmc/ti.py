@@ -17,7 +17,7 @@ from scipy.special import log_ndtr
 
 from .errors import (DatasetMismatch, DegenerateDirection, GridMismatch,
                      NonFiniteEnergy)
-from .hmc import HmcConfig, StepSizeController, run_chain, tune_step_size
+from .hmc import HmcConfig, adapt_step_size, run_chain
 from .network import PriorBox
 from .replica import blocked_mean_se
 
@@ -47,8 +47,8 @@ class TiConfig:
     burn_in_traj: int = 100         # per-lambda burn-in trajectories
     sample_traj: int = 100          # per-lambda sampling trajectories
     n_leapfrog: int = 100
-    retune_every_lambdas: int = 10
-    fit_burn_in_traj: int = 1000    # stiffness-fit phase
+    retune_every_lambdas: int = 10  # every k-th window's burn-in adapts dt
+    fit_burn_in_traj: int = 1000    # stiffness fit; adapts dt from dt0 (0: samples at dt0)
     fit_sample_traj: int = 1000
     dt0: float = 0.1
 
@@ -75,21 +75,20 @@ def fit_stiffness(value_grad, w0, cfg: TiConfig, rng,
     w0 = np.asarray(w0, dtype=float)
     current = value_grad(w0)
     j0 = current[0]
-    dt = tune_step_size(StepSizeController(), w0, value_grad,
-                        HmcConfig(1.0, cfg.dt0, cfg.n_leapfrog), rng, None, current)
+    w, current, dt = adapt_step_size(w0, current, value_grad,
+                                     HmcConfig(1.0, cfg.dt0, cfg.n_leapfrog),
+                                     rng, None, cfg.fit_burn_in_traj)
     hmc_cfg = HmcConfig(1.0, dt, cfg.n_leapfrog)
-    w, current, _ = run_chain(w0, current, value_grad, hmc_cfg, rng, None,
-                              cfg.fit_burn_in_traj)
 
     # accumulated in place; the samples (fit_sample_traj x n_params) are not kept
     sq_sum = np.zeros_like(w0)
     n_outside = 0
 
-    def observe(w):
+    def observe(out):
         nonlocal sq_sum, n_outside
-        d = w - w0
+        d = out.w - w0
         sq_sum += d * d
-        if box is not None and np.any(np.abs(w) >= 0.5 * box.sigma):
+        if box is not None and np.any(np.abs(out.w) >= 0.5 * box.sigma):
             n_outside += 1
 
     run_chain(w, current, value_grad, hmc_cfg, rng, None, cfg.fit_sample_traj,
@@ -192,8 +191,9 @@ def run_ti(energy_fn, value_grad, stiff: StiffnessDiag, box: PriorBox,
 
     Lambda runs over a uniform inclusive [0, 1] grid with n_bridge interior
     points; chains warm-start sequentially from the previous lambda, with
-    prior-box rejection active throughout.  F = F0 - integral of the mean
-    observable over lambda.
+    prior-box rejection active throughout.  The burn-in of every
+    retune_every_lambdas-th window adapts dt, starting from the dt in use;
+    the others run at it.  F = F0 - integral of the mean observable.
     """
     lambdas = np.linspace(0.0, 1.0, cfg.n_bridge + 2)
     w = stiff.w0.copy()
@@ -202,16 +202,17 @@ def run_ti(energy_fn, value_grad, stiff: StiffnessDiag, box: PriorBox,
     ses = np.zeros_like(lambdas)
     for idx, lam in enumerate(lambdas):
         bridge = bridge_energy_fns(value_grad, stiff, lam)
-        current = bridge(w)
-        if idx % cfg.retune_every_lambdas == 0:
-            dt = tune_step_size(StepSizeController(), w, bridge,
-                                HmcConfig(1.0, dt, cfg.n_leapfrog), rng, box, current)
+        n_adapt = cfg.burn_in_traj if idx % cfg.retune_every_lambdas == 0 else 0
+        w, current, dt = adapt_step_size(w, bridge(w), bridge,
+                                         HmcConfig(1.0, dt, cfg.n_leapfrog),
+                                         rng, box, n_adapt)
         hmc_cfg = HmcConfig(1.0, dt, cfg.n_leapfrog)
         w, current, _ = run_chain(w, current, bridge, hmc_cfg, rng, box,
-                                  cfg.burn_in_traj)
+                                  cfg.burn_in_traj - n_adapt)
         samples = []
         w = run_chain(w, current, bridge, hmc_cfg, rng, box, cfg.sample_traj,
-                      lambda s: samples.append(ti_observable(energy_fn, stiff, s)))[0]
+                      lambda out: samples.append(
+                          ti_observable(energy_fn, stiff, out.w)))[0]
         means[idx], ses[idx] = blocked_mean_se(samples)
 
     # The bridge at lambda=1 is the reference quadratic shifted by J(w0), so

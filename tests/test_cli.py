@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 from importlib.metadata import PackageNotFoundError
@@ -9,7 +10,7 @@ import temperhmc.cli
 import temperhmc.harness
 import temperhmc.replica
 from temperhmc.cli import SETTINGS, build_parser, main, write_manifest
-from temperhmc.harness import write_sweep_csv
+from temperhmc.harness import baseline_optimize, write_sweep_csv
 from temperhmc.minimize import RMinConfig
 from temperhmc.network import get_arch, save_params
 from temperhmc.replica import RemdConfig, RunTrace
@@ -292,6 +293,17 @@ class TestExitCodes:
                          "--config", str(cfg)) == 2
         assert "many" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [2.7, True])
+    def test_config_value_its_type_does_not_hold_exit_2(self, data_dir, tmp_path,
+                                                        capsys, value):
+        # a float or a boolean for an int setting is not truncated to 2 or 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": value}))
+        assert self.remd(data_dir, tmp_path, "--model", "M1", "--nt", "2",
+                         "--config", str(cfg)) == 2
+        assert f"seed = {json.dumps(value)}" in capsys.readouterr().err
+        assert not (tmp_path / "remd_manifest.json").exists()
+
     def test_config_not_an_object_exit_2(self, data_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")
@@ -393,6 +405,24 @@ class TestSettingsTable:
                                  ("minimize", RMinConfig())]:
             assert self.built(monkeypatch, command, data_dir, w0_path,
                               tmp_path) == default, command
+
+    @pytest.mark.parametrize("mode,budget", [("zero-energy", "n_solutions"),
+                                             ("best-of", "n_restarts")])
+    def test_minimize_budget_defaults_to_baseline_optimize_s(
+            self, monkeypatch, data_dir, tmp_path, mode, budget):
+        seen = {}
+
+        def stop(*args, **kwargs):
+            seen.update(kwargs)
+            raise _Stop
+
+        monkeypatch.setattr(temperhmc.cli, "baseline_optimize", stop)
+        with pytest.raises(_Stop):
+            main(["minimize", "--model", "M1", "--data", "D50", "--mode", mode,
+                  "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "o")])
+        defaults = inspect.signature(baseline_optimize).parameters
+        assert seen[budget] == defaults[budget].default
+        assert "restart_cap" not in seen        # baseline_optimize's own default
 
     @pytest.mark.parametrize("command,key,text,field,value", [
         ("remd", "ntraj", "2", "n_traj", 2),

@@ -39,6 +39,13 @@ class TestBaseline:
                               mode="zero-energy", restart_cap=10,
                               rmin_cfg=RMinConfig(n_steps=3))
 
+    def test_default_restart_cap_is_40_per_solution(self, toy_problem):
+        arch, train, test = toy_problem
+        from temperhmc.minimize import RMinConfig
+        with pytest.raises(BudgetError, match="^40 restarts produced only 0"):
+            baseline_optimize(arch, train, test, seed=1, n_solutions=1,
+                              rmin_cfg=RMinConfig(n_steps=3))
+
     def test_best_of_keeps_exact_count(self, toy_problem):
         arch, train, test = toy_problem
         from temperhmc.minimize import RMinConfig

@@ -5,15 +5,12 @@ minimiser step make, and that the cheaper network code and the carried
 (energy, gradient) pair change no output bit.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 import temperhmc.network as network
-from temperhmc.errors import FailedToTune
-from temperhmc.hmc import (HmcConfig, StepSizeController, hmc_trajectory,
-                           measure_acceptance, run_chain, tune_step_size)
+from temperhmc.hmc import (HmcConfig, StepSizeController, adapt_step_size,
+                           hmc_trajectory, run_chain, tune_step_size)
 from temperhmc.minimize import RMinConfig, rmin
 from temperhmc.network import (LOGISTIC_SOFTMAX, NetworkArch, PriorBox,
                                dataset_energy_fns, energy, energy_gradient,
@@ -114,6 +111,22 @@ class TestCallCounts:
                        np.random.default_rng(3), None, quad(w))
         assert potential.calls == 6 * 4
 
+    @pytest.mark.parametrize("n_traj,n_steps", [(1, 5), (9, 3)])
+    def test_adapting_burn_in_costs_n_traj_times_L(self, n_traj, n_steps):
+        potential = Counting(quad)
+        w = np.array([0.3, -0.2])
+        adapt_step_size(w, quad(w), potential, HmcConfig(1.0, 0.1, n_steps),
+                        np.random.default_rng(1), None, n_traj)
+        assert potential.calls == n_traj * n_steps
+
+    def test_no_adapting_trajectories_return_cfg_dt_and_make_no_call(self):
+        potential = Counting(quad)
+        w, current = np.array([0.3, -0.2]), quad(np.array([0.3, -0.2]))
+        out = adapt_step_size(w, current, potential, HmcConfig(1.0, 0.37, 5),
+                              np.random.default_rng(0), None, 0)
+        assert out[0] is w and out[1] is current and out[2] == 0.37
+        assert potential.calls == 0
+
     def test_network_rmin_calls_no_value_only_energy(self, monkeypatch):
         arch, x, y = small_problem()
         counts = {"energy": 0, "energy_gradient": 0}
@@ -173,146 +186,10 @@ class TestRunChain:
         assert 0 < n_acc == hand_acc < 40
         assert len(seen) == 40
         for a, b in zip(seen, states):
-            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a.w, b)
         np.testing.assert_array_equal(w, hand_w)
         assert e == current[0]
         np.testing.assert_array_equal(g, current[1])
-
-
-def reject_off_start(w):
-    """Energy +inf anywhere but the origin: every probe is rejected."""
-    return (0.0 if np.all(w == 0) else np.inf), np.zeros_like(w)
-
-
-def flat(w):
-    return 0.0, np.zeros_like(w)
-
-
-H4 = np.array([0.7, 1.3, 2.9, 4.1])
-
-
-def quad4(w):
-    return 0.5 * float(np.dot(H4 * w, w)), H4 * w
-
-
-def full_round_tuner(ctl, w, value_grad, cfg, rng, box, current):
-    """tune_step_size by hand, every round running all probe_batch probes.
-
-    A round stalls when its first n_settle probes were all rejected: then,
-    and only then, the settled round stops with rate 0.0 (with the default
-    controller, (0 + 11) / 20 < 0.6 after 9 rejections).
-    """
-    lo, hi = ctl.band
-    n = ctl.probe_batch
-    n_settle = min((d for d in range(1, n + 1) if (n - d) / n < lo), default=n)
-    dt, stalls, above = cfg.dt, 0, []
-    for _ in range(ctl.max_rounds):
-        probe = replace(cfg, dt=dt)
-        pw, pc, accepted = np.array(w, dtype=float), current, []
-        for _ in range(n):
-            out = hmc_trajectory(pw, value_grad, probe, rng, box, pc)
-            pw, pc = out.w, (out.energy, out.grad)
-            accepted.append(out.accepted)
-        rate = sum(accepted) / n
-        stalls = 0 if any(accepted[:n_settle]) else stalls + 1
-        if rate > hi:
-            above.append(dt)
-            dt *= ctl.grow
-        elif rate < lo:
-            step = dt * ctl.shrink ** 2 ** max(stalls - 1, 0)
-            floor = max([d for d in above if d < dt] + [0.0])
-            dt = step if stalls < 2 or step > floor else np.sqrt(dt * floor)
-        else:
-            return dt
-        if not (np.isfinite(dt) and dt > 0):
-            raise FailedToTune(dt, rate)
-    raise FailedToTune(dt, rate)
-
-
-def tuned(tuner, ctl, w, value_grad, cfg, seed):
-    """(dt or the FailedToTune, RNG state after, potential calls) of one tuning."""
-    rng = np.random.default_rng(seed)
-    potential = Counting(value_grad)
-    try:
-        result = tuner(ctl, w, potential, cfg, rng, None, value_grad(w))
-    except FailedToTune as exc:
-        result = exc
-    return result, rng.bit_generator.state, potential.calls
-
-
-class TestSettledProbeRounds:
-    """A probe round stops integrating once its grow / shrink verdict is fixed."""
-
-    # full_seeds: the seeds on which every round could end in band, and so
-    # runs every probe (near the band, seed 1 is in band at once)
-    @pytest.mark.parametrize("value_grad,w,cfg,max_rounds,full_seeds", [
-        (reject_off_start, np.zeros(2), HmcConfig(1.0, 0.1, 3), 5, []),
-        (quad4, np.zeros(4), HmcConfig(1.0, 1e-3, 8), 200, []),    # dt far too small
-        (quad4, np.zeros(4), HmcConfig(1.0, 0.85, 8), 200, [1]),   # near the band
-    ], ids=["always-reject", "dt-too-small", "near-band"])
-    def test_dt_and_rng_stream_match_full_rounds(self, value_grad, w, cfg,
-                                                 max_rounds, full_seeds):
-        ctl = StepSizeController(max_rounds=max_rounds)
-        lo, hi = ctl.band
-        saved = []
-        for seed in range(3):
-            got, state, calls = tuned(tune_step_size, ctl, w, value_grad, cfg, seed)
-            want, want_state, full_calls = tuned(full_round_tuner, ctl, w,
-                                                 value_grad, cfg, seed)
-            assert state == want_state
-            if isinstance(want, FailedToTune):
-                assert isinstance(got, FailedToTune) and got.dt == want.dt
-                # the settled round's rate lies on the full round's side of the band
-                assert (got.rate < lo, got.rate > hi) == (want.rate < lo, want.rate > hi)
-            else:
-                assert got == want
-            saved.append(full_calls - calls)
-        assert min(saved) >= 0
-        assert [seed for seed, n in enumerate(saved) if n == 0] == full_seeds
-
-    def test_always_reject_round_costs_9_L(self):
-        # (0 + 11) / 20 < 0.6 after 9 rejections
-        potential = Counting(reject_off_start)
-        w = np.zeros(2)
-        with pytest.raises(FailedToTune) as info:
-            tune_step_size(StepSizeController(max_rounds=5), w, potential,
-                           HmcConfig(1.0, 0.1, 3), np.random.default_rng(0), None,
-                           reject_off_start(w))
-        assert potential.calls == 45 * 3
-        assert info.value.rate == 0.0
-
-    def test_always_reject_fails_within_15_rounds_at_default_cap(self):
-        # consecutive stalls compound the shrink until dt underflows to 0.0,
-        # which raises FailedToTune before HmcConfig could reject dt = 0
-        potential = Counting(reject_off_start)
-        w = np.zeros(2)
-        with pytest.raises(FailedToTune) as info:
-            tune_step_size(StepSizeController(), w, potential,
-                           HmcConfig(1.0, 0.1, 3), np.random.default_rng(0), None,
-                           reject_off_start(w))
-        assert potential.calls % (9 * 3) == 0
-        assert potential.calls // (9 * 3) <= 15
-        assert info.value.dt == 0.0 and info.value.rate == 0.0
-
-    def test_all_accept_round_costs_15_L(self):
-        # 15 / 20 > 0.7 after 15 acceptances
-        potential = Counting(flat)
-        w = np.zeros(2)
-        with pytest.raises(FailedToTune) as info:
-            tune_step_size(StepSizeController(max_rounds=1), w, potential,
-                           HmcConfig(1.0, 0.1, 4), np.random.default_rng(0), None,
-                           flat(w))
-        assert potential.calls == 15 * 4
-        assert info.value.rate == 1.0
-
-    def test_without_a_band_every_probe_runs(self):
-        potential = Counting(reject_off_start)
-        w = np.zeros(2)
-        rate = measure_acceptance(w, potential, HmcConfig(1.0, 0.1, 3),
-                                  np.random.default_rng(0), None, 20,
-                                  reject_off_start(w))
-        assert rate == 0.0
-        assert potential.calls == 20 * 3
 
 
 class TestSigmoid:
@@ -391,8 +268,10 @@ class TestRemdReplay:
         seeds = np.random.SeedSequence(8).spawn(3)
 
         def fresh():
+            # equal temperatures: every swap is accepted, so gradients and
+            # held-out energies change hands
             return [init_replica(i, T, value_grad, box, seeds[i], arch=arch, cfg=cfg)
-                    for i, T in enumerate([1.0, 1.2])]
+                    for i, T in enumerate([1.0, 1.0])]
         return value_grad, test_energy_fn, box, cfg, fresh, seeds[-1]
 
     def test_carried_gradients_match_recomputed_replay(self, two_rungs):
@@ -411,7 +290,7 @@ class TestRemdReplay:
                                           [r.energy for r in slots])
             np.testing.assert_array_equal(trace.identities[sweep],
                                           [r.identity for r in slots])
-        assert np.sum(trace.swap_accepts) > 0     # gradients changed hands
+        np.testing.assert_array_equal(trace.swap_accepts, trace.swap_attempts)
         for a, b in zip(replicas, slots):
             np.testing.assert_array_equal(a.w, b.w)
             assert a.dt == b.dt
@@ -421,7 +300,7 @@ class TestRemdReplay:
         # a rung whose trajectories were all rejected keeps w, so its cached
         # held-out energy stands; the replay evaluates every slot every sweep
         value_grad, test_energy_fn, box, cfg, fresh, swap_seed = two_rungs
-        trace = RunTrace(np.array([1.0, 1.2]))
+        trace = RunTrace(np.array([1.0, 1.0]))
         call_sweeps = []
 
         def counted(w):
@@ -433,7 +312,7 @@ class TestRemdReplay:
         moved = [int(np.count_nonzero(a)) for a in trace.accept_rate]
         assert [call_sweeps.count(s) for s in range(cfg.sweeps)] == [2] + moved[1:]
         assert 0 < sum(moved[1:]) < 2 * (cfg.sweeps - 1)  # some rungs stood still
-        assert np.sum(trace.swap_accepts) > 0
+        np.testing.assert_array_equal(trace.swap_accepts, trace.swap_attempts)
 
         for sweep, (_, slots) in enumerate(
                 replayed_remd(value_grad, box, cfg, fresh(), swap_seed)):

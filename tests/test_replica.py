@@ -4,14 +4,16 @@ import math
 import numpy as np
 import pytest
 
+import temperhmc.hmc
 import temperhmc.replica
 from temperhmc.errors import ConfigError, InsufficientSamples
 from temperhmc.hmc import HmcConfig, hmc_trajectory
-from temperhmc.network import NetworkArch, prior_box
+from temperhmc.network import NetworkArch, dataset_energy_fns, prior_box
 from temperhmc.replica import (RemdConfig, Replica, RunTrace, attempt_swap,
                                blocked_mean_se, init_replica, load_checkpoint,
                                make_ladder, measure_sweep, run_remd,
                                save_checkpoint, swap_log_prob)
+from temperhmc.ti import TiConfig, fit_stiffness, run_ti
 
 
 def quad_replicas(temps, seed=0, dt=0.3):
@@ -258,21 +260,30 @@ class TestRunRemd:
         assert trace.n_sweeps == 2
 
     def test_production_never_tunes(self, monkeypatch):
-        # dt is tuned once, in init_replica; the production kernel is fixed
-        def no_tuning(*args, **kwargs):
-            raise AssertionError("run_remd tuned a step size")
+        # dt is adapted during burn-in: init_replica, run_remd, fit_stiffness
+        # and run_ti never run a probe round
+        def no_probes(*args, **kwargs):
+            raise AssertionError("a sampler ran probe trajectories")
 
-        monkeypatch.setattr(temperhmc.replica, "tune_step_size", no_tuning)
-        _, value_grad = quad_fns()
-        replicas = quad_replicas([1.0, 2.0, 4.0], seed=14)
-        dts = [0.3, 0.4, 0.5]
-        for r, dt in zip(replicas, dts):
-            r.dt = dt
-        trace = run_remd(replicas, value_grad, None,
-                         RemdConfig(n_traj=1, n_leapfrog=2, sweeps=120),
-                         swap_seed=0)
-        assert trace.n_sweeps == 120
-        assert [r.dt for r in replicas] == dts
+        monkeypatch.setattr(temperhmc.hmc, "measure_acceptance", no_probes)
+        arch = NetworkArch((2, 3, 2))
+        box = prior_box(arch)
+        rng = np.random.default_rng(15)
+        x, labels = rng.normal(size=(12, 2)), rng.integers(0, 2, 12)
+        energy_fn, value_grad = dataset_energy_fns(arch, x, labels)
+        cfg = RemdConfig(n_traj=2, n_leapfrog=3, sweeps=4, burn_in_traj=6)
+        replicas = [init_replica(i, T, value_grad, box, seed=i, arch=arch, cfg=cfg)
+                    for i, T in enumerate([1.0, 2.0])]
+        dts = [r.dt for r in replicas]
+        trace = run_remd(replicas, value_grad, box, cfg, swap_seed=0)
+        assert trace.n_sweeps == 4
+        assert [r.dt for r in replicas] == dts      # the production kernel is fixed
+
+        ti_cfg = TiConfig(n_bridge=2, burn_in_traj=3, sample_traj=4,
+                          n_leapfrog=3, retune_every_lambdas=2,
+                          fit_burn_in_traj=5, fit_sample_traj=6)
+        stiff = fit_stiffness(value_grad, replicas[0].w, ti_cfg, rng, box)
+        run_ti(energy_fn, value_grad, stiff, box, ti_cfg, rng)
 
 
 class TestCheckpointWrite:

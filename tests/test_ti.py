@@ -298,19 +298,20 @@ def replay_chain(w, value_grad, cfg, rng, box, current, n_traj):
     return w, current, states, n_acc
 
 
-def replay_tuning(w, value_grad, cfg, rng, box, current):
-    """The default tuner by hand: band (0.6, 0.7), 20 probes, x1.1 / x0.9."""
-    dt = cfg.dt
-    for _ in range(200):
-        probe = replace(cfg, dt=dt)
-        rate = replay_chain(w, value_grad, probe, rng, box, current, 20)[3] / 20
-        if rate > 0.7:
-            dt *= 1.1
-        elif rate < 0.6:
-            dt *= 0.9
-        else:
-            return dt
-    raise AssertionError("replay tuning did not converge")
+def replay_adapt(w, value_grad, cfg, rng, box, current, n_traj):
+    """Dual averaging by hand (Hoffman & Gelman 2014, Alg. 5): target 0.65,
+    gamma 0.05, t0 10, kappa 0.75, mu = log(10 dt0).  Returns (w, current, dt)."""
+    mu = math.log(10.0 * cfg.dt)
+    dt, h, log_dt_bar = cfg.dt, 0.0, 0.0
+    for m in range(1, n_traj + 1):
+        out = hmc_trajectory(w, value_grad, replace(cfg, dt=dt), rng, box, current)
+        w, current = out.w, (out.energy, out.grad)
+        accept = math.exp(min(out.log_accept, 0.0))
+        h = (1.0 - 1.0 / (m + 10.0)) * h + 1.0 / (m + 10.0) * (0.65 - accept)
+        log_dt = mu - math.sqrt(m) / 0.05 * h
+        log_dt_bar = m ** -0.75 * log_dt + (1.0 - m ** -0.75) * log_dt_bar
+        dt = math.exp(log_dt)
+    return w, current, math.exp(log_dt_bar)
 
 
 def toy_potential():
@@ -346,10 +347,9 @@ class TestReplay:
         current = value_grad(w0)
         j0 = current[0]
         cfg = HmcConfig(1.0, REPLAY_TI.dt0, REPLAY_TI.n_leapfrog)
-        dt = replay_tuning(w0, value_grad, cfg, rng, None, current)
+        w, current, dt = replay_adapt(w0.copy(), value_grad, cfg, rng, None,
+                                      current, REPLAY_TI.fit_burn_in_traj)
         cfg = HmcConfig(1.0, dt, REPLAY_TI.n_leapfrog)
-        w, current, _, _ = replay_chain(w0.copy(), value_grad, cfg, rng, None,
-                                        current, REPLAY_TI.fit_burn_in_traj)
         _, _, states, _ = replay_chain(w, value_grad, cfg, rng, None, current,
                                        REPLAY_TI.fit_sample_traj)
         sq = np.zeros(3)
@@ -379,11 +379,13 @@ class TestReplay:
             bridge = bridge_energy_fns(value_grad, stiff, lam)
             current = bridge(w)
             cfg = HmcConfig(1.0, dt, REPLAY_TI.n_leapfrog)
-            if idx % REPLAY_TI.retune_every_lambdas == 0:
-                dt = replay_tuning(w, bridge, cfg, rng, box, current)
+            if idx % REPLAY_TI.retune_every_lambdas == 0:   # warm-started
+                w, current, dt = replay_adapt(w, bridge, cfg, rng, box, current,
+                                              REPLAY_TI.burn_in_traj)
                 cfg = HmcConfig(1.0, dt, REPLAY_TI.n_leapfrog)
-            w, current, _, _ = replay_chain(w, bridge, cfg, rng, box, current,
-                                            REPLAY_TI.burn_in_traj)
+            else:
+                w, current, _, _ = replay_chain(w, bridge, cfg, rng, box, current,
+                                                REPLAY_TI.burn_in_traj)
             w, current, states, _ = replay_chain(w, bridge, cfg, rng, box,
                                                  current, REPLAY_TI.sample_traj)
             mean, se = blocked_mean_se([ti_observable(energy, stiff, s)
