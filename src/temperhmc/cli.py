@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import inspect
 import json
 import os
 import sys
@@ -33,8 +32,8 @@ from .data import (DatasetStore, load_dataset, load_idx_split, save_dataset,
                    stratified_indices, transform)
 from .errors import BudgetError, ConfigError, NumericalError
 from .files import replacing
-from .harness import (anneal_stop, baseline_optimize, sweep_table,
-                      write_sweep_csv)
+from .harness import (N_RESTARTS, N_SOLUTIONS, anneal_stop, baseline_optimize,
+                      sweep_table, write_sweep_csv)
 from .minimize import RMinConfig
 from .network import (dataset_energy_fns, get_arch, load_params, prior_box,
                       save_params)
@@ -43,7 +42,6 @@ from .replica import (RemdConfig, RunTrace, init_replica, make_ladder,
 from .ti import TiConfig, evidence, fit_stiffness, run_ti
 
 REQUIRED = object()    # a setting with no default
-BASELINE_PARAMS = inspect.signature(baseline_optimize).parameters
 
 
 class Setting(NamedTuple):     # flag --name with - for _; config key name
@@ -72,8 +70,8 @@ SETTINGS = {
     ],
     "minimize": _RUN + [
         Setting("restarts", int, None,
-                f"(default: {BASELINE_PARAMS['n_restarts'].default} for best-of, "
-                f"{BASELINE_PARAMS['n_solutions'].default} for zero-energy)"),
+                f"(default: {N_RESTARTS} for best-of, "
+                f"{N_SOLUTIONS} for zero-energy)"),
         Setting("mode", str, "zero-energy", choices=("zero-energy", "best-of")),
         Setting("dt0", float, RMinConfig.dt0),
         Setting("n_steps", int, RMinConfig.n_steps),
@@ -187,8 +185,7 @@ def _typed(s, value):
     """value as the setting's type; a non-string must convert exactly."""
     typed = s.type(value) if isinstance(value, (str, int, float)) else None
     if isinstance(value, bool) or (not isinstance(value, str) and typed != value):
-        raise ConfigError(f"{s.name} = {json.dumps(value)} is not "
-                          f"a {s.type.__name__}")
+        raise ConfigError(f"{s.name} = {json.dumps(value)} is not a {s.type.__name__}")
     return typed
 
 
@@ -241,9 +238,9 @@ def cmd_prepare_data(args):
 
 def cmd_minimize(args):
     cfg = _resolve(args)
-    budget = "n_restarts" if cfg["mode"] == "best-of" else "n_solutions"
+    best_of = cfg["mode"] == "best-of"
     if cfg["restarts"] is None:
-        cfg["restarts"] = BASELINE_PARAMS[budget].default
+        cfg["restarts"] = N_RESTARTS if best_of else N_SOLUTIONS
     with _reading_config():
         arch, train, test = _model_and_data(cfg)
     out_dir = cfg["out_dir"]
@@ -251,7 +248,7 @@ def cmd_minimize(args):
     result = baseline_optimize(
         arch, train, test, cfg["seed"], mode=cfg["mode"],
         rmin_cfg=RMinConfig(n_steps=cfg["n_steps"], dt0=cfg["dt0"]),
-        **{budget: cfg["restarts"]})
+        **{"n_restarts" if best_of else "n_solutions": cfg["restarts"]})
 
     csv_path = os.path.join(out_dir, "baseline.csv")
     with replacing(csv_path) as tmp, open(tmp, "w") as fh:

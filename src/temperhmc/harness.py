@@ -13,6 +13,8 @@ from .minimize import RMinConfig, rmin
 from .network import NetworkArch, dataset_energy_fns, init_standard
 
 UNINFORMED_PER_EXAMPLE = math.log(10.0)
+N_SOLUTIONS = 100       # zero-energy minima a baseline collects by default
+N_RESTARTS = 4000       # minimisations of a best-of baseline by default
 
 
 @dataclass
@@ -29,8 +31,8 @@ class BaselineResult:
 
 
 def baseline_optimize(arch: NetworkArch, train, test, seed: int,
-                      n_solutions: int = 100, mode: str = "zero-energy",
-                      restart_cap: int = None, n_restarts: int = 4000,
+                      n_solutions: int = N_SOLUTIONS, mode: str = "zero-energy",
+                      restart_cap: int = None, n_restarts: int = N_RESTARTS,
                       rmin_cfg: RMinConfig = None,
                       zero_tol: float = 1e-10) -> BaselineResult:
     """Repeated fast minimisation, the non-Bayesian reference point.

@@ -91,15 +91,20 @@ def hmc_trajectory(w, value_grad, cfg: HmcConfig, rng,
 
 
 def run_chain(w, current, value_grad, cfg: HmcConfig, rng, box, n_traj,
-              observe=None):
+              observe=None, jitter=0.0):
     """n_traj HMC trajectories from w and its carried (energy, gradient) pair.
 
     observe(outcome), when given, sees the TrajectoryOutcome of each
-    trajectory.  Returns (w, current, n_accepted) at the end of the chain.
+    trajectory.  With jitter > 0 each trajectory first draws its dt uniformly
+    from cfg.dt * [1 - jitter, 1 + jitter], so that L fixed steps cannot
+    resonate with a harmonic mode (Neal 2011, Handbook of MCMC, ch. 5).
+    Returns (w, current, n_accepted) at the end of the chain.
     """
     n_accepted = 0
     for _ in range(n_traj):
-        out = hmc_trajectory(w, value_grad, cfg, rng, box, current)
+        step = cfg if not jitter else replace(
+            cfg, dt=cfg.dt * rng.uniform(1.0 - jitter, 1.0 + jitter))
+        out = hmc_trajectory(w, value_grad, step, rng, box, current)
         w, current = out.w, (out.energy, out.grad)
         n_accepted += out.accepted
         if observe is not None:
@@ -120,36 +125,32 @@ def adapt_step_size(w, current, value_grad, cfg: HmcConfig, rng, box, n_traj):
     trajectory's log dt = mu - sqrt(m) / DA_GAMMA * h, mu = log(10 cfg.dt),
     and weight m^-DA_KAPPA folds that log dt into the averaged iterate.
     Returns (w, current, dt) after the last trajectory, dt the averaged
-    iterate (cfg.dt when n_traj = 0); callers sample with it fixed (Andrieu &
-    Thoms 2008, Stat. Comput. 18:343).  Accepting nothing only drives dt
-    down; a dt that leaves the positive finite floats raises FailedToTune.
+    iterate capped at the larger of cfg.dt and the largest dt whose
+    trajectory met the target (a short burn-in's average leans on the first
+    iterates, near 10 cfg.dt), or cfg.dt when n_traj = 0.  Callers sample
+    with dt fixed (Andrieu & Thoms 2008, Stat. Comput. 18:343).  Accepting
+    nothing only drives dt down; a dt that leaves the positive finite
+    floats raises FailedToTune.
     """
     mu = math.log(10.0 * cfg.dt)
-    dt, h, log_dt_bar = cfg.dt, 0.0, 0.0
+    dt, h, log_dt_bar, cap = cfg.dt, 0.0, 0.0, cfg.dt
     accept = []         # each trajectory's acceptance probability
     for m in range(1, n_traj + 1):
         w, current, _ = run_chain(
             w, current, value_grad, replace(cfg, dt=dt), rng, box, 1,
             lambda out: accept.append(math.exp(min(out.log_accept, 0.0))))
+        if accept[-1] >= TARGET_ACCEPT:
+            cap = max(cap, dt)
         t = 1.0 / (m + DA_T0)
         h = (1.0 - t) * h + t * (TARGET_ACCEPT - accept[-1])
         log_dt = mu - math.sqrt(m) / DA_GAMMA * h
         eta = m ** -DA_KAPPA
         log_dt_bar = eta * log_dt + (1.0 - eta) * log_dt_bar
-        dt = _exp_dt(log_dt, accept)
-    return w, current, _exp_dt(log_dt_bar, accept) if n_traj else cfg.dt
-
-
-def _exp_dt(log_dt, accept):
-    """e^log_dt as a step size; FailedToTune, with the mean acceptance so
-    far, unless it is a positive finite float."""
-    try:
-        dt = math.exp(log_dt)
-    except OverflowError:
-        dt = math.inf
-    if not 0.0 < dt < math.inf:
-        raise FailedToTune(dt, sum(accept) / len(accept))
-    return dt
+        dt = float(np.exp(log_dt))
+        if not 0.0 < dt < math.inf:
+            raise FailedToTune(dt, sum(accept) / m)
+    # log_dt_bar averages log dts that all passed that check
+    return w, current, min(math.exp(log_dt_bar), cap) if n_traj else cfg.dt
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,9 @@ from .network import PriorBox
 from .replica import blocked_mean_se
 
 VARIANCE_FLOOR = 1e-12
+# Fixed-dt chains draw each trajectory's dt within +-10%: near w0 the target is
+# close to harmonic, and L steps of one dt can make whole periods of a mode.
+DT_JITTER = 0.1
 
 
 @dataclass
@@ -92,7 +95,7 @@ def fit_stiffness(value_grad, w0, cfg: TiConfig, rng,
             n_outside += 1
 
     run_chain(w, current, value_grad, hmc_cfg, rng, None, cfg.fit_sample_traj,
-              observe)
+              observe, DT_JITTER)
     mean_sq = sq_sum / cfg.fit_sample_traj
     if not np.all(np.isfinite(mean_sq)):
         raise DegenerateDirection("non-finite sampled variance")
@@ -208,11 +211,11 @@ def run_ti(energy_fn, value_grad, stiff: StiffnessDiag, box: PriorBox,
                                          rng, box, n_adapt)
         hmc_cfg = HmcConfig(1.0, dt, cfg.n_leapfrog)
         w, current, _ = run_chain(w, current, bridge, hmc_cfg, rng, box,
-                                  cfg.burn_in_traj - n_adapt)
+                                  cfg.burn_in_traj - n_adapt, None, DT_JITTER)
         samples = []
         w = run_chain(w, current, bridge, hmc_cfg, rng, box, cfg.sample_traj,
                       lambda out: samples.append(
-                          ti_observable(energy_fn, stiff, out.w)))[0]
+                          ti_observable(energy_fn, stiff, out.w)), DT_JITTER)[0]
         means[idx], ses[idx] = blocked_mean_se(samples)
 
     # The bridge at lambda=1 is the reference quadratic shifted by J(w0), so

@@ -246,6 +246,23 @@ class TestAdaptStepSize:
                           None, n)[2]
         assert abs(n_acc / n - 0.65) < 0.1
 
+    @pytest.mark.parametrize("dt0,bound", [(1.5, 1.0), (0.9, 1.5)],
+                             ids=["dt0-too-large", "dt0-near-adapted"])
+    def test_short_burn_in_stays_near_dt0(self, dt0, bound):
+        # the first iterates sit near 10 dt0, and an average over a handful of
+        # them would return several dt0 (18.9 dt0 after one accepted
+        # trajectory).  Here 1.5 is past the Verlet stability limit of the
+        # stiffest mode (1.45), and 1000 adapting trajectories settle at 0.92
+        h = np.random.default_rng(0).uniform(0.5, 2.0, size=10)
+        _, value_grad = quad_fns(h)
+        for seed in range(20):
+            for n_traj in range(1, 6):
+                rng = np.random.default_rng(seed)
+                w = rng.normal(size=10) / np.sqrt(h)
+                dt = adapt_step_size(w, value_grad(w), value_grad,
+                                     HmcConfig(1.0, dt0, 20), rng, None, n_traj)[2]
+                assert dt <= bound * dt0, (seed, n_traj, dt)
+
     @pytest.mark.parametrize("value_grad,dt0,bad", [
         (flat, 1e300, np.inf),              # every move accepted: dt overflows
         (reject_off_start, 1e-300, 0.0),    # every move rejected: dt underflows

@@ -9,8 +9,8 @@ from temperhmc.errors import DatasetMismatch, GridMismatch
 from temperhmc.hmc import HmcConfig, hmc_trajectory
 from temperhmc.network import PriorBox
 from temperhmc.replica import blocked_mean_se
-from temperhmc.ti import (StiffnessDiag, TiConfig, bridge_energy_fns, compare,
-                          evidence, fit_stiffness, log_z0, run_ti,
+from temperhmc.ti import (DT_JITTER, StiffnessDiag, TiConfig, bridge_energy_fns,
+                          compare, evidence, fit_stiffness, log_z0, run_ti,
                           simpson_uniform, ti_observable)
 
 
@@ -51,6 +51,17 @@ class TestFitStiffness:
         grad = lambda w: 4.0 * w
         rng = np.random.default_rng(32)
         stiff = fit_stiffness(fused(energy, grad), np.zeros(2), SMALL_FIT, rng)
+        np.testing.assert_allclose(stiff.k, 4.0, rtol=0.15)
+
+    def test_resonant_dt_still_fits(self):
+        # at dt = 1/sqrt(2) each Verlet step turns the h = 4 oscillator by a
+        # quarter period, so 20 steps of that exact dt return every start
+        # to itself; the jittered dt lets the chain move
+        energy = lambda w: float(2.0 * np.dot(w, w))
+        grad = lambda w: 4.0 * w
+        cfg = replace(SMALL_FIT, fit_burn_in_traj=0, dt0=math.sqrt(0.5))
+        stiff = fit_stiffness(fused(energy, grad), np.zeros(2), cfg,
+                              np.random.default_rng(0))
         np.testing.assert_allclose(stiff.k, 4.0, rtol=0.15)
 
     def test_correlated_gaussian_marginal_variance_semantics(self):
@@ -287,11 +298,17 @@ class TestRunTi:
         assert resc.free_energy - res0.free_energy == pytest.approx(c, abs=1e-9)
 
 
-def replay_chain(w, value_grad, cfg, rng, box, current, n_traj):
-    """n_traj trajectories by hand: (w, current, states after each, accepts)."""
+def replay_chain(w, value_grad, cfg, rng, box, current, n_traj, jitter=0.0):
+    """n_traj trajectories by hand: (w, current, states after each, accepts).
+
+    With jitter, each trajectory's dt is drawn first, uniform within
+    cfg.dt * (1 -+ jitter)."""
     states, n_acc = [], 0
     for _ in range(n_traj):
-        out = hmc_trajectory(w, value_grad, cfg, rng, box, current)
+        step = cfg
+        if jitter:
+            step = replace(cfg, dt=cfg.dt * rng.uniform(1.0 - jitter, 1.0 + jitter))
+        out = hmc_trajectory(w, value_grad, step, rng, box, current)
         w, current = out.w, (out.energy, out.grad)
         states.append(w)
         n_acc += out.accepted
@@ -300,18 +317,22 @@ def replay_chain(w, value_grad, cfg, rng, box, current, n_traj):
 
 def replay_adapt(w, value_grad, cfg, rng, box, current, n_traj):
     """Dual averaging by hand (Hoffman & Gelman 2014, Alg. 5): target 0.65,
-    gamma 0.05, t0 10, kappa 0.75, mu = log(10 dt0).  Returns (w, current, dt)."""
+    gamma 0.05, t0 10, kappa 0.75, mu = log(10 dt0); the averaged dt capped
+    at the largest of dt0 and the dts that met the target.  Returns
+    (w, current, dt)."""
     mu = math.log(10.0 * cfg.dt)
-    dt, h, log_dt_bar = cfg.dt, 0.0, 0.0
+    dt, h, log_dt_bar, cap = cfg.dt, 0.0, 0.0, cfg.dt
     for m in range(1, n_traj + 1):
         out = hmc_trajectory(w, value_grad, replace(cfg, dt=dt), rng, box, current)
         w, current = out.w, (out.energy, out.grad)
         accept = math.exp(min(out.log_accept, 0.0))
+        if accept >= 0.65:
+            cap = max(cap, dt)
         h = (1.0 - 1.0 / (m + 10.0)) * h + 1.0 / (m + 10.0) * (0.65 - accept)
         log_dt = mu - math.sqrt(m) / 0.05 * h
         log_dt_bar = m ** -0.75 * log_dt + (1.0 - m ** -0.75) * log_dt_bar
-        dt = math.exp(log_dt)
-    return w, current, math.exp(log_dt_bar)
+        dt = float(np.exp(log_dt))
+    return w, current, min(math.exp(log_dt_bar), cap)
 
 
 def toy_potential():
@@ -351,7 +372,7 @@ class TestReplay:
                                       current, REPLAY_TI.fit_burn_in_traj)
         cfg = HmcConfig(1.0, dt, REPLAY_TI.n_leapfrog)
         _, _, states, _ = replay_chain(w, value_grad, cfg, rng, None, current,
-                                       REPLAY_TI.fit_sample_traj)
+                                       REPLAY_TI.fit_sample_traj, DT_JITTER)
         sq = np.zeros(3)
         for s in states:
             sq += (s - w0) * (s - w0)
@@ -385,9 +406,9 @@ class TestReplay:
                 cfg = HmcConfig(1.0, dt, REPLAY_TI.n_leapfrog)
             else:
                 w, current, _, _ = replay_chain(w, bridge, cfg, rng, box, current,
-                                                REPLAY_TI.burn_in_traj)
-            w, current, states, _ = replay_chain(w, bridge, cfg, rng, box,
-                                                 current, REPLAY_TI.sample_traj)
+                                                REPLAY_TI.burn_in_traj, DT_JITTER)
+            w, current, states, _ = replay_chain(w, bridge, cfg, rng, box, current,
+                                                 REPLAY_TI.sample_traj, DT_JITTER)
             mean, se = blocked_mean_se([ti_observable(energy, stiff, s)
                                         for s in states])
             means.append(mean)
