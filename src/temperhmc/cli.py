@@ -39,7 +39,7 @@ from .network import (dataset_energy_fns, get_arch, load_params, prior_box,
                       save_params)
 from .replica import (RemdConfig, RunTrace, init_replica, make_ladder,
                       measure_sweep, run_remd, save_checkpoint)
-from .ti import TiConfig, evidence, fit_stiffness, run_ti
+from .ti import TiConfig, compare, evidence, fit_stiffness, run_ti
 
 REQUIRED = object()    # a setting with no default
 
@@ -351,8 +351,8 @@ def cmd_ti(args):
         "dataset": cfg["data"],
         "free_energy": float(free_energies.mean()),
         "free_energy_std": float(free_energies.std(ddof=1)) if repeats > 1 else 0.0,
-        "f0": runs[0].f0,
-        "integral": runs[0].integral,
+        "f0": float(np.mean([r.f0 for r in runs])),
+        "integral": float(np.mean([r.integral for r in runs])),
         "log_prior_volume": box.log_volume,
         "log_evidence": float(np.mean([r.log_evidence for r in runs])),
         "repeats": repeats,
@@ -376,10 +376,6 @@ def cmd_compare_models(args):
         a = json.load(fh)
     with open(args.b) as fh, _reading_config():
         b = json.load(fh)
-    if a.get("dataset") != b.get("dataset"):
-        raise ConfigError(
-            f"runs used different datasets: {a.get('dataset')} vs {b.get('dataset')}"
-        )
 
     def log_ev(run):
         if "log_evidence" in run:
@@ -391,7 +387,8 @@ def cmd_compare_models(args):
         return float(run.get("free_energy_std", run.get("log_integral_std", 0.0)))
 
     with _reading_config():
-        log_odds = log_ev(a) - log_ev(b) + float(args.log_prior_ratio)
+        log_odds = compare(log_ev(a), log_ev(b), float(args.log_prior_ratio),
+                           a.get("dataset"), b.get("dataset"))
         sigma = float(np.hypot(err(a), err(b)))
     report = {
         "model_a": a.get("model"),

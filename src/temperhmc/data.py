@@ -130,18 +130,18 @@ def load_idx_split(mnist_dir, split: str) -> RawImageSet:
     return parse_idx(_read_maybe_gzip(paths[0]), _read_maybe_gzip(paths[1]))
 
 
-def resize_weights(n_src: int = SOURCE_SIDE, n_dst: int = TARGET_SIDE) -> np.ndarray:
-    """(n_dst, n_src) matrix of fractional source-pixel overlaps per target cell.
+def resize_weights() -> np.ndarray:
+    """(16, 28) matrix of fractional source-pixel overlaps per target cell.
 
     Row i holds the lengths of the intersections of source pixel intervals
-    [j, j+1) with the target cell [i*s, (i+1)*s), s = n_src/n_dst.  Rows sum
-    to s, so W @ img @ W.T / s**2 averages intensity over each target cell.
+    [j, j+1) with the target cell [i*s, (i+1)*s), s = 28/16.  Rows sum to
+    s, so W @ img @ W.T / s**2 averages intensity over each target cell.
     """
-    scale = n_src / n_dst
-    weights = np.zeros((n_dst, n_src))
-    for i in range(n_dst):
+    scale = SOURCE_SIDE / TARGET_SIDE
+    weights = np.zeros((TARGET_SIDE, SOURCE_SIDE))
+    for i in range(TARGET_SIDE):
         lo, hi = i * scale, (i + 1) * scale
-        for j in range(int(np.floor(lo)), min(int(np.ceil(hi)), n_src)):
+        for j in range(int(np.floor(lo)), min(int(np.ceil(hi)), SOURCE_SIDE)):
             weights[i, j] = min(hi, j + 1) - max(lo, j)
     return weights
 

@@ -40,10 +40,10 @@ class InsufficientClassCount(ConfigError):
 class FailedToTune(NumericalError):
     """Step-size tuning hit its round cap, or dt left the positive floats."""
 
-    def __init__(self, dt, rate, msg=None):
+    def __init__(self, dt, rate):
         self.dt = dt
         self.rate = rate
-        super().__init__(msg or f"step-size tuning failed: dt={dt:.3g}, acceptance={rate:.3f}")
+        super().__init__(f"step-size tuning failed: dt={dt:.3g}, acceptance={rate:.3f}")
 
 
 class NonFiniteEnergy(NumericalError):

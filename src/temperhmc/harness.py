@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from .network import NetworkArch, dataset_energy_fns, init_standard
 UNINFORMED_PER_EXAMPLE = math.log(10.0)
 N_SOLUTIONS = 100       # zero-energy minima a baseline collects by default
 N_RESTARTS = 4000       # minimisations of a best-of baseline by default
+ZERO_TOL = 1e-10        # training energy below which a minimum counts as zero
 
 
 @dataclass
@@ -33,12 +34,11 @@ class BaselineResult:
 def baseline_optimize(arch: NetworkArch, train, test, seed: int,
                       n_solutions: int = N_SOLUTIONS, mode: str = "zero-energy",
                       restart_cap: int = None, n_restarts: int = N_RESTARTS,
-                      rmin_cfg: RMinConfig = None,
-                      zero_tol: float = 1e-10) -> BaselineResult:
+                      rmin_cfg: RMinConfig = None) -> BaselineResult:
     """Repeated fast minimisation, the non-Bayesian reference point.
 
     mode "zero-energy": restart until n_solutions minima with training energy
-    below zero_tol (BudgetError past restart_cap, 40 * n_solutions when not
+    below ZERO_TOL (BudgetError past restart_cap, 40 * n_solutions when not
     given).  mode "best-of": run n_restarts minimisations and keep the
     n_solutions lowest-training-energy results.
     """
@@ -60,7 +60,7 @@ def baseline_optimize(arch: NetworkArch, train, test, seed: int,
             w0 = init_standard(arch, np.random.default_rng(seeds[restarts]))
             restarts += 1
             res = rmin(w0, value_grad, cfg=rmin_cfg)
-            if res.energy < zero_tol:
+            if res.energy < ZERO_TOL:
                 kept.append((res.energy, res.w))
     elif mode == "best-of":
         all_res = []

@@ -95,12 +95,11 @@ class PriorBox:
     """Uniform prior support: |w_i| < sigma_i / 2 (strict)."""
 
     sigma: np.ndarray
-    log_volume: float = field(default=None)  # type: ignore[assignment]
+    log_volume: float = field(init=False)   # sum of log sigma_i
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
-        if self.log_volume is None:
-            object.__setattr__(self, "log_volume", float(np.sum(np.log(self.sigma))))
+        object.__setattr__(self, "log_volume", float(np.sum(np.log(self.sigma))))
 
 
 def prior_box(arch: NetworkArch) -> PriorBox:

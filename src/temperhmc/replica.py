@@ -21,7 +21,9 @@ from .files import replacing
 # unused tune_step_size: an import site bench/test_bench.py's tracing test reads
 from .hmc import HmcConfig, adapt_step_size, run_chain, tune_step_size  # noqa: F401
 from .minimize import RMinConfig, rmin
-from .network import PriorBox, init_standard
+from .network import init_standard
+
+DT0 = 0.1       # each rung's burn-in adapts dt from here
 
 
 def make_ladder(t_min: float, t_max: float, n_temps: int) -> np.ndarray:
@@ -72,36 +74,26 @@ class RemdConfig:
     """Settings of a replica-exchange run.
 
     Each rung's burn-in in init_replica adapts its dt by dual averaging,
-    starting from dt0; the averaged dt then stays fixed for the whole
-    production run.  With burn_in_traj = 0 a rung samples at dt0.
+    starting from DT0; the averaged dt then stays fixed for the whole
+    production run.  With burn_in_traj = 0 a rung samples at DT0.
     """
 
     n_traj: int = 10            # HMC trajectories per replica per sweep
     n_leapfrog: int = 100       # Verlet steps per trajectory
     sweeps: int = 500
     burn_in_traj: int = 100     # per-replica burn-in during initialisation
-    dt0: float = 0.1
     checkpoint_every: int = 0   # 0 disables checkpoints
 
 
-def init_replica(index, temperature, value_grad, box, seed,
-                 arch=None, w0=None, cfg: RemdConfig = None) -> Replica:
+def init_replica(index, temperature, value_grad, box, seed, arch,
+                 cfg: RemdConfig = None) -> Replica:
     """Standard init -> fast minimisation -> burn-in at T that adapts dt.
 
-    Either an architecture (for standard initialisation) or an explicit
-    starting vector must be given.
+    seed is anything np.random.default_rng takes, an int or a SeedSequence.
     """
     cfg = cfg or RemdConfig()
-    if isinstance(seed, np.random.SeedSequence):
-        rng = np.random.default_rng(seed)
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    if w0 is None:
-        if arch is None:
-            raise ConfigError("init_replica needs arch or w0")
-        w0 = init_standard(arch, rng)
-        w0 = rmin(w0, value_grad, cfg=RMinConfig()).w
-    w = np.array(w0, dtype=float)
+    rng = np.random.default_rng(seed)
+    w = rmin(init_standard(arch, rng), value_grad, cfg=RMinConfig()).w
     if box is not None:
         # the minimiser ignores the prior box, and a start outside it
         # rejects every proposal and drives the adapted dt down.  Move the
@@ -113,7 +105,7 @@ def init_replica(index, temperature, value_grad, box, seed,
 
     w, (e, g), dt = adapt_step_size(
         w, value_grad(w), value_grad,
-        HmcConfig(temperature, cfg.dt0, cfg.n_leapfrog), rng, box,
+        HmcConfig(temperature, DT0, cfg.n_leapfrog), rng, box,
         cfg.burn_in_traj)
     return Replica(index, temperature, w, e, dt, rng, grad=g)
 

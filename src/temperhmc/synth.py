@@ -19,6 +19,7 @@ import numpy as np
 
 SIDE = 28
 N_CLASSES = 10
+TEMPLATE_SEED = 7       # one fixed set of class templates for every corpus
 
 
 def _class_templates(rng):
@@ -45,10 +46,10 @@ def _render(template, rng):
     return np.clip(img, 0.0, 1.0)
 
 
-def make_images(n: int, seed: int, template_seed: int = 7):
+def make_images(n: int, seed: int):
     """n images and labels; labels cycle through classes for balance."""
     rng = np.random.default_rng(seed)
-    templates = _class_templates(np.random.default_rng(template_seed))
+    templates = _class_templates(np.random.default_rng(TEMPLATE_SEED))
     labels = np.arange(n) % N_CLASSES
     rng.shuffle(labels)
     images = np.empty((n, SIDE, SIDE), dtype=np.uint8)
@@ -69,8 +70,8 @@ def idx_label_bytes(labels: np.ndarray) -> bytes:
 
 
 def write_corpus(directory, n_train: int = 6000, n_test: int = 1000,
-                 seed: int = 0, compress: bool = True):
-    """Write train/test IDX pairs with the standard file names."""
+                 seed: int = 0):
+    """Write gzipped train/test IDX pairs with the standard file names."""
     os.makedirs(directory, exist_ok=True)
     train_imgs, train_labels = make_images(n_train, seed)
     test_imgs, test_labels = make_images(n_test, seed + 1)
@@ -81,10 +82,6 @@ def write_corpus(directory, n_train: int = 6000, n_test: int = 1000,
         "t10k-labels-idx1-ubyte": idx_label_bytes(test_labels),
     }
     for name, payload in files.items():
-        if compress:
-            with gzip.open(os.path.join(directory, name + ".gz"), "wb") as fh:
-                fh.write(payload)
-        else:
-            with open(os.path.join(directory, name), "wb") as fh:
-                fh.write(payload)
+        with gzip.open(os.path.join(directory, name + ".gz"), "wb") as fh:
+            fh.write(payload)
     return directory

@@ -18,7 +18,7 @@ from scipy.special import log_ndtr
 from .errors import (DatasetMismatch, DegenerateDirection, GridMismatch,
                      NonFiniteEnergy)
 from .hmc import HmcConfig, adapt_step_size, run_chain
-from .network import PriorBox
+from .network import PriorBox, in_support
 from .replica import blocked_mean_se
 
 VARIANCE_FLOOR = 1e-12
@@ -91,7 +91,7 @@ def fit_stiffness(value_grad, w0, cfg: TiConfig, rng,
         nonlocal sq_sum, n_outside
         d = out.w - w0
         sq_sum += d * d
-        if box is not None and np.any(np.abs(out.w) >= 0.5 * box.sigma):
+        if box is not None and not in_support(out.w, box):
             n_outside += 1
 
     run_chain(w, current, value_grad, hmc_cfg, rng, None, cfg.fit_sample_traj,
@@ -235,7 +235,7 @@ def evidence(ti: TIResult, box: PriorBox) -> float:
 def compare(log_evidence_1: float, log_evidence_2: float,
             log_model_prior_ratio: float = 0.0,
             dataset_1=None, dataset_2=None) -> float:
-    """Log posterior odds of model 1 over model 2 on the same dataset."""
-    if dataset_1 is not None and dataset_2 is not None and dataset_1 != dataset_2:
+    """Log posterior odds of model 1 over model 2; the datasets must be equal."""
+    if dataset_1 != dataset_2:
         raise DatasetMismatch(f"models evaluated on {dataset_1!r} vs {dataset_2!r}")
     return log_evidence_1 - log_evidence_2 + log_model_prior_ratio

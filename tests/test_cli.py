@@ -162,6 +162,9 @@ class TestTiAndCompare:
         assert np.isfinite(run["free_energy"])
         assert run["log_evidence"] == pytest.approx(
             -run["free_energy"] - run["log_prior_volume"], abs=1.0)
+        # f0 and integral are repeat means, like free_energy
+        assert run["free_energy"] == pytest.approx(run["f0"] + run["integral"],
+                                                   rel=1e-12, abs=1e-9)
         assert len(run["per_lambda"]["lambdas"]) == 4
         assert len(run["stiffness_fit"]) == 2          # one per repeat
         for fit in run["stiffness_fit"]:

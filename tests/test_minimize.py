@@ -64,6 +64,16 @@ class TestStepSizeSchedule:
         dts = [t[2] for t in res.trace]
         np.testing.assert_allclose(dts, [0.15, 0.20, 0.10], atol=1e-12)
 
+    def test_never_keeps_a_nonfinite_gradient(self):
+        # E = w^2 falls all the way to 0, but its gradient is NaN below w = 1
+        def value_grad(w):
+            g = 2 * w if w[0] >= 1.0 else np.full_like(w, np.nan)
+            return float(w[0] ** 2), g
+
+        res = rmin(np.array([3.0]), value_grad, RMinConfig(n_steps=300))
+        assert res.w[0] >= 1.0
+        assert np.all(np.isfinite(value_grad(res.w)[1]))
+
     def test_uphill_reverts_to_best(self):
         # energy that improves once, then only worsens
         seen = []

@@ -106,10 +106,6 @@ class TestInitReplica:
         from temperhmc.network import in_support
         assert in_support(a.w, box)
 
-    def test_requires_arch_or_w0(self):
-        with pytest.raises(ConfigError):
-            init_replica(0, 1.0, lambda w: (0.0, w), None, seed=0)
-
 
 class TestRunRemd:
     def test_single_replica_matches_plain_hmc(self):

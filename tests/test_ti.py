@@ -443,6 +443,8 @@ class TestEvidenceCompare:
     def test_dataset_mismatch(self):
         with pytest.raises(DatasetMismatch):
             compare(-1.0, -2.0, dataset_1="d500_seed0", dataset_2="d50_seed0")
+        with pytest.raises(DatasetMismatch):     # only one dataset given
+            compare(-1.0, -2.0, dataset_1="d500_seed0")
 
     def test_model_prior_ratio(self):
         assert compare(-10.0, -12.0, log_model_prior_ratio=1.5) == pytest.approx(3.5)
