@@ -28,8 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import (DatasetStore, load_dataset, load_idx_split, save_dataset,
-                   stratified_indices, transform)
+from .data import (DatasetStore, load_idx_split, stratified_indices,
+                   stratified_subset, transform)
 from .errors import BudgetError, ConfigError, NumericalError
 from .files import replacing
 from .harness import (N_RESTARTS, N_SOLUTIONS, anneal_stop, baseline_optimize,
@@ -214,25 +214,15 @@ def _write_table(path, trace, n_train, burn, baseline=None):
 
 def cmd_prepare_data(args):
     cfg = _resolve(args)
-    # creates data_dir, which the full_*.bin files go into
-    store = DatasetStore(cfg["data_dir"])
-    full_paths = [os.path.join(cfg["data_dir"], "full_train.bin"),
-                  os.path.join(cfg["data_dir"], "full_test.bin")]
+    n, seed = cfg["size"], cfg["seed"]
     with _reading_config():
-        if all(os.path.exists(p) for p in full_paths):
-            full_train = load_dataset(full_paths[0])
-            full_test = load_dataset(full_paths[1])
-        else:
-            raw_train = load_idx_split(cfg["mnist_dir"], "train")
-            raw_test = load_idx_split(cfg["mnist_dir"], "test")
-            full_train, full_test = transform(raw_train, raw_test)
-            save_dataset(full_paths[0], full_train)
-            save_dataset(full_paths[1], full_test)
-        train, test = store.get_or_create(full_train, full_test, cfg["size"],
-                                          cfg["seed"])
-    write_manifest(cfg["data_dir"], "prepare-data", cfg, full_paths)
-    print(f"prepared D{cfg['size']} seed {cfg['seed']}: "
-          f"train {len(train)}, test {len(test)}")
+        full_train, full_test = transform(load_idx_split(cfg["mnist_dir"], "train"),
+                                          load_idx_split(cfg["mnist_dir"], "test"))
+        train, test = stratified_subset(full_train, full_test, n, seed)
+    del full_train, full_test       # the whole corpus is freed before the writes
+    paths = DatasetStore(cfg["data_dir"]).save(n, seed, train, test)
+    write_manifest(cfg["data_dir"], "prepare-data", cfg, paths)
+    print(f"prepared D{n} seed {seed}: train {len(train)}, test {len(test)}")
     return 0
 
 
@@ -349,8 +339,10 @@ def cmd_ti(args):
     payload = {
         "model": cfg["model"],
         "dataset": cfg["data"],
+        "data_seed": cfg["data_seed"],
         "free_energy": float(free_energies.mean()),
-        "free_energy_std": float(free_energies.std(ddof=1)) if repeats > 1 else 0.0,
+        # one repeat measures no spread
+        "free_energy_std": float(free_energies.std(ddof=1)) if repeats > 1 else None,
         "f0": float(np.mean([r.f0 for r in runs])),
         "integral": float(np.mean([r.integral for r in runs])),
         "log_prior_volume": box.log_volume,
@@ -383,13 +375,18 @@ def cmd_compare_models(args):
         # accept (log integral, log prior volume) pairs as published inputs
         return float(run["log_integral"]) - float(run["log_prior_volume"])
 
-    def err(run):
-        return float(run.get("free_energy_std", run.get("log_integral_std", 0.0)))
+    def err(run):       # None where no spread was measured
+        std = run.get("free_energy_std", run.get("log_integral_std"))
+        return None if std is None else float(std)
+
+    def training_set(run):      # published inputs carry no data_seed
+        return run.get("dataset"), run.get("data_seed")
 
     with _reading_config():
         log_odds = compare(log_ev(a), log_ev(b), float(args.log_prior_ratio),
-                           a.get("dataset"), b.get("dataset"))
-        sigma = float(np.hypot(err(a), err(b)))
+                           training_set(a), training_set(b))
+        errs = err(a), err(b)
+        sigma = None if None in errs else float(np.hypot(*errs))
     report = {
         "model_a": a.get("model"),
         "model_b": b.get("model"),

@@ -5,14 +5,13 @@ Images arrive as IDX files (gzip or plain).  Each 28x28 image is mapped to
 features, and standardised per feature using statistics over the full
 combined (train + test) set.  Training subsets D_n are stratified: n/10
 examples per class; everything not selected is appended to the test split.
-Every generated subset is persisted so later runs reuse identical data.
+A D_n is saved as a checksummed binary snapshot whose name holds (n, seed).
 """
 
 from __future__ import annotations
 
 import gzip
 import hashlib
-import json
 import os
 import struct
 from dataclasses import dataclass
@@ -30,6 +29,9 @@ N_CLASSES = 10
 SOURCE_SIDE = 28
 TARGET_SIDE = 16
 VARIANCE_FLOOR = 1e-8
+# Images scaled and resized per block: a block's float copy is 64 x 28 x 28
+# x 8 B = 400 kB, so no split is ever held as a whole float array.
+RESIZE_BLOCK = 64
 
 SNAPSHOT_MAGIC = b"THMCDS01"
 
@@ -52,11 +54,10 @@ class RawImageSet:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Normalised feature matrix (n, 256) plus integer labels and provenance."""
+    """Normalised feature matrix (n, 256) plus integer labels."""
 
     inputs: np.ndarray
     labels: np.ndarray
-    provenance: dict
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", np.ascontiguousarray(self.inputs, dtype=float))
@@ -154,34 +155,33 @@ def resize_images(images: np.ndarray) -> np.ndarray:
     """
     wmat = resize_weights()
     scale = SOURCE_SIDE / TARGET_SIDE
-    return np.einsum("ij,njk,lk->nil", wmat, images, wmat) / scale**2
+    return wmat @ images @ wmat.T / scale**2
+
+
+def _resize_into(out: np.ndarray, images: np.ndarray) -> None:
+    """Scale uint8 images to [0, 1] and resize them into out, a block at a time."""
+    for i in range(0, len(images), RESIZE_BLOCK):
+        out[i:i + RESIZE_BLOCK] = resize_images(images[i:i + RESIZE_BLOCK] / 255.0)
 
 
 def transform(train_raw: RawImageSet, test_raw: RawImageSet):
     """Resize, flatten, and standardise both splits jointly.
 
     Standardisation statistics are computed per feature over the combined
-    train + test set (recorded in provenance), with a variance floor for
-    near-constant border pixels.  Returns (train, test) Datasets.
+    train + test set, with a variance floor for near-constant border
+    pixels.  Returns (train, test) Datasets.
     """
-    feats = []
-    for raw in (train_raw, test_raw):
-        scaled = raw.images.astype(float) / 255.0
-        feats.append(resize_images(scaled).reshape(len(raw.images), -1))
-    combined = np.concatenate(feats, axis=0)
-    mean = combined.mean(axis=0)
-    var = np.maximum(combined.var(axis=0), VARIANCE_FLOOR)
-    std = np.sqrt(var)
-    meta = {
-        "normalisation": "per-feature over combined train+test",
-        "variance_floor": VARIANCE_FLOOR,
-        "n_combined": int(len(combined)),
-    }
-    out = []
-    for split, raw, f in zip(("train", "test"), (train_raw, test_raw), feats):
-        prov = dict(meta, source_split=split)
-        out.append(Dataset((f - mean) / std, raw.labels, prov))
-    return tuple(out)
+    n_train = len(train_raw.labels)
+    feats = np.empty((n_train + len(test_raw.labels), TARGET_SIDE, TARGET_SIDE))
+    _resize_into(feats[:n_train], train_raw.images)
+    _resize_into(feats[n_train:], test_raw.images)
+    feats = feats.reshape(len(feats), -1)
+    mean = feats.mean(axis=0)
+    std = np.sqrt(np.maximum(feats.var(axis=0), VARIANCE_FLOOR))
+    feats -= mean
+    feats /= std
+    return (Dataset(feats[:n_train], train_raw.labels),
+            Dataset(feats[n_train:], test_raw.labels))
 
 
 def stratified_indices(labels: np.ndarray, n: int, seed: int) -> np.ndarray:
@@ -219,13 +219,10 @@ def stratified_subset(train: Dataset, test: Dataset, n: int, seed: int):
     mask = np.zeros(len(train), dtype=bool)
     mask[chosen] = True
 
-    prov = {"size": n, "seed": seed, "source": "stratified train subset"}
-    sub = Dataset(train.inputs[chosen], train.labels[chosen], prov)
+    sub = Dataset(train.inputs[chosen], train.labels[chosen])
     rest_inputs = np.concatenate([test.inputs, train.inputs[~mask]])
     rest_labels = np.concatenate([test.labels, train.labels[~mask]])
-    test_prov = {"size": n, "seed": seed,
-                 "source": "test split plus unused train examples"}
-    return sub, Dataset(rest_inputs, rest_labels, test_prov)
+    return sub, Dataset(rest_inputs, rest_labels)
 
 
 def _checksum(inputs: np.ndarray, labels: np.ndarray) -> str:
@@ -236,7 +233,7 @@ def _checksum(inputs: np.ndarray, labels: np.ndarray) -> str:
 
 
 def save_dataset(path, ds: Dataset) -> None:
-    """Versioned binary snapshot + JSON provenance sidecar; atomic write."""
+    """Versioned binary snapshot with a sha256 trailer; atomic write."""
     inputs = np.ascontiguousarray(ds.inputs, dtype="<f8")
     labels = np.ascontiguousarray(ds.labels, dtype="<i8")
     digest = _checksum(inputs, labels)
@@ -246,9 +243,6 @@ def save_dataset(path, ds: Dataset) -> None:
         fh.write(inputs.tobytes())
         fh.write(labels.tobytes())
         fh.write(bytes.fromhex(digest))
-    sidecar = dict(ds.provenance, checksum=digest, n=int(len(ds)))
-    with replacing(f"{path}.json") as tmp, open(tmp, "w") as fh:
-        json.dump(sidecar, fh, indent=2)
 
 
 def load_dataset(path) -> Dataset:
@@ -261,12 +255,7 @@ def load_dataset(path) -> Dataset:
         stored = fh.read(32).hex()
     if _checksum(inputs, labels) != stored:
         raise TruncatedPayload(f"{path}: checksum mismatch")
-    prov = {}
-    sidecar = str(path) + ".json"
-    if os.path.exists(sidecar):
-        with open(sidecar) as fh:
-            prov = json.load(fh)
-    return Dataset(inputs.copy(), labels.copy(), prov)
+    return Dataset(inputs.copy(), labels.copy())
 
 
 class DatasetStore:
@@ -288,15 +277,9 @@ class DatasetStore:
         return load_dataset(train_p), load_dataset(test_p)
 
     def save(self, n, seed, train, test):
-        train_p, test_p = self._paths(n, seed)
-        save_dataset(train_p, train)
-        save_dataset(test_p, test)
+        """Write the (n, seed) snapshot pair; returns the two paths."""
+        paths = self._paths(n, seed)
+        save_dataset(paths[0], train)
+        save_dataset(paths[1], test)
+        return paths
 
-    def get_or_create(self, full_train: Dataset, full_test: Dataset,
-                      n: int, seed: int):
-        """Load the persisted D_n for (n, seed), generating it on first use."""
-        if self.has(n, seed):
-            return self.load(n, seed)
-        train, test = stratified_subset(full_train, full_test, n, seed)
-        self.save(n, seed, train, test)
-        return train, test

@@ -11,7 +11,6 @@ whose full width per coordinate is 2 * width_factor / sqrt(k).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,16 +175,6 @@ def forward(arch: NetworkArch, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return probs[0] if single else probs
 
 
-# Datasets at or above this size get compensated summation of per-example terms.
-_FSUM_THRESHOLD = 5000
-
-
-def _total(per_example):
-    if per_example.size >= _FSUM_THRESHOLD:
-        return math.fsum(per_example)
-    return float(np.sum(per_example))
-
-
 def energy(arch: NetworkArch, w: np.ndarray, inputs: np.ndarray,
            labels: np.ndarray) -> float:
     """Total cross-entropy of the dataset in nats (negative log-likelihood)."""
@@ -194,7 +183,7 @@ def energy(arch: NetworkArch, w: np.ndarray, inputs: np.ndarray,
     _check_shapes(arch, w, inputs)
     _, scores = _forward_pass(arch, w, inputs)
     logp = _log_softmax(scores)
-    return -_total(logp[np.arange(len(labels)), labels])
+    return -float(np.sum(logp[np.arange(len(labels)), labels]))
 
 
 def energy_gradient(arch: NetworkArch, w: np.ndarray, inputs: np.ndarray,
@@ -210,7 +199,7 @@ def energy_gradient(arch: NetworkArch, w: np.ndarray, inputs: np.ndarray,
     hiddens, scores = _forward_pass(arch, w, inputs)
     logp = _log_softmax(scores)
     rows = np.arange(len(labels))
-    value = -_total(logp[rows, labels])
+    value = -float(np.sum(logp[rows, labels]))
 
     delta = np.exp(logp)
     delta[rows, labels] -= 1.0

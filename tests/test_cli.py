@@ -9,6 +9,7 @@ import pytest
 import temperhmc.cli
 import temperhmc.harness
 import temperhmc.replica
+from temperhmc import synth
 from temperhmc.cli import SETTINGS, build_parser, main, write_manifest
 from temperhmc.harness import baseline_optimize, write_sweep_csv
 from temperhmc.minimize import RMinConfig
@@ -30,20 +31,53 @@ def data_dir(tmp_path_factory, corpus_dir):
     return d
 
 
+def prepare(mnist_dir, data_dir, size=100, seed=0):
+    return main(["prepare-data", "--mnist-dir", str(mnist_dir),
+                 "--data-dir", str(data_dir), "--size", str(size),
+                 "--seed", str(seed)])
+
+
+@pytest.fixture(scope="module")
+def corpus_b(tmp_path_factory):
+    d = tmp_path_factory.mktemp("corpus_b")
+    synth.write_corpus(d, n_train=600, n_test=100, seed=5)
+    return d
+
+
+def snapshots(data_dir, size=100, seed=0):
+    return [(data_dir / f"d{size}_seed{seed}_{split}.bin").read_bytes()
+            for split in ("train", "test")]
+
+
 class TestPrepareData:
-    def test_outputs_and_manifest(self, data_dir):
-        assert (data_dir / "full_train.bin").exists()
-        assert (data_dir / "d50_seed0_train.bin").exists()
-        assert (data_dir / "d50_seed0_test.bin").exists()
-        manifest = json.loads((data_dir / "prepare-data_manifest.json").read_text())
+    def test_outputs_and_manifest(self, corpus_dir, tmp_path):
+        # the two D_n snapshots and the manifest: no corpus cache, no sidecars
+        assert prepare(corpus_dir, tmp_path, size=50) == 0
+        snaps = {"d50_seed0_train.bin", "d50_seed0_test.bin"}
+        written = {p.name for p in tmp_path.iterdir()}
+        assert written == snaps | {"prepare-data_manifest.json"}
+        manifest = json.loads((tmp_path / "prepare-data_manifest.json").read_text())
         assert manifest["command"] == "prepare-data"
         assert manifest["config"]["size"] == 50
         assert set(manifest["config"]) == setting_names("prepare-data")
+        assert set(manifest["outputs"]) == snaps
 
     def test_idempotent(self, data_dir, corpus_dir):
-        rc = main(["prepare-data", "--mnist-dir", str(corpus_dir),
-                   "--data-dir", str(data_dir), "--size", "50", "--seed", "0"])
-        assert rc == 0
+        before = snapshots(data_dir, 50)
+        assert prepare(corpus_dir, data_dir, size=50) == 0
+        assert snapshots(data_dir, 50) == before
+
+    def test_each_call_reads_its_corpus(self, corpus_dir, corpus_b, tmp_path):
+        # a second corpus prepared into a used data dir gives the D_n that
+        # a fresh dir gets, not one drawn from the first corpus
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        assert prepare(corpus_dir, shared) == 0
+        from_a = snapshots(shared)
+        assert prepare(corpus_b, shared) == 0
+        assert prepare(corpus_b, fresh) == 0
+        assert snapshots(shared) == snapshots(fresh) != from_a
+        manifest = json.loads((shared / "prepare-data_manifest.json").read_text())
+        assert manifest["config"]["mnist_dir"] == str(corpus_b)
 
     def test_missing_args_exit_2(self, tmp_path):
         assert main(["prepare-data", "--data-dir", str(tmp_path)]) == 2
@@ -177,6 +211,28 @@ class TestTiAndCompare:
                    "--b", str(ti_out / "ti_run.json")])
         assert rc == 0
 
+        # the same tag drawn with another data seed is another training set
+        assert run["data_seed"] == 0
+        other = tmp_path / "other_seed.json"
+        other.write_text(json.dumps(dict(run, data_seed=1)))
+        rc = main(["compare-models", "--a", str(ti_out / "ti_run.json"),
+                   "--b", str(other)])
+        assert rc == 2
+
+    def test_single_repeat_reports_no_spread(self, data_dir, w0_path, tmp_path,
+                                             capsys):
+        rc = main(["ti", "--model", "M1", "--data", "D50",
+                   "--data-dir", str(data_dir), "--out-dir", str(tmp_path),
+                   "--w0", str(w0_path), "--repeats", "1", "--n-bridge", "1",
+                   "--L", "3", "--burn-in-traj", "2", "--sample-traj", "4",
+                   "--fit-burn-in-traj", "4", "--fit-sample-traj", "8"])
+        assert rc == 0
+        path = tmp_path / "ti_run.json"
+        assert json.loads(path.read_text())["free_energy_std"] is None
+        capsys.readouterr()
+        assert main(["compare-models", "--a", str(path), "--b", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["log_odds_std"] is None
+
     def test_compare_published_numbers_exact(self, tmp_path, capsys):
         a = {"model": "deep", "dataset": "D5000",
              "log_integral": 26475.0, "log_prior_volume": 28960.0}
@@ -190,6 +246,15 @@ class TestTiAndCompare:
         report = json.loads(capsys.readouterr().out)
         assert report["log_odds_a_over_b"] == -2332.0
         assert report["favoured"] == "shallow"
+
+    def test_compare_spreads_add_in_quadrature(self, tmp_path, capsys):
+        a = {"dataset": "D500", "log_evidence": -1.0, "free_energy_std": 3.0}
+        b = {"dataset": "D500", "log_evidence": -2.0, "free_energy_std": 4.0}
+        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+        pa.write_text(json.dumps(a))
+        pb.write_text(json.dumps(b))
+        assert main(["compare-models", "--a", str(pa), "--b", str(pb)]) == 0
+        assert json.loads(capsys.readouterr().out)["log_odds_std"] == 5.0
 
     def test_compare_dataset_mismatch_exit_2(self, tmp_path):
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"

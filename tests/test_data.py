@@ -110,6 +110,18 @@ class TestTransform:
         live = var > 0.5
         np.testing.assert_allclose(var[live], 1.0, atol=1e-10)
 
+    def test_blocks_match_one_whole_resize(self, corpus_dir, full_splits):
+        # 3000 and 600 images: neither split is a whole number of blocks
+        raws = [data.load_idx_split(corpus_dir, split) for split in ("train", "test")]
+        feats = np.concatenate([data.resize_images(r.images / 255.0) for r in raws])
+        feats = feats.reshape(len(feats), -1)
+        std = np.sqrt(np.maximum(feats.var(axis=0), data.VARIANCE_FLOOR))
+        expected = (feats - feats.mean(axis=0)) / std
+        got = np.concatenate([ds.inputs for ds in full_splits])
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        for ds, raw in zip(full_splits, raws):
+            np.testing.assert_array_equal(ds.labels, raw.labels)
+
     def test_shapes(self, full_splits):
         train, test = full_splits
         assert train.inputs.shape[1] == 256
@@ -176,26 +188,22 @@ class TestStratifiedIndices:
 
 
 class TestStore:
-    def test_snapshot_bit_identical(self, tmp_path, full_splits):
-        train, test = full_splits
+    @staticmethod
+    def saved(tmp_path, full_splits):
         store = data.DatasetStore(tmp_path)
-        a_train, a_test = store.get_or_create(train, test, 100, 3)
+        train, test = data.stratified_subset(*full_splits, 100, 3)
+        store.save(100, 3, train, test)
+        return store, train, test
+
+    def test_snapshot_bit_identical(self, tmp_path, full_splits):
+        store, a_train, a_test = self.saved(tmp_path, full_splits)
         b_train, b_test = store.load(100, 3)
         np.testing.assert_array_equal(a_train.inputs, b_train.inputs)
         np.testing.assert_array_equal(a_train.labels, b_train.labels)
         np.testing.assert_array_equal(a_test.inputs, b_test.inputs)
 
-    def test_get_or_create_reuses(self, tmp_path, full_splits):
-        train, test = full_splits
-        store = data.DatasetStore(tmp_path)
-        a, _ = store.get_or_create(train, test, 100, 3)
-        b, _ = store.get_or_create(train, test, 100, 3)
-        np.testing.assert_array_equal(a.inputs, b.inputs)
-
     def test_checksum_detects_corruption(self, tmp_path, full_splits):
-        train, test = full_splits
-        store = data.DatasetStore(tmp_path)
-        store.get_or_create(train, test, 100, 3)
+        store, _, _ = self.saved(tmp_path, full_splits)
         path = store._paths(100, 3)[0]
         blob = bytearray(open(path, "rb").read())
         blob[100] ^= 0xFF
