@@ -426,7 +426,7 @@ def cmd_anneal_stop(args):
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="temperhmc",
+        prog="temperhmc", allow_abbrev=False,
         description="Tempered-posterior sampling and evidence estimation "
                     "for small classifiers.",
     )
@@ -438,20 +438,22 @@ def build_parser():
         ("remd", cmd_remd, "replica-exchange temperature sweep"),
         ("ti", cmd_ti, "thermodynamic integration evidence run"),
     ]:
-        p = sub.add_parser(name, help=help_)
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override")
         for s in SETTINGS[name]:
             p.add_argument(_flag(s), type=s.type, choices=s.choices, help=_help(s))
         p.set_defaults(func=func)
 
-    p = sub.add_parser("compare-models", help="log odds from two ti run files")
+    p = sub.add_parser("compare-models", allow_abbrev=False,
+                       help="log odds from two ti run files")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--log-prior-ratio", dest="log_prior_ratio",
                    type=float, default=0.0)
     p.set_defaults(func=cmd_compare_models)
 
-    p = sub.add_parser("report", help="per-temperature table from a trace CSV")
+    p = sub.add_parser("report", allow_abbrev=False,
+                       help="per-temperature table from a trace CSV")
     p.add_argument("--trace", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--n-train", dest="n_train", type=int, required=True)
@@ -459,7 +461,8 @@ def build_parser():
     p.add_argument("--baseline", type=float)
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("anneal-stop", help="annealing stop rule on a cooling table")
+    p = sub.add_parser("anneal-stop", allow_abbrev=False,
+                       help="annealing stop rule on a cooling table")
     p.add_argument("--table", required=True,
                    help="CSV with temperature,val_energy columns")
     p.add_argument("--smoothing", type=int, default=1)

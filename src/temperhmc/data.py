@@ -226,9 +226,10 @@ def stratified_subset(train: Dataset, test: Dataset, n: int, seed: int):
 
 
 def _checksum(inputs: np.ndarray, labels: np.ndarray) -> str:
+    # sha256 reads the arrays' own buffers, so no byte copy is made
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(inputs, dtype="<f8").tobytes())
-    h.update(np.ascontiguousarray(labels, dtype="<i8").tobytes())
+    h.update(np.ascontiguousarray(inputs, dtype="<f8"))
+    h.update(np.ascontiguousarray(labels, dtype="<i8"))
     return h.hexdigest()
 
 
@@ -240,22 +241,25 @@ def save_dataset(path, ds: Dataset) -> None:
     with replacing(path) as tmp, open(tmp, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(struct.pack("<qq", inputs.shape[0], inputs.shape[1]))
-        fh.write(inputs.tobytes())
-        fh.write(labels.tobytes())
+        fh.write(inputs)
+        fh.write(labels)
         fh.write(bytes.fromhex(digest))
 
 
 def load_dataset(path) -> Dataset:
+    """Inverse of save_dataset; the payload is read straight into its arrays."""
     with open(path, "rb") as fh:
         if fh.read(len(SNAPSHOT_MAGIC)) != SNAPSHOT_MAGIC:
             raise BadMagic(f"{path} is not a dataset snapshot")
         n, d = struct.unpack("<qq", fh.read(16))
-        inputs = np.frombuffer(fh.read(n * d * 8), dtype="<f8").reshape(n, d)
-        labels = np.frombuffer(fh.read(n * 8), dtype="<i8")
+        inputs = np.empty((n, d), dtype="<f8")
+        labels = np.empty(n, dtype="<i8")
+        if fh.readinto(inputs) != inputs.nbytes or fh.readinto(labels) != labels.nbytes:
+            raise TruncatedPayload(f"{path}: payload shorter than its header says")
         stored = fh.read(32).hex()
     if _checksum(inputs, labels) != stored:
         raise TruncatedPayload(f"{path}: checksum mismatch")
-    return Dataset(inputs.copy(), labels.copy())
+    return Dataset(inputs, labels)
 
 
 class DatasetStore:
@@ -263,7 +267,6 @@ class DatasetStore:
 
     def __init__(self, directory):
         self.directory = str(directory)
-        os.makedirs(self.directory, exist_ok=True)
 
     def _paths(self, n, seed):
         stem = os.path.join(self.directory, f"d{n}_seed{seed}")
@@ -277,7 +280,12 @@ class DatasetStore:
         return load_dataset(train_p), load_dataset(test_p)
 
     def save(self, n, seed, train, test):
-        """Write the (n, seed) snapshot pair; returns the two paths."""
+        """Write the (n, seed) snapshot pair; returns the two paths.
+
+        Only saving creates the directory, so a mistyped one given to a
+        reader is reported, not left behind empty.
+        """
+        os.makedirs(self.directory, exist_ok=True)
         paths = self._paths(n, seed)
         save_dataset(paths[0], train)
         save_dataset(paths[1], test)

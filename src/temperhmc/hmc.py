@@ -50,18 +50,20 @@ def velocity_verlet(w, p, g, value_grad, dt, n_steps):
     g is the gradient at the starting w.  Returns (w, p, e, g, ok) with the
     energy and gradient at the final w; ok is False when a gradient went
     non-finite, in which case the trajectory must be counted as rejected.
+    The kicks and drifts go through one scratch vector, in place.
     """
     w = np.array(w, dtype=float)
     p = np.array(p, dtype=float)
     if not np.all(np.isfinite(g)):
         return w, p, np.nan, g, False
+    half, step = 0.5 * dt, np.empty_like(w)
     for _ in range(n_steps):
-        p -= 0.5 * dt * g
-        w += dt * p
+        p -= np.multiply(half, g, out=step)
+        w += np.multiply(dt, p, out=step)
         e, g = value_grad(w)
         if not np.all(np.isfinite(g)):
             return w, p, e, g, False
-        p -= 0.5 * dt * g
+        p -= np.multiply(half, g, out=step)
     return w, p, e, g, True
 
 

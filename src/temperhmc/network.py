@@ -6,6 +6,16 @@ biases.  Every parameter feeding a neuron with n_in inputs has fan-in
 k = n_in + 1 (the bias counts).  The fan-in sets both the standard
 initialisation range [-1/sqrt(k), 1/sqrt(k)] and the uniform prior box,
 whose full width per coordinate is 2 * width_factor / sqrt(k).
+
+The energy and its gradient are the samplers' hot path.  Each pair of
+dataset_energy_fns closures shares one Workspace, which lives as long as
+the closures do; the first energy and the first gradient call each
+allocate the blocks their path needs (rows x widest layer floats: two
+for the energy; one per layer plus two for the gradient).  After that a
+call allocates only what it returns, the gradient, besides the transient
+buffers numpy takes to broadcast or cast (at most 64 KiB).  energy and
+energy_gradient called without a workspace build a throwaway one, so
+both routes run the same code and give the same bits.
 """
 
 from __future__ import annotations
@@ -95,10 +105,12 @@ class PriorBox:
 
     sigma: np.ndarray
     log_volume: float = field(init=False)   # sum of log sigma_i
+    half_width: np.ndarray = field(init=False, repr=False)  # sigma_i / 2
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
         object.__setattr__(self, "log_volume", float(np.sum(np.log(self.sigma))))
+        object.__setattr__(self, "half_width", 0.5 * self.sigma)
 
 
 def prior_box(arch: NetworkArch) -> PriorBox:
@@ -114,7 +126,7 @@ def prior_box(arch: NetworkArch) -> PriorBox:
 def in_support(w: np.ndarray, box: PriorBox) -> bool:
     if w.shape != box.sigma.shape:
         raise ShapeMismatch("parameter vector and prior box lengths differ")
-    return bool(np.all(np.abs(w) < 0.5 * box.sigma))
+    return bool(np.all(np.abs(w) < box.half_width))
 
 
 def init_standard(arch: NetworkArch, rng) -> np.ndarray:
@@ -124,97 +136,195 @@ def init_standard(arch: NetworkArch, rng) -> np.ndarray:
     return rng.uniform(-half, half)
 
 
-def _sigmoid(a):
-    # exp(-|a|) stays finite deep inside a very wide prior box.  Branch-free,
-    # yet bit for bit 1 / (1 + exp(-a)) for a >= 0 and exp(a) / (1 + exp(a))
-    # below, so no sampler's accept decision moves.
-    e = np.exp(-np.abs(a))
-    out = np.where(a >= 0, 1.0, e)
-    out /= 1.0 + e
+def _sigmoid(a, out=None, e=None):
+    """Logistic function of a, written into out (which may be a itself).
+
+    exp(-|a|) stays finite deep inside a very wide prior box.  Branch-free,
+    yet bit for bit 1 / (1 + exp(-a)) for a >= 0 and exp(a) / (1 + exp(a))
+    below, so no sampler's accept decision moves: 0 <= e <= 1, so
+    max(e, [a >= 0]) is exactly 1.0 for a >= 0 and e below, and NaN stays
+    NaN.  e is scratch of a's shape; both are allocated when absent.
+    """
+    out = np.empty_like(a) if out is None else out
+    e = np.empty_like(a) if e is None else e
+    np.exp(np.negative(np.abs(a, out=e), out=e), out=e)
+    np.maximum(e, np.greater_equal(a, 0.0, out=out), out=out)
+    e += 1.0
+    out /= e
     return out
 
 
-def _check_shapes(arch, w, x):
-    if w.ndim != 1 or w.shape[0] != arch.n_params:
+class Workspace:
+    """Scratch blocks for energy and gradient calls on one fixed dataset.
+
+    Built for one (inputs, labels) pair, which it checks once; it also
+    holds the flat index of each row's label in the (rows, classes) scores.
+    Each block holds rows x widest-layer floats and is allocated the first
+    time a call asks for it, so a closure that only evaluates energies
+    never holds the gradient's blocks.  A call reuses the blocks of the
+    calls before it and returns nothing that points into them.
+    """
+
+    def __init__(self, arch: NetworkArch, inputs: np.ndarray, labels=None):
+        if inputs.ndim != 2 or inputs.shape[1] != arch.layer_sizes[0]:
+            raise ShapeMismatch(f"inputs of shape {inputs.shape} for input width "
+                                f"{arch.layer_sizes[0]}")
+        self.rows = rows = inputs.shape[0]
+        self._width = max(arch.layer_sizes[1:])
+        self._blocks, self._views = {}, {}
+        self.row = np.empty((rows, 1))      # a per-row max, then a per-row sum
+        if labels is not None:
+            n_classes = arch.layer_sizes[-1]
+            labels = np.asarray(labels)
+            if labels.shape != (rows,):
+                raise ShapeMismatch(f"{labels.shape} labels for {rows} rows")
+            if rows and not 0 <= labels.min() <= labels.max() < n_classes:
+                raise ShapeMismatch(f"labels outside 0..{n_classes - 1}")
+            self.picks = np.arange(rows) * n_classes + labels
+            self.picked = np.empty(rows)
+
+    def block(self, key, cols: int) -> np.ndarray:
+        """A (rows, cols) view of block key; views of one key share memory."""
+        view = self._views.get((key, cols))
+        if view is None:
+            buf = self._blocks.get(key)
+            if buf is None:
+                buf = self._blocks[key] = np.empty(self.rows * self._width)
+            view = buf[:self.rows * cols].reshape(self.rows, cols)
+            self._views[(key, cols)] = view
+        return view
+
+
+def _params(arch, w):
+    w = np.asarray(w, dtype=float)
+    if w.shape != (arch.n_params,):
         raise ShapeMismatch(
             f"parameter vector length {w.shape} does not match architecture ({arch.n_params})"
         )
-    if x.shape[-1] != arch.layer_sizes[0]:
-        raise ShapeMismatch(f"input width {x.shape[-1]} != {arch.layer_sizes[0]}")
+    return w
 
 
-def _forward_pass(arch, w, x):
-    """All layer activations; returns (hidden activations, pre-softmax scores)."""
+def _forward_pass(arch, w, x, work, keep):
+    """Every layer's activations, written into work's blocks.
+
+    With keep, layer i has block i to itself, as the gradient needs, and
+    block "a" is the sigmoid's scratch.  Otherwise the layers alternate
+    between blocks 0 and 1, and the sigmoid's scratch is the other one,
+    whose activations the layer's product has consumed.  Returns the layer
+    blocks, pre-softmax scores last.
+    """
     layout = arch.layout()
-    h = x
-    hiddens = [h]
+    last = len(layout) - 1
+    h, layers = x, []
     for i, (w_sl, b_sl, n_in, n_out) in enumerate(layout):
-        a = h @ w[w_sl].reshape(n_out, n_in).T + w[b_sl]
-        if i < len(layout) - 1:
-            h = _sigmoid(a)
-            hiddens.append(h)
-        else:
-            scores = _sigmoid(a) if arch.head == LOGISTIC_SOFTMAX else a
-    return hiddens, scores
+        a = work.block(i if keep else i % 2, n_out)
+        np.matmul(h, w[w_sl].reshape(n_out, n_in).T, out=a)
+        a += w[b_sl]
+        if i < last or arch.head == LOGISTIC_SOFTMAX:
+            _sigmoid(a, a, work.block("a" if keep else (i + 1) % 2, n_out))
+        layers.append(a)
+        h = a
+    return layers
 
 
-def _log_softmax(scores):
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+def _log_softmax(scores, work, key, scratch):
+    """Row-wise log-softmax of scores, written into block key.
+
+    Block scratch takes the exponentials; it may be the scores' own block.
+    """
+    cols = scores.shape[1]
+    # The row maxima, a column at a time: numpy reduces a short row slowly.
+    # A maximum is exact in any order, up to the sign of a tie between 0.0
+    # and -0.0, which can only flip the sign of an exactly zero log-probability.
+    top = work.row[:, 0]
+    top[:] = scores[:, 0]
+    for j in range(1, cols):
+        np.maximum(top, scores[:, j], out=top)
+    shifted = np.subtract(scores, work.row, out=work.block(key, cols))
+    exps = np.exp(shifted, out=work.block(scratch, cols))
+    np.log(np.add.reduce(exps, axis=-1, keepdims=True, out=work.row), out=work.row)
+    shifted -= work.row
+    return shifted
+
+
+def _scores_logp(arch, w, x, work):
+    """log-softmax of the scores, in the two alternating layer blocks alone."""
+    depth = len(arch.layout())
+    scores = _forward_pass(arch, w, x, work, keep=False)[-1]
+    return _log_softmax(scores, work, depth % 2, (depth - 1) % 2)
+
+
+def _total(logp, work):
+    """Cross-entropy of the labelled rows: minus their summed log-probabilities."""
+    logp.take(work.picks, out=work.picked, mode="clip")
+    return -float(np.add.reduce(work.picked))
 
 
 def forward(arch: NetworkArch, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Class probabilities for one input (shape (256,)) or a batch (n, 256)."""
-    w = np.asarray(w, dtype=float)
+    w = _params(arch, w)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     x = np.atleast_2d(x)
-    _check_shapes(arch, w, x)
-    _, scores = _forward_pass(arch, w, x)
-    probs = np.exp(_log_softmax(scores))
+    probs = np.exp(_scores_logp(arch, w, x, Workspace(arch, x)))
     return probs[0] if single else probs
 
 
 def energy(arch: NetworkArch, w: np.ndarray, inputs: np.ndarray,
-           labels: np.ndarray) -> float:
-    """Total cross-entropy of the dataset in nats (negative log-likelihood)."""
-    w = np.asarray(w, dtype=float)
-    inputs = np.asarray(inputs, dtype=float)
-    _check_shapes(arch, w, inputs)
-    _, scores = _forward_pass(arch, w, inputs)
-    logp = _log_softmax(scores)
-    return -float(np.sum(logp[np.arange(len(labels)), labels]))
+           labels: np.ndarray, work: Workspace | None = None) -> float:
+    """Total cross-entropy of the dataset in nats (negative log-likelihood).
+
+    work, when given, is a Workspace built for these inputs and labels;
+    without it the call builds a throwaway one.
+    """
+    if work is None:
+        inputs = np.asarray(inputs, dtype=float)
+        work = Workspace(arch, inputs, labels)
+    return _total(_scores_logp(arch, _params(arch, w), inputs, work), work)
 
 
 def energy_gradient(arch: NetworkArch, w: np.ndarray, inputs: np.ndarray,
-                    labels: np.ndarray):
+                    labels: np.ndarray, work: Workspace | None = None):
     """Energy and its exact reverse-accumulation gradient.
 
-    Returns (value, gradient) with gradient.shape == w.shape.
+    Returns (value, gradient) with gradient.shape == w.shape; the gradient
+    is a new array on every call.  work is as for energy.
     """
-    w = np.asarray(w, dtype=float)
-    inputs = np.asarray(inputs, dtype=float)
-    _check_shapes(arch, w, inputs)
+    if work is None:
+        inputs = np.asarray(inputs, dtype=float)
+        work = Workspace(arch, inputs, labels)
+    w = _params(arch, w)
     layout = arch.layout()
-    hiddens, scores = _forward_pass(arch, w, inputs)
-    logp = _log_softmax(scores)
-    rows = np.arange(len(labels))
-    value = -float(np.sum(logp[rows, labels]))
+    layers = _forward_pass(arch, w, inputs, work, keep=True)
+    scores = layers[-1]
+    logp = _log_softmax(scores, work, "a", "b")
+    value = _total(logp, work)
 
-    delta = np.exp(logp)
-    delta[rows, labels] -= 1.0
+    # the output delta softmax - onehot; blocks "a" and "b" then alternate
+    # between the delta and the scratch of the layer below
+    delta = np.exp(logp, out=work.block("b", scores.shape[1]))
+    flat = delta.reshape(-1)
+    flat.take(work.picks, out=work.picked, mode="clip")
+    work.picked -= 1.0
+    flat.put(work.picks, work.picked, mode="clip")
+    free = "a"
     if arch.head == LOGISTIC_SOFTMAX:
-        delta = delta * scores * (1.0 - scores)
+        delta *= scores
+        delta *= np.subtract(1.0, scores, out=work.block(free, scores.shape[1]))
 
     grad = np.empty_like(w)
     for i in range(len(layout) - 1, -1, -1):
         w_sl, b_sl, n_in, n_out = layout[i]
-        h_prev = hiddens[i]
-        grad[w_sl] = (delta.T @ h_prev).ravel()
-        grad[b_sl] = delta.sum(axis=0)
+        h_prev = layers[i - 1] if i else inputs
+        np.matmul(delta.T, h_prev, out=grad[w_sl].reshape(n_out, n_in))
+        np.add.reduce(delta, axis=0, out=grad[b_sl])
         if i > 0:
-            back = delta @ w[w_sl].reshape(n_out, n_in)
-            delta = back * h_prev * (1.0 - h_prev)
+            back = np.matmul(delta, w[w_sl].reshape(n_out, n_in),
+                             out=work.block(free, n_in))
+            free = "b" if free == "a" else "a"      # delta's block is spent
+            back *= h_prev
+            back *= np.subtract(1.0, h_prev, out=work.block(free, n_in))
+            delta = back
     return value, grad
 
 
@@ -223,16 +333,18 @@ def dataset_energy_fns(arch: NetworkArch, inputs: np.ndarray, labels: np.ndarray
 
     energy_fn(w) is the value alone, for observables; value_grad(w) returns
     (value, gradient) from one pass and is the potential the samplers and
-    the minimiser take.
+    the minimiser take.  The pair shares one Workspace, so they must not
+    run at the same time from two threads.
     """
     inputs = np.ascontiguousarray(inputs, dtype=float)
     labels = np.asarray(labels)
+    work = Workspace(arch, inputs, labels)
 
     def energy_fn(w):
-        return energy(arch, w, inputs, labels)
+        return energy(arch, w, inputs, labels, work)
 
     def value_grad(w):
-        return energy_gradient(arch, w, inputs, labels)
+        return energy_gradient(arch, w, inputs, labels, work)
 
     return energy_fn, value_grad
 

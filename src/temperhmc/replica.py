@@ -100,7 +100,7 @@ def init_replica(index, temperature, value_grad, box, seed, arch,
         # coordinates on or outside a wall (|w| >= sigma/2) well into the
         # interior; burn-in re-equilibrates.  A coordinate just inside a wall
         # stays; criterion 12 rests on this rule (see its note in CHANGES.md).
-        outside = np.abs(w) >= 0.5 * box.sigma
+        outside = np.abs(w) >= box.half_width
         w[outside] = np.sign(w[outside]) * 0.3 * box.sigma[outside]
 
     w, (e, g), dt = adapt_step_size(

@@ -110,7 +110,8 @@ def bridge_energy_fns(value_grad, stiff: StiffnessDiag, lam: float):
 
     value = (1-lam) (J(w) - J(w0)) + lam * sum k (w - w0)^2 / 2 + J(w0),
     with value and gradient from one call of the underlying value_grad (none
-    at lam = 1).
+    at lam = 1).  The bridged gradient is formed in place in the new
+    gradient that value_grad returns.
     """
     if not 0.0 <= lam <= 1.0:
         raise GridMismatch(f"lambda {lam} outside [0, 1]")
@@ -123,8 +124,10 @@ def bridge_energy_fns(value_grad, stiff: StiffnessDiag, lam: float):
         if lam == 1.0:
             return quad + j0, kd
         e, g = value_grad(w)
-        return ((1.0 - lam) * (e - j0) + lam * quad + j0,
-                (1.0 - lam) * g + lam * kd)
+        g *= 1.0 - lam
+        kd *= lam
+        g += kd
+        return (1.0 - lam) * (e - j0) + lam * quad + j0, g
 
     return bridge
 

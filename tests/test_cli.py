@@ -378,6 +378,29 @@ class TestExitCodes:
         assert self.remd(data_dir, tmp_path, "--model", "M1", "--nt", "2",
                          "--config", str(cfg)) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["remd", "--burn-in", "5", "--nt", "2", *RUN],
+        ["minimize", "--n-step", "10", "--restarts", "1"],
+    ], ids=["remd --burn-in", "minimize --n-step"])
+    def test_flag_prefix_exit_2(self, data_dir, tmp_path, capsys, argv):
+        # a prefix of --burn-in-traj or --n-steps is not taken for the flag
+        with pytest.raises(SystemExit) as stop:
+            main([*argv, "--model", "M1", "--data", "D50",
+                  "--data-dir", str(data_dir), "--out-dir", str(tmp_path)])
+        assert stop.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["minimize", "remd", "ti"])
+    def test_missing_data_dir_exit_2_and_is_not_created(self, tmp_path, w0_path,
+                                                        command):
+        typo = tmp_path / "typo"
+        argv = [command, "--model", "M1", "--data", "D50",
+                "--data-dir", str(typo), "--out-dir", str(tmp_path / "out")]
+        if command == "ti":
+            argv += ["--w0", str(w0_path)]
+        assert main(argv) == 2
+        assert not typo.exists()
+
     def test_unknown_config_key_exit_2(self, data_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_traj": 1}))      # the flag is --ntraj

@@ -73,6 +73,24 @@ def oracle_resize(img, n_dst=16):
     return out
 
 
+class TestWriteCorpus:
+    def test_files_gunzip_to_the_idx_bytes(self, tmp_path):
+        synth.write_corpus(tmp_path, n_train=40, n_test=20, seed=4)
+        train_imgs, train_labels = synth.make_images(40, 4)
+        test_imgs, test_labels = synth.make_images(20, 5)
+        expect = {
+            "train-images-idx3-ubyte": synth.idx_image_bytes(train_imgs),
+            "train-labels-idx1-ubyte": synth.idx_label_bytes(train_labels),
+            "t10k-images-idx3-ubyte": synth.idx_image_bytes(test_imgs),
+            "t10k-labels-idx1-ubyte": synth.idx_label_bytes(test_labels),
+        }
+        assert {p.name for p in tmp_path.iterdir()} == {n + ".gz" for n in expect}
+        for name, payload in expect.items():
+            blob = (tmp_path / (name + ".gz")).read_bytes()
+            assert gzip.decompress(blob) == payload
+            assert blob[8] == 4         # the header's "fastest" flag: level 1
+
+
 class TestResize:
     def test_constant_image_preserved(self):
         img = np.full((1, 28, 28), 0.37)
@@ -208,5 +226,13 @@ class TestStore:
         blob = bytearray(open(path, "rb").read())
         blob[100] ^= 0xFF
         open(path, "wb").write(bytes(blob))
+        with pytest.raises(TruncatedPayload):
+            store.load(100, 3)
+
+    def test_truncated_snapshot_raises(self, tmp_path, full_splits):
+        store, _, _ = self.saved(tmp_path, full_splits)
+        path = store._paths(100, 3)[0]
+        blob = open(path, "rb").read()
+        open(path, "wb").write(blob[:len(blob) // 2])
         with pytest.raises(TruncatedPayload):
             store.load(100, 3)

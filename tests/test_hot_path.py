@@ -1,22 +1,28 @@
 """The fused value+gradient potential on the hot path.
 
 Hardware-independent checks: how many potential calls a trajectory and a
-minimiser step make, and that the cheaper network code and the carried
-(energy, gradient) pair change no output bit.
+minimiser step make, what one network call allocates, and that the
+cheaper network code, the in-place integrator and the carried (energy,
+gradient) pair change no output bit.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import temperhmc.network as network
+from temperhmc.errors import ShapeMismatch
 from temperhmc.hmc import (HmcConfig, StepSizeController, adapt_step_size,
-                           hmc_trajectory, run_chain, tune_step_size)
+                           hmc_trajectory, run_chain, tune_step_size,
+                           velocity_verlet)
 from temperhmc.minimize import RMinConfig, rmin
 from temperhmc.network import (LOGISTIC_SOFTMAX, NetworkArch, PriorBox,
                                dataset_energy_fns, energy, energy_gradient,
-                               init_standard, prior_box)
+                               get_arch, init_standard, prior_box)
 from temperhmc.replica import (RemdConfig, Replica, RunTrace, attempt_swap,
                                init_replica, run_remd)
+from temperhmc.ti import StiffnessDiag, bridge_energy_fns
 
 
 class Counting:
@@ -45,10 +51,77 @@ def masked_sigmoid(a):
     return out
 
 
-def small_problem(head="linear-softmax", rows=30, seed=3):
-    arch = NetworkArch((4, 5, 3), head=head)
+def small_problem(head="linear-softmax", rows=30, seed=3, sizes=(4, 5, 3)):
+    arch = NetworkArch(sizes, head=head)
     rng = np.random.default_rng(seed)
-    return arch, rng.normal(size=(rows, 4)), rng.integers(0, 3, rows)
+    return (arch, rng.normal(size=(rows, sizes[0])),
+            rng.integers(0, sizes[-1], rows))
+
+
+def plain_energy_gradient(arch, w, x, labels):
+    """Energy and gradient by the plain numpy expressions, a new array each.
+
+    The reference the workspace kernel must match bit for bit.
+    """
+    layout = arch.layout()
+    hiddens, h = [x], x
+    for i, (w_sl, b_sl, n_in, n_out) in enumerate(layout):
+        a = h @ w[w_sl].reshape(n_out, n_in).T + w[b_sl]
+        if i < len(layout) - 1:
+            h = masked_sigmoid(a)
+            hiddens.append(h)
+        else:
+            scores = masked_sigmoid(a) if arch.head == LOGISTIC_SOFTMAX else a
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    rows = np.arange(len(labels))
+    value = -float(np.sum(logp[rows, labels]))
+    delta = np.exp(logp)
+    delta[rows, labels] -= 1.0
+    if arch.head == LOGISTIC_SOFTMAX:
+        delta = delta * scores * (1.0 - scores)
+    grad = np.empty_like(w)
+    for i in range(len(layout) - 1, -1, -1):
+        w_sl, b_sl, n_in, n_out = layout[i]
+        grad[w_sl] = (delta.T @ hiddens[i]).ravel()
+        grad[b_sl] = delta.sum(axis=0)
+        if i > 0:
+            back = delta @ w[w_sl].reshape(n_out, n_in)
+            delta = back * hiddens[i] * (1.0 - hiddens[i])
+    return value, grad
+
+
+def allocating_verlet(w, p, g, value_grad, dt, n_steps):
+    """velocity_verlet's arithmetic with a new array for every update.
+
+    The reference the in-place loop must match bit for bit.
+    """
+    w = np.array(w, dtype=float)
+    p = np.array(p, dtype=float)
+    if not np.all(np.isfinite(g)):
+        return w, p, np.nan, g, False
+    for _ in range(n_steps):
+        p -= 0.5 * dt * g
+        w += dt * p
+        e, g = value_grad(w)
+        if not np.all(np.isfinite(g)):
+            return w, p, e, g, False
+        p -= 0.5 * dt * g
+    return w, p, e, g, True
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def traced_peak(f, *args):
+    """Peak bytes that tracemalloc sees allocated during f(*args)."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCallCounts:
@@ -223,12 +296,130 @@ class TestFusedClosure:
             np.testing.assert_array_equal(g.view(np.uint64),
                                           energy_gradient(arch, w, x, y)[1].view(np.uint64))
 
+    @pytest.mark.parametrize("rows", [1, 7, 500])
+    @pytest.mark.parametrize("sizes", [(256, 40, 10), (256, 40, 40, 40, 10)],
+                             ids=["M1", "M3"])
+    @pytest.mark.parametrize("head", ["linear-softmax", LOGISTIC_SOFTMAX])
+    def test_bit_equal_to_plain_expressions(self, head, sizes, rows):
+        # the closures' shared workspace, a throwaway one and the plain
+        # expressions all give the same bits, whatever ran before
+        arch, x, y = small_problem(head, rows, sizes=sizes)
+        energy_fn, value_grad = dataset_energy_fns(arch, x, y)
+        rng = np.random.default_rng(4)
+        for scale in (0.5, 5.0, 50.0):
+            w = rng.normal(scale=scale, size=arch.n_params)
+            e, g = value_grad(w)
+            plain_e, plain_g = plain_energy_gradient(arch, w, x, y)
+            assert bits(e) == bits(energy(arch, w, x, y)) == bits(energy_fn(w)) \
+                == bits(plain_e)
+            np.testing.assert_array_equal(bits(g), bits(energy_gradient(arch, w, x, y)[1]))
+            np.testing.assert_array_equal(bits(g), bits(plain_g))
+
+    def test_returned_gradient_outlives_later_calls(self):
+        # chains keep g_old on reject and swaps trade gradients, so no call
+        # may write into a gradient an earlier call returned
+        arch, x, y = small_problem(rows=50, sizes=(256, 40, 10))
+        energy_fn, value_grad = dataset_energy_fns(arch, x, y)
+        rng = np.random.default_rng(5)
+        w1, w2 = rng.normal(size=(2, arch.n_params))
+        e1, g1 = value_grad(w1)
+        kept = g1.copy()
+        e2, g2 = value_grad(w2)
+        energy_fn(w2)
+        energy_fn(w1)
+        assert not np.shares_memory(g1, g2)
+        np.testing.assert_array_equal(bits(g1), bits(kept))
+        assert value_grad(w1)[0] == e1
+
+    def test_bad_labels_raise_when_the_closures_are_built(self):
+        arch, x, y = small_problem()
+        with pytest.raises(ShapeMismatch):
+            dataset_energy_fns(arch, x, y[:-1])
+        with pytest.raises(ShapeMismatch):
+            dataset_energy_fns(arch, x, np.where(y == 0, 3, y))
+        with pytest.raises(ShapeMismatch):
+            energy(arch, np.zeros(arch.n_params), x, -np.ones_like(y))
+
     def test_layout_is_built_once_and_keeps_equality(self):
         a, b = NetworkArch((256, 40, 10)), NetworkArch((256, 40, 10))
         assert a.layout() is a.layout()
         assert a == b and hash(a) == hash(b)
         assert a != NetworkArch((256, 40, 10), head=LOGISTIC_SOFTMAX)
         assert a.n_params == 256 * 40 + 40 + 40 * 10 + 10
+
+
+class TestAllocations:
+    """What one warmed network call allocates, counted by tracemalloc."""
+
+    @pytest.fixture(params=["M1", "M3"])
+    def closures(self, request):
+        arch = get_arch(request.param)
+        _, x, y = small_problem(rows=500, sizes=arch.layer_sizes)
+        energy_fn, value_grad = dataset_energy_fns(arch, x, y)
+        w = init_standard(arch, np.random.default_rng(6))
+        value_grad(w)           # the first calls allocate the workspace
+        energy_fn(w)
+        block = 500 * arch.layer_sizes[-1] * 8     # one rows x classes array
+        return energy_fn, value_grad, w, block
+
+    def test_value_grad_allocates_its_gradient_and_at_most_one_block(self, closures):
+        _, value_grad, w, block = closures
+        assert traced_peak(value_grad, w) <= w.nbytes + block
+
+    def test_energy_fn_allocates_at_most_two_blocks(self, closures):
+        energy_fn, _, w, block = closures
+        assert traced_peak(energy_fn, w) <= 2 * block
+
+
+class TestInPlaceUpdates:
+    @pytest.mark.parametrize("n_steps", [1, 6])
+    @pytest.mark.parametrize("dt", [0.01, 0.3])
+    def test_verlet_bit_equal_to_allocating_loop(self, dt, n_steps):
+        arch, x, y = small_problem(rows=20)
+        _, value_grad = dataset_energy_fns(arch, x, y)
+        rng = np.random.default_rng(7)
+        w, p = rng.normal(size=(2, arch.n_params))
+        g = value_grad(w)[1]
+        new = velocity_verlet(w, p, g, value_grad, dt, n_steps)
+        old = allocating_verlet(w, p, g, value_grad, dt, n_steps)
+        assert new[4] and old[4]
+        for a, b in zip(new[:4], old[:4]):
+            np.testing.assert_array_equal(bits(a), bits(b))
+
+    @pytest.mark.parametrize("bad_call", [0, 1, 3])
+    def test_verlet_nonfinite_exits_match(self, bad_call):
+        # bad_call 0: the starting gradient is already non-finite
+        calls = []
+
+        def value_grad(w):
+            calls.append(1)
+            g = np.sin(w) + w
+            if len(calls) == bad_call:
+                g[1] = np.inf
+            return float(np.dot(w, w)), g
+
+        w, p = np.array([0.3, -1.2, 2.0]), np.array([0.5, 0.1, -0.7])
+        g0 = np.array([0.1, np.nan, 0.2]) if bad_call == 0 else value_grad(w)[1]
+        outs = []
+        for verlet in (velocity_verlet, allocating_verlet):
+            calls.clear()
+            outs.append(verlet(w, p, g0, value_grad, 0.2, 5))
+        new, old = outs
+        assert new[4] is old[4] is False
+        for a, b in zip(new[:4], old[:4]):
+            np.testing.assert_array_equal(bits(a), bits(b))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.37, 1.0])
+    def test_bridge_gradient_bit_equal_to_the_formula(self, lam):
+        arch, x, y = small_problem(rows=20)
+        _, value_grad = dataset_energy_fns(arch, x, y)
+        rng = np.random.default_rng(8)
+        w0, w = rng.normal(size=(2, arch.n_params))
+        stiff = StiffnessDiag(w0, rng.uniform(0.5, 2.0, arch.n_params), 1.5)
+        e, g = bridge_energy_fns(value_grad, stiff, lam)(w)
+        kd = stiff.k * (w - w0)
+        expect = kd if lam == 1.0 else (1.0 - lam) * value_grad(w)[1] + lam * kd
+        np.testing.assert_array_equal(bits(g), bits(expect))
 
 
 def replayed_remd(value_grad, box, cfg, slots, swap_seed):
