@@ -10,10 +10,10 @@ The log evidence follows by subtracting the log prior volume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .errors import (DatasetMismatch, DegenerateDirection, GridMismatch,
                      NonFiniteEnergy)
@@ -165,12 +165,40 @@ def simpson_uniform(lambdas, means) -> float:
     return float(core + tail)
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _log_ndtr(x: np.ndarray) -> np.ndarray:
+    """log Phi(x), the standard normal log CDF, elementwise.
+
+    x > 0: log1p(-erfc(x/sqrt2)/2), which keeps the digits of Phi near 1;
+    -20 <= x <= 0: log(erfc(-x/sqrt2)/2);
+    x < -20 (and -inf, nan): the asymptotic series of Abramowitz & Stegun
+    7.1.23, -x^2/2 - log(-x) - log(2 pi)/2 + log(1 - 1/x^2 + 3/x^4 - ...),
+    to seven terms; the first omitted term is below 1e-13 at x = -20.
+    """
+    out = np.empty_like(x)
+    upper = x > 0
+    mid = (x <= 0) & (x >= -20)
+    tail = ~(upper | mid)
+    out[upper] = np.log1p(-0.5 * _erfc(x[upper] * _SQRT1_2).astype(float))
+    out[mid] = np.log(0.5 * _erfc(x[mid] * -_SQRT1_2).astype(float))
+    xt = x[tail]
+    s = 1.0 / (xt * xt)
+    series = 1 - s * (1 - 3 * s * (1 - 5 * s * (1 - 7 * s * (1 - 9 * s * (1 - 11 * s)))))
+    out[tail] = -0.5 * xt * xt - np.log(-xt) - 0.5 * math.log(2 * math.pi) + np.log(series)
+    return out
+
+
 def log_z0(stiff: StiffnessDiag, box: PriorBox) -> float:
     """Log normalisation of the reference Gaussian truncated to the prior box.
 
     Per coordinate: 0.5 log(2 pi / k) + log(Phi(b) - Phi(a)) with
     a, b the box edges in standard-deviation units around w0, evaluated in
-    log space so extreme tails stay finite.
+    log space so extreme tails stay finite.  log Phi is `_log_ndtr`: erfc
+    from x = -20 up, the Abramowitz & Stegun 7.1.23 series below; it agrees
+    with scipy.special.log_ndtr to 1e-13 relative (tests/test_ti.py).
     """
     root_k = np.sqrt(stiff.k)
     a = (-0.5 * box.sigma - stiff.w0) * root_k
@@ -179,8 +207,8 @@ def log_z0(stiff: StiffnessDiag, box: PriorBox) -> float:
     flip = a + b > 0
     a_eff = np.where(flip, -b, a)
     b_eff = np.where(flip, -a, b)
-    log_phi_b = log_ndtr(b_eff)
-    log_phi_a = log_ndtr(a_eff)
+    log_phi_b = _log_ndtr(b_eff)
+    log_phi_a = _log_ndtr(a_eff)
     with np.errstate(divide="ignore"):
         log_mass = log_phi_b + np.log1p(-np.exp(log_phi_a - log_phi_b))
     if not np.all(np.isfinite(log_mass)):

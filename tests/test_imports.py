@@ -1,9 +1,14 @@
-"""Every name a temperhmc module imports is used in that module.
+"""Every name a temperhmc module imports is used in that module, and every
+third-party module it imports is a declared runtime dependency.
 
 No linter ships with the project, so this walks each module's syntax tree.
 """
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +47,38 @@ def test_every_import_is_used(path):
 def test_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom math import pi, tau\nprint(pi)\n")
     assert unused_imports(tree) == {"os", "tau"}
+
+
+def third_party_modules(tree):
+    """Top-level names of the absolute imports outside the standard library."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"temperhmc"}
+
+
+def test_third_party_imports_are_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = PACKAGE.parent.parent / "pyproject.toml"
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+                for req in tomllib.loads(pyproject.read_text())["project"]["dependencies"]}
+    imported = set().union(*(third_party_modules(ast.parse(p.read_text()))
+                             for p in PACKAGE.glob("*.py")))
+    assert imported - declared == set()
+
+
+def test_check_sees_a_third_party_import():
+    tree = ast.parse("import os.path\nimport numpy as np\nfrom scipy.special import erf\n"
+                     "from . import hmc\nfrom temperhmc import ti\n")
+    assert third_party_modules(tree) == {"numpy", "scipy"}
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, temperhmc.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert out.stdout.strip() == "[]"

@@ -4,14 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import log_ndtr
 
+from temperhmc import ti
 from temperhmc.errors import DatasetMismatch, GridMismatch
 from temperhmc.hmc import HmcConfig, hmc_trajectory
-from temperhmc.network import PriorBox
+from temperhmc.network import PriorBox, get_arch, prior_box
 from temperhmc.replica import blocked_mean_se
-from temperhmc.ti import (DT_JITTER, StiffnessDiag, TiConfig, bridge_energy_fns,
-                          compare, evidence, fit_stiffness, log_z0, run_ti,
-                          simpson_uniform, ti_observable)
+from temperhmc.ti import (DT_JITTER, VARIANCE_FLOOR, StiffnessDiag, TiConfig,
+                          bridge_energy_fns, compare, evidence, fit_stiffness,
+                          log_z0, run_ti, simpson_uniform, ti_observable)
 
 
 def quad_fns(h):
@@ -205,6 +207,35 @@ class TestLogZ0:
         val = log_z0(stiff, box)
         assert np.isfinite(val)
         assert val < -1000.0
+
+    def test_log_ndtr_matches_scipy(self):
+        # every branch and both sides of its edges at 0 and -20; the tail
+        # series out to -1e9, and the upper side until Phi rounds to 1
+        grid = np.concatenate([
+            -np.logspace(9, -6, 3001), np.linspace(-40.0, 40.0, 16001),
+            np.logspace(-6, math.log10(40.0), 3001),
+            np.nextafter([0.0, 0.0, -20.0, -20.0], [1.0, -1.0, 0.0, -21.0]),
+            [0.0, -0.0, -20.0, np.inf, -np.inf, np.nan]])
+        np.testing.assert_allclose(ti._log_ndtr(grid), log_ndtr(grid),
+                                   rtol=1e-13, atol=1e-300)
+
+    def test_matches_scipy_formula_on_m3star_fit(self, monkeypatch):
+        # M3star-sized reference with stiffness up to 1/VARIANCE_FLOOR; half
+        # the minima lie within -30..40 standard deviations of a box edge, so
+        # every branch of log Phi carries weight in the sum
+        rng = np.random.default_rng(7)
+        box = prior_box(get_arch("M3star"))
+        d = box.sigma.size
+        k = 10.0 ** rng.uniform(-4.0, -math.log10(VARIANCE_FLOOR), d)
+        k[:3] = 1.0 / VARIANCE_FLOOR
+        w0 = box.sigma * rng.uniform(-0.45, 0.45, d)
+        edge = rng.random(d) < 0.5
+        z = rng.uniform(-30.0, 40.0, d)
+        w0[edge] = (np.sign(w0) * (0.5 * box.sigma - z / np.sqrt(k)))[edge]
+        stiff = StiffnessDiag(w0, k, 0.0)
+        ours = log_z0(stiff, box)
+        monkeypatch.setattr(ti, "_log_ndtr", log_ndtr)
+        assert ours == pytest.approx(log_z0(stiff, box), rel=1e-13, abs=0.0)
 
 
 SMALL_TI = TiConfig(n_bridge=18, burn_in_traj=20, sample_traj=60,
