@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from temperhmc import data, synth
-from temperhmc.harness import UNINFORMED_PER_EXAMPLE
+from temperhmc.harness import UNINFORMED_PER_EXAMPLE, anneal_stop
 from temperhmc.network import dataset_energy_fns, get_arch, prior_box
 from temperhmc.replica import (RemdConfig, init_replica, make_ladder,
                                measure_sweep, run_remd)
@@ -85,7 +85,7 @@ def main():
           f"{np.array2string(swap_rate, precision=2)}")
 
     print(f"\n{'T':>9} {'<E_train>/n':>12} {'<E_test>/n':>12}")
-    best = int(np.argmin(summary["e_test_mean"]))
+    best = anneal_stop(summary["temperatures"], summary["e_test_mean"]).index
     for i, T in enumerate(summary["temperatures"]):
         marker = "  <-- best test energy" if i == best else ""
         print(f"{T:>9.3g} "

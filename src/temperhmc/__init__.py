@@ -14,6 +14,6 @@ from .replica import (RemdConfig, Replica, RunTrace, attempt_swap,
 from .ti import (StiffnessDiag, TiConfig, TIResult, bridge_energy_fns,
                  compare, evidence, fit_stiffness, log_z0, run_ti,
                  simpson_uniform, ti_observable)
-from .harness import anneal_stop, baseline_optimize, sweep_table
+from .harness import anneal_stop, baseline_optimize, write_sweep_csv
 
 __all__ = [name for name in dir() if not name.startswith("_")]

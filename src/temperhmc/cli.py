@@ -33,7 +33,7 @@ from .data import (DatasetStore, load_idx_split, stratified_indices,
 from .errors import BudgetError, ConfigError, NumericalError
 from .files import replacing
 from .harness import (N_RESTARTS, N_SOLUTIONS, anneal_stop, baseline_optimize,
-                      sweep_table, write_sweep_csv)
+                      write_sweep_csv)
 from .minimize import RMinConfig
 from .network import (dataset_energy_fns, get_arch, load_params, prior_box,
                       save_params)
@@ -204,14 +204,6 @@ def _model_and_data(cfg):
     return (arch, *store.load(n, seed))
 
 
-def _write_table(path, trace, n_train, burn, baseline=None):
-    """The per-temperature table of a trace, written to path; returns its references."""
-    rows, refs = sweep_table(measure_sweep(trace, burn_in_sweeps=burn),
-                             n_train, baseline)
-    write_sweep_csv(path, rows, refs)
-    return refs
-
-
 def cmd_prepare_data(args):
     cfg = _resolve(args)
     n, seed = cfg["size"], cfg["seed"]
@@ -296,7 +288,8 @@ def cmd_remd(args):
     trace.write_csv(trace_path)
     table_path = os.path.join(out_dir, "remd_summary.csv")
     burn = trace.n_sweeps // 5
-    refs = _write_table(table_path, trace, len(train), burn)
+    stop = write_sweep_csv(table_path, measure_sweep(trace, burn_in_sweeps=burn),
+                           len(train))
     meta = dict(cfg, burn_in_sweeps=burn, n_sweeps=trace.n_sweeps,
                 dt=[r.dt for r in replicas],
                 accept_rate=np.mean(trace.accept_rate, axis=0).tolist(),
@@ -305,7 +298,7 @@ def cmd_remd(args):
     _write_json(os.path.join(out_dir, "remd_run.json"), meta)
     write_manifest(out_dir, "remd", cfg, [trace_path, table_path, ckpt_path])
     print(f"remd complete: {trace.n_sweeps} sweeps, "
-          f"argmin-T(test) = {refs['argmin_test_temperature']:.4g}")
+          f"argmin-T(test) = {stop:.4g}")
     return 0
 
 
@@ -314,7 +307,7 @@ def cmd_ti(args):
     with _reading_config():
         arch, train, _ = _model_and_data(cfg)
         ckpt_arch, w0 = load_params(cfg["w0"])
-        if ckpt_arch.n_params != arch.n_params:
+        if ckpt_arch != arch:
             raise ConfigError("w0 checkpoint does not match the requested model")
     ti_cfg = TiConfig(n_bridge=cfg["n_bridge"], burn_in_traj=cfg["burn_in_traj"],
                       sample_traj=cfg["sample_traj"], n_leapfrog=cfg["L"],
@@ -404,17 +397,18 @@ def cmd_report(args):
     with _reading_config():
         trace = RunTrace.read_csv(args.trace)
     burn = args.burn_in if args.burn_in is not None else trace.n_sweeps // 5
-    refs = _write_table(args.out, trace, args.n_train, burn, args.baseline)
-    print(f"wrote {args.out}; argmin-T(test) = {refs['argmin_test_temperature']:.4g}")
+    stop = write_sweep_csv(args.out, measure_sweep(trace, burn_in_sweeps=burn),
+                           args.n_train, args.baseline)
+    print(f"wrote {args.out}; argmin-T(test) = {stop:.4g}")
     return 0
 
 
 def cmd_anneal_stop(args):
     temps, vals = [], []
     with open(args.table) as fh, _reading_config():
-        for row in csv.DictReader(fh):
+        for row in csv.DictReader(ln for ln in fh if not ln.startswith("#")):
             temps.append(float(row["temperature"]))
-            vals.append(float(row["val_energy"]))
+            vals.append(float(row["e_test_mean"]))
     res = anneal_stop(temps, vals, smoothing_window=args.smoothing)
     print(json.dumps({
         "stop_temperature": res.temperature,
@@ -462,9 +456,9 @@ def build_parser():
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("anneal-stop", allow_abbrev=False,
-                       help="annealing stop rule on a cooling table")
+                       help="annealing stop rule on a remd_summary.csv table")
     p.add_argument("--table", required=True,
-                   help="CSV with temperature,val_energy columns")
+                   help="remd_summary.csv, as remd or report writes it")
     p.add_argument("--smoothing", type=int, default=1)
     p.set_defaults(func=cmd_anneal_stop)
 

@@ -22,6 +22,7 @@ from .errors import (BadMagic, IndivisibleSize, InsufficientClassCount,
                      TruncatedPayload)
 from .files import replacing
 
+# Magic words 00 00 08 0n: unsigned bytes (type 0x08) in n = 3 or 1 dimensions.
 IMAGE_MAGIC = 2051
 LABEL_MAGIC = 2049
 
@@ -72,11 +73,10 @@ class Dataset:
 def _parse_idx_array(data: bytes) -> np.ndarray:
     if len(data) < 4:
         raise BadMagic("file shorter than an IDX magic word")
-    zeros, dtype_code, ndim = data[0] << 8 | data[1], data[2], data[3]
     magic = struct.unpack(">i", data[:4])[0]
-    if zeros != 0 or magic not in (IMAGE_MAGIC, LABEL_MAGIC):
-        raise BadMagic(f"magic word {magic} is not an IDX image/label file")
-    del dtype_code
+    if magic not in (IMAGE_MAGIC, LABEL_MAGIC):
+        raise BadMagic(f"magic word {magic} is not an unsigned-byte IDX image/label file")
+    ndim = data[3]
     header_len = 4 + 4 * ndim
     if len(data) < header_len:
         raise TruncatedPayload("IDX header truncated")

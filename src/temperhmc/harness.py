@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -40,36 +42,31 @@ def baseline_optimize(arch: NetworkArch, train, test, seed: int,
     mode "zero-energy": restart until n_solutions minima with training energy
     below ZERO_TOL (BudgetError past restart_cap, 40 * n_solutions when not
     given).  mode "best-of": run n_restarts minimisations and keep the
-    n_solutions lowest-training-energy results.
+    n_solutions lowest-training-energy results, ties in restart order; only
+    the vectors kept so far stay alive.
     """
     _, value_grad = dataset_energy_fns(arch, train.inputs, train.labels)
     test_energy_fn, _ = dataset_energy_fns(arch, test.inputs, test.labels)
     rmin_cfg = rmin_cfg or RMinConfig()
-    restart_cap = 40 * n_solutions if restart_cap is None else restart_cap
-    seeds = np.random.SeedSequence(seed).spawn(
-        restart_cap if mode == "zero-energy" else n_restarts)
-
-    kept = []
     restarts = 0
-    if mode == "zero-energy":
-        while len(kept) < n_solutions:
-            if restarts >= restart_cap:
-                raise BudgetError(
-                    f"{restarts} restarts produced only {len(kept)} zero-energy solutions"
-                )
-            w0 = init_standard(arch, np.random.default_rng(seeds[restarts]))
+
+    def minima(budget):     # (energy, w) of each restart, in seed order
+        nonlocal restarts
+        for s in np.random.SeedSequence(seed).spawn(budget):
             restarts += 1
+            w0 = init_standard(arch, np.random.default_rng(s))
             res = rmin(w0, value_grad, cfg=rmin_cfg)
-            if res.energy < ZERO_TOL:
-                kept.append((res.energy, res.w))
+            yield res.energy, res.w
+
+    if mode == "zero-energy":
+        cap = 40 * n_solutions if restart_cap is None else restart_cap
+        kept = list(islice(((e, w) for e, w in minima(cap) if e < ZERO_TOL),
+                           n_solutions))
+        if len(kept) < n_solutions:
+            raise BudgetError(f"{restarts} restarts produced only {len(kept)} "
+                              "zero-energy solutions")
     elif mode == "best-of":
-        all_res = []
-        for restarts in range(1, n_restarts + 1):
-            w0 = init_standard(arch, np.random.default_rng(seeds[restarts - 1]))
-            res = rmin(w0, value_grad, cfg=rmin_cfg)
-            all_res.append((res.energy, res.w))
-        all_res.sort(key=lambda t: t[0])
-        kept = all_res[:n_solutions]
+        kept = heapq.nsmallest(n_solutions, minima(n_restarts), key=lambda t: t[0])
     else:
         raise ConfigError(f"unknown baseline mode {mode!r}")
 
@@ -78,57 +75,49 @@ def baseline_optimize(arch: NetworkArch, train, test, seed: int,
     return BaselineResult(train_e, test_e, [w for _, w in kept], restarts, mode)
 
 
-def sweep_table(summary: dict, n_train: int, baseline_test_mean: float = None):
-    """Rows for the per-temperature report, plus reference levels.
-
-    summary is the dict produced by replica.measure_sweep.  Returns
-    (rows, references) where rows are (T, train mean/se, test mean/se)
-    and references holds the uninformed-classifier level and baseline.
-    """
+def write_sweep_csv(path, summary: dict, n_train: int,
+                    baseline_test_mean: float = None) -> float:
+    """The per-temperature table of replica.measure_sweep's summary, then
+    '#' reference lines; returns argmin_test_temperature, anneal_stop's
+    pick on the test energies."""
     temps = summary["temperatures"]
-    rows = list(zip(temps, summary["e_train_mean"], summary["e_train_se"],
-                    summary["e_test_mean"], summary["e_test_se"]))
-    best = int(np.argmin(summary["e_test_mean"]))
-    references = {
-        "uninformed_train_energy": n_train * UNINFORMED_PER_EXAMPLE,
-        "baseline_test_mean": baseline_test_mean,
-        "argmin_test_temperature": float(temps[best]),
-    }
-    return rows, references
-
-
-def write_sweep_csv(path, rows, references):
+    stop = anneal_stop(temps, summary["e_test_mean"]).temperature
     with replacing(path) as tmp, open(tmp, "w") as fh:
         fh.write("temperature,e_train_mean,e_train_se,e_test_mean,e_test_se\n")
-        for row in rows:
+        for row in zip(temps, summary["e_train_mean"], summary["e_train_se"],
+                       summary["e_test_mean"], summary["e_test_se"]):
             fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
-        fh.write(f"# uninformed_train_energy,{references['uninformed_train_energy']:.10g}\n")
-        if references.get("baseline_test_mean") is not None:
-            fh.write(f"# baseline_test_mean,{references['baseline_test_mean']:.10g}\n")
-        fh.write(f"# argmin_test_temperature,{references['argmin_test_temperature']:.10g}\n")
+        fh.write(f"# uninformed_train_energy,{n_train * UNINFORMED_PER_EXAMPLE:.10g}\n")
+        if baseline_test_mean is not None:
+            fh.write(f"# baseline_test_mean,{baseline_test_mean:.10g}\n")
+        fh.write(f"# argmin_test_temperature,{stop:.10g}\n")
+    return stop
 
 
 @dataclass
 class AnnealStopResult:
     temperature: float
-    index: int                      # position in the cooling order
+    index: int                      # position in the input arrays
     value: float                    # (smoothed) validation energy at the stop
     monotone: bool = False          # validation energy never rose while cooling
-    payload: object = None          # stored parameters for the chosen T, if any
 
 
-def anneal_stop(temperatures, val_energies, payloads=None,
+def anneal_stop(temperatures, val_energies,
                 smoothing_window: int = 1) -> AnnealStopResult:
     """Simulated-annealing stopping rule on a cooling sequence.
 
     Scans from the hottest temperature downward and returns the temperature
-    whose (optionally smoothed) validation energy is smallest; a strictly
-    improving sequence returns the coldest state flagged monotone.
+    whose validation energy, optionally a moving average over 1..len(temps)
+    states (centred for an odd window), is lowest over the whole sequence;
+    that is "cool until it rises" only for a curve with a single minimum.
+    A sequence that never rises while cooling is flagged monotone.
     """
     temps = np.asarray(temperatures, dtype=float)
     vals = np.asarray(val_energies, dtype=float)
     if len(temps) != len(vals) or len(temps) < 1:
         raise InsufficientSamples("need matching, non-empty cooling arrays")
+    if not 1 <= smoothing_window <= len(temps):
+        raise ConfigError(f"smoothing window {smoothing_window} not in 1..{len(temps)}")
     order = np.argsort(temps)[::-1]          # hottest first
     cooled = vals[order]
     if smoothing_window > 1:
@@ -140,6 +129,4 @@ def anneal_stop(temperatures, val_energies, payloads=None,
     best = int(np.argmin(cooled))
     monotone = bool(np.all(np.diff(cooled) <= 0))
     src = int(order[best])
-    return AnnealStopResult(float(temps[src]), src, float(cooled[best]),
-                            monotone,
-                            None if payloads is None else payloads[src])
+    return AnnealStopResult(float(temps[src]), src, float(cooled[best]), monotone)

@@ -221,7 +221,8 @@ def run_ti(energy_fn, value_grad, stiff: StiffnessDiag, box: PriorBox,
     """Full thermodynamic integration pass.
 
     value_grad drives the chains; energy_fn, the value alone, feeds the
-    per-sample observable.
+    per-sample observable, evaluated on each window's first sample and
+    after each accepted trajectory; a rejected one repeats the last value.
 
     Lambda runs over a uniform inclusive [0, 1] grid with n_bridge interior
     points; chains warm-start sequentially from the previous lambda, with
@@ -246,7 +247,8 @@ def run_ti(energy_fn, value_grad, stiff: StiffnessDiag, box: PriorBox,
         samples = []
         w = run_chain(w, current, bridge, hmc_cfg, rng, box, cfg.sample_traj,
                       lambda out: samples.append(
-                          ti_observable(energy_fn, stiff, out.w)), DT_JITTER)[0]
+                          ti_observable(energy_fn, stiff, out.w)
+                          if out.accepted or not samples else samples[-1]), DT_JITTER)[0]
         means[idx], ses[idx] = blocked_mean_se(samples)
 
     # The bridge at lambda=1 is the reference quadratic shifted by J(w0), so

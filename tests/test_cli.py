@@ -263,19 +263,40 @@ class TestTiAndCompare:
         assert main(["compare-models", "--a", str(pa), "--b", str(pb)]) == 2
 
 
+SUMMARY_HEADER = "temperature,e_train_mean,e_train_se,e_test_mean,e_test_se\n"
+
+
 class TestAnnealStopCommand:
     def test_stop_rule(self, tmp_path, capsys):
-        table = tmp_path / "cool.csv"
-        table.write_text("temperature,val_energy\n10,3\n1,1\n0.1,2\n")
+        table = tmp_path / "remd_summary.csv"
+        table.write_text(SUMMARY_HEADER + "10,1,0,3,0\n1,2,0,1,0\n0.1,3,0,2,0\n"
+                         "# uninformed_train_energy,115\n")
         rc = main(["anneal-stop", "--table", str(table)])
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["stop_temperature"] == 1.0
+        assert out["val_energy"] == 1.0
         assert not out["monotone"]
 
+    def test_reads_the_table_remd_writes(self, remd_out, capsys):
+        table = remd_out / "remd_summary.csv"
+        recorded = [float(ln.split(",")[1]) for ln in table.read_text().split("\n")
+                    if ln.startswith("# argmin_test_temperature,")]
+        assert main(["anneal-stop", "--table", str(table)]) == 0
+        stop = json.loads(capsys.readouterr().out)["stop_temperature"]
+        assert f"{stop:.10g}" == f"{recorded[0]:.10g}"
+
+    @pytest.mark.parametrize("window", ["0", "4"])
+    def test_smoothing_outside_the_table_exit_2(self, tmp_path, capsys, window):
+        table = tmp_path / "remd_summary.csv"
+        table.write_text(SUMMARY_HEADER + "10,1,0,3,0\n1,2,0,1,0\n0.1,3,0,2,0\n")
+        rc = main(["anneal-stop", "--table", str(table), "--smoothing", window])
+        assert rc == 2
+        assert "smoothing window" in capsys.readouterr().err
+
     def test_empty_table_exit_3(self, tmp_path):
-        table = tmp_path / "cool.csv"
-        table.write_text("temperature,val_energy\n")
+        table = tmp_path / "remd_summary.csv"
+        table.write_text(SUMMARY_HEADER)
         assert main(["anneal-stop", "--table", str(table)]) == 3
 
 
@@ -307,8 +328,9 @@ def _write_trace(out_dir, n):
 
 def _write_sweep(out_dir, n):
     path = out_dir / "summary.csv"
-    write_sweep_csv(path, [(1.0, float(n), 0.1, 2.0, 0.2)],
-                    {"uninformed_train_energy": 5.0, "argmin_test_temperature": 1.0})
+    write_sweep_csv(path, {"temperatures": [1.0], "e_train_mean": [float(n)],
+                           "e_train_se": [0.1], "e_test_mean": [2.0],
+                           "e_test_se": [0.2]}, n_train=50)
     return path
 
 
@@ -377,6 +399,20 @@ class TestExitCodes:
         cfg.write_text("[1, 2]")
         assert self.remd(data_dir, tmp_path, "--model", "M1", "--nt", "2",
                          "--config", str(cfg)) == 2
+
+    def test_w0_of_another_architecture_exit_2(self, data_dir, tmp_path, capsys):
+        # M3star has M3's layer sizes, so its parameter count, but another head
+        arch = get_arch("M3star")
+        assert arch.n_params == get_arch("M3").n_params
+        w0 = tmp_path / "m3star.params"
+        save_params(w0, arch, np.zeros(arch.n_params))
+        rc = main(["ti", "--model", "M3", "--data", "D50",
+                   "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "out"),
+                   "--w0", str(w0), "--repeats", "1", "--n-bridge", "1",
+                   "--L", "1", "--burn-in-traj", "1", "--sample-traj", "1",
+                   "--fit-burn-in-traj", "1", "--fit-sample-traj", "2"])
+        assert rc == 2
+        assert "does not match the requested model" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["remd", "--burn-in", "5", "--nt", "2", *RUN],

@@ -34,6 +34,14 @@ class TestParseIdx:
         with pytest.raises(BadMagic):
             data.parse_idx(b"\x00\x00\x99\x03" + b"\x00" * 16, b"")
 
+    def test_element_type_other_than_unsigned_byte(self):
+        # a well-formed IDX file of float32 images (type byte 0x0D)
+        images = np.zeros((2, 28, 28), dtype=">f4")
+        floats = b"\x00\x00\x0d\x03" + struct.pack(">3i", *images.shape)
+        _, lab_b, _, _ = make_idx_pair(n=2)
+        with pytest.raises(BadMagic, match="unsigned-byte"):
+            data.parse_idx(floats + images.tobytes(), lab_b)
+
     def test_truncated_payload(self):
         img_b, lab_b, _, _ = make_idx_pair()
         with pytest.raises(TruncatedPayload):

@@ -1,13 +1,16 @@
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from temperhmc.errors import BudgetError, InsufficientSamples
+import temperhmc.harness
+from temperhmc.errors import BudgetError, ConfigError, InsufficientSamples
 from temperhmc.harness import (UNINFORMED_PER_EXAMPLE, anneal_stop,
-                               baseline_optimize, sweep_table, write_sweep_csv)
-from temperhmc.network import NetworkArch, dataset_energy_fns
+                               baseline_optimize, write_sweep_csv)
+from temperhmc.minimize import RMinResult
+from temperhmc.network import NetworkArch, dataset_energy_fns, init_standard
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +60,31 @@ class TestBaseline:
         # kept energies are the lowest of the pool: sorted ascending
         assert np.all(np.diff(res.train_energies) >= 0)
 
+    def test_best_of_holds_only_the_kept_vectors(self, toy_problem, monkeypatch):
+        arch, train, test = toy_problem
+        alive, most_alive = [], []
+
+        def fake_rmin(w0, value_grad, cfg):
+            # energies on a few levels, so that ties occur
+            most_alive.append(sum(ref() is not None for ref in alive))
+            res = RMinResult(w0 * 2.0, float(int(abs(w0[0]) * 40) % 4), 1)
+            alive.append(weakref.ref(res.w))
+            return res
+
+        monkeypatch.setattr(temperhmc.harness, "rmin", fake_rmin)
+        res = baseline_optimize(arch, train, test, seed=4, n_solutions=3,
+                                mode="best-of", n_restarts=60)
+        # the kept vectors plus the previous restart's, not yet dropped
+        assert max(most_alive) <= 3 + 1
+        # a hand loop that keeps every restart and sorts them
+        pool = [fake_rmin(init_standard(arch, np.random.default_rng(s)), None, None)
+                for s in np.random.SeedSequence(4).spawn(60)]
+        best = sorted(pool, key=lambda r: r.energy)[:3]
+        assert len({r.energy for r in pool}) < len(pool)
+        np.testing.assert_array_equal(res.train_energies, [r.energy for r in best])
+        for w, r in zip(res.solutions, best):
+            np.testing.assert_array_equal(w, r.w)
+
     def test_mean_matches_recomputation(self, toy_problem):
         arch, train, test = toy_problem
         res = baseline_optimize(arch, train, test, seed=3, n_solutions=3,
@@ -84,26 +112,30 @@ class TestSweepTable:
             "e_test_se": np.array([0.3, 0.2, 0.6]),
         }
 
-    def test_references(self):
-        rows, refs = sweep_table(self.summary(), n_train=50,
-                                 baseline_test_mean=20.0)
-        assert refs["uninformed_train_energy"] == pytest.approx(50 * math.log(10))
-        assert refs["argmin_test_temperature"] == 1.0
-        assert refs["baseline_test_mean"] == 20.0
-        assert len(rows) == 3
-        assert rows[1][0] == 1.0 and rows[1][3] == 12.0
+    def write(self, tmp_path, **kwargs):
+        path = tmp_path / "sweep.csv"
+        stop = write_sweep_csv(path, self.summary(), n_train=50, **kwargs)
+        return stop, path.read_text().strip().split("\n")
+
+    def test_references(self, tmp_path):
+        stop, lines = self.write(tmp_path, baseline_test_mean=20.0)
+        assert stop == 1.0
+        refs = dict(ln[2:].split(",") for ln in lines if ln.startswith("# "))
+        assert float(refs["uninformed_train_energy"]) == pytest.approx(
+            50 * math.log(10), rel=1e-9)
+        assert float(refs["argmin_test_temperature"]) == 1.0
+        assert float(refs["baseline_test_mean"]) == 20.0
+        assert lines[2] == "1,5,0.2,12,0.2"
 
     def test_uninformed_constant(self):
         assert UNINFORMED_PER_EXAMPLE == pytest.approx(2.302585, abs=1e-6)
 
     def test_csv_output(self, tmp_path):
-        rows, refs = sweep_table(self.summary(), n_train=50)
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(path, rows, refs)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0].startswith("temperature,")
+        _, lines = self.write(tmp_path)
+        assert lines[0] == "temperature,e_train_mean,e_train_se,e_test_mean,e_test_se"
         assert len([ln for ln in lines if not ln.startswith("#")]) == 4
-        assert any("argmin_test_temperature" in ln for ln in lines)
+        assert not any("baseline_test_mean" in ln for ln in lines)
+        assert lines[-1] == "# argmin_test_temperature,1"
 
 
 class TestAnnealStop:
@@ -140,10 +172,16 @@ class TestAnnealStop:
         assert smoothed.index == int(np.argmin(sm))
         assert smoothed.index == 4
 
-    def test_payload_travels_with_choice(self):
-        res = anneal_stop([3.0, 2.0, 1.0], [2.0, 1.0, 3.0],
-                          payloads=["a", "b", "c"])
-        assert res.payload == "b"
+    @pytest.mark.parametrize("window", [0, 4])
+    def test_smoothing_window_outside_the_sequence_raises(self, window):
+        with pytest.raises(ConfigError, match="smoothing window"):
+            anneal_stop([3.0, 2.0, 1.0], [2.0, 1.0, 3.0], smoothing_window=window)
+
+    def test_smoothing_window_of_the_whole_sequence(self):
+        # renormalised at the ends: means of (2, 1), (2, 1, 3) and (1, 3)
+        res = anneal_stop([3.0, 2.0, 1.0], [2.0, 1.0, 3.0], smoothing_window=3)
+        assert res.temperature == 3.0
+        assert res.value == pytest.approx(1.5)
 
     def test_empty_raises(self):
         with pytest.raises(InsufficientSamples):

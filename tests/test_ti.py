@@ -330,11 +330,12 @@ class TestRunTi:
 
 
 def replay_chain(w, value_grad, cfg, rng, box, current, n_traj, jitter=0.0):
-    """n_traj trajectories by hand: (w, current, states after each, accepts).
+    """n_traj trajectories by hand: (w, current, states after each, accepted
+    flags).
 
     With jitter, each trajectory's dt is drawn first, uniform within
     cfg.dt * (1 -+ jitter)."""
-    states, n_acc = [], 0
+    states, accepted = [], []
     for _ in range(n_traj):
         step = cfg
         if jitter:
@@ -342,8 +343,8 @@ def replay_chain(w, value_grad, cfg, rng, box, current, n_traj, jitter=0.0):
         out = hmc_trajectory(w, value_grad, step, rng, box, current)
         w, current = out.w, (out.energy, out.grad)
         states.append(w)
-        n_acc += out.accepted
-    return w, current, states, n_acc
+        accepted.append(out.accepted)
+    return w, current, states, accepted
 
 
 def replay_adapt(w, value_grad, cfg, rng, box, current, n_traj):
@@ -419,14 +420,20 @@ class TestReplay:
         stiff = StiffnessDiag(np.array([0.1, -0.2, 0.0]),
                               np.array([2.0, 3.0, 1.5]), 0.4)
         box = PriorBox(np.array([2.0, 2.0, 2.0]))
-        res = run_ti(energy, value_grad, stiff, box, REPLAY_TI,
+        energy_calls = []
+
+        def counted_energy(w):
+            energy_calls.append(1)
+            return energy(w)
+
+        res = run_ti(counted_energy, value_grad, stiff, box, REPLAY_TI,
                      np.random.default_rng(52))
 
         # each lambda warm-starts from the previous window's last state
         rng = np.random.default_rng(52)
         lambdas = np.linspace(0.0, 1.0, REPLAY_TI.n_bridge + 2)
         w, dt = stiff.w0.copy(), REPLAY_TI.dt0
-        means, ses = [], []
+        means, ses, observed = [], [], 0
         for idx, lam in enumerate(lambdas):
             bridge = bridge_energy_fns(value_grad, stiff, lam)
             current = bridge(w)
@@ -438,8 +445,10 @@ class TestReplay:
             else:
                 w, current, _, _ = replay_chain(w, bridge, cfg, rng, box, current,
                                                 REPLAY_TI.burn_in_traj, DT_JITTER)
-            w, current, states, _ = replay_chain(w, bridge, cfg, rng, box, current,
-                                                 REPLAY_TI.sample_traj, DT_JITTER)
+            w, current, states, accepted = replay_chain(
+                w, bridge, cfg, rng, box, current, REPLAY_TI.sample_traj, DT_JITTER)
+            # the observable is evaluated on the first sample and after each move
+            observed += 1 + sum(accepted[1:])
             mean, se = blocked_mean_se([ti_observable(energy, stiff, s)
                                         for s in states])
             means.append(mean)
@@ -452,6 +461,8 @@ class TestReplay:
         np.testing.assert_array_equal(res.integrand_se, ses)
         assert res.free_energy == free_energy
         assert len(set(np.round(means, 12))) == len(means)
+        assert len(energy_calls) == observed
+        assert len(lambdas) < observed < len(lambdas) * REPLAY_TI.sample_traj
 
 
 class TestEvidenceCompare:
