@@ -7,10 +7,11 @@ failure, 4 restart/iteration budget exceeded.
 prepare-data, minimize, remd and ti declare each setting once in SETTINGS,
 which generates their flags and help.  _resolve takes a setting from its
 flag, else the --config JSON file, else its default (read from RemdConfig,
-TiConfig or RMinConfig where one holds it), and the run manifest echoes
-every resolved setting.  Flags, config and input files are read inside
-_reading_config, so a missing setting, a bad value or an unknown config key
-exits 2; the same errors raised by the computation that follows propagate.
+TiConfig or RMinConfig where one holds it) and checks it against the
+setting's lower bound; the run manifest echoes every resolved setting.
+Flags, config and input files are read inside _reading_config, so a missing
+setting, a bad value, a value out of range or an unknown config key exits
+2; the same errors raised by the computation that follows propagate.
 """
 
 from __future__ import annotations
@@ -50,13 +51,14 @@ class Setting(NamedTuple):     # flag --name with - for _; config key name
     default: object = REQUIRED      # None: the command picks one
     help: str = None
     choices: tuple = None
+    above: float = None             # a value must be greater than this
 
 
 _RUN = [                # shared by the commands that run on a dataset
     Setting("data_dir", str),
     Setting("data", str, help="dataset tag, e.g. D500"),
-    Setting("data_seed", int, 0),
-    Setting("seed", int, 0),
+    Setting("data_seed", int, 0, above=-1),
+    Setting("seed", int, 0, above=-1),
     Setting("out_dir", str, "."),
     Setting("model", str),
 ]
@@ -65,37 +67,40 @@ SETTINGS = {
     "prepare-data": [
         Setting("mnist_dir", str),
         Setting("data_dir", str),
-        Setting("size", int),
-        Setting("seed", int, 0),
+        Setting("size", int, above=0),
+        Setting("seed", int, 0, above=-1),
     ],
     "minimize": _RUN + [
         Setting("restarts", int, None,
                 f"(default: {N_RESTARTS} for best-of, "
-                f"{N_SOLUTIONS} for zero-energy)"),
+                f"{N_SOLUTIONS} for zero-energy)", above=0),
         Setting("mode", str, "zero-energy", choices=("zero-energy", "best-of")),
-        Setting("dt0", float, RMinConfig.dt0),
-        Setting("n_steps", int, RMinConfig.n_steps),
+        Setting("dt0", float, RMinConfig.dt0, above=0),
+        Setting("n_steps", int, RMinConfig.n_steps, above=0),
     ],
     "remd": _RUN + [
         Setting("tmin", float, 1e-2),
         Setting("tmax", float, 1e2),
         Setting("nt", int, 16),
-        Setting("ntraj", int, RemdConfig.n_traj),
-        Setting("L", int, RemdConfig.n_leapfrog),
-        Setting("sweeps", int, RemdConfig.sweeps),
-        Setting("burn_in_traj", int, RemdConfig.burn_in_traj),
-        Setting("eval_subset", int, 2000),
-        Setting("checkpoint_every", int, RemdConfig.checkpoint_every),
+        Setting("ntraj", int, RemdConfig.n_traj, above=0),
+        Setting("L", int, RemdConfig.n_leapfrog, above=0),
+        # the summary needs two sweeps past its burn-in of a fifth
+        Setting("sweeps", int, RemdConfig.sweeps, above=1),
+        Setting("burn_in_traj", int, RemdConfig.burn_in_traj, above=-1),
+        Setting("eval_subset", int, 2000, "0: the whole test set", above=-1),
+        Setting("checkpoint_every", int, RemdConfig.checkpoint_every, above=-1),
     ],
     "ti": _RUN + [
         Setting("w0", str, help="parameter checkpoint of the reference minimum"),
-        Setting("repeats", int, 5),
-        Setting("n_bridge", int, TiConfig.n_bridge),
-        Setting("burn_in_traj", int, TiConfig.burn_in_traj),
-        Setting("sample_traj", int, TiConfig.sample_traj),
-        Setting("fit_burn_in_traj", int, TiConfig.fit_burn_in_traj),
-        Setting("fit_sample_traj", int, TiConfig.fit_sample_traj),
-        Setting("L", int, TiConfig.n_leapfrog),
+        Setting("repeats", int, 5, above=0),
+        # Simpson's rule needs two intervals
+        Setting("n_bridge", int, TiConfig.n_bridge, above=0),
+        Setting("burn_in_traj", int, TiConfig.burn_in_traj, above=-1),
+        # a window's blocked standard error needs two samples
+        Setting("sample_traj", int, TiConfig.sample_traj, above=1),
+        Setting("fit_burn_in_traj", int, TiConfig.fit_burn_in_traj, above=-1),
+        Setting("fit_sample_traj", int, TiConfig.fit_sample_traj, above=0),
+        Setting("L", int, TiConfig.n_leapfrog, above=0),
     ],
 }
 
@@ -177,7 +182,9 @@ def _resolve(args):
         if value is None and s.default is REQUIRED:
             raise ConfigError(f"{args.command} requires {_flag(s)}")
         with _reading_config():
-            cfg[s.name] = s.default if value is None else _typed(s, value)
+            cfg[s.name] = value = s.default if value is None else _typed(s, value)
+        if s.above is not None and value is not None and not value > s.above:
+            raise ConfigError(f"{_flag(s)} must be greater than {s.above}, not {value}")
     return cfg
 
 
@@ -292,6 +299,9 @@ def cmd_remd(args):
                            len(train))
     meta = dict(cfg, burn_in_sweeps=burn, n_sweeps=trace.n_sweeps,
                 dt=[r.dt for r in replicas],
+                start_energy=[r.start_energy for r in replicas],
+                start_steps=[r.start_steps for r in replicas],
+                start_clipped=[r.start_clipped for r in replicas],
                 accept_rate=np.mean(trace.accept_rate, axis=0).tolist(),
                 swap_attempts=np.sum(trace.swap_attempts, axis=0).tolist(),
                 swap_accepts=np.sum(trace.swap_accepts, axis=0).tolist())

@@ -11,13 +11,12 @@ import numpy as np
 
 from .errors import BudgetError, ConfigError, InsufficientSamples
 from .files import replacing
-from .minimize import RMinConfig, rmin
+from .minimize import ZERO_TOL, RMinConfig, rmin
 from .network import NetworkArch, dataset_energy_fns, init_standard
 
 UNINFORMED_PER_EXAMPLE = math.log(10.0)
 N_SOLUTIONS = 100       # zero-energy minima a baseline collects by default
 N_RESTARTS = 4000       # minimisations of a best-of baseline by default
-ZERO_TOL = 1e-10        # training energy below which a minimum counts as zero
 
 
 @dataclass

@@ -30,13 +30,14 @@ from .hmc import velocity_verlet
 DT_INCREMENT = 0.05
 DT_FACTOR = 0.5         # uphill: one halving undoes one DT_INCREMENT overshoot
 STALL_REL_TOL = 1e-12   # a smaller relative improvement counts towards a stall
+ZERO_TOL = 1e-10        # an energy below this counts as a zero-energy minimum
 
 
 @dataclass
 class RMinConfig:
     n_steps: int = 2000
     dt0: float = 0.1
-    energy_tol: float = 1e-10       # stop once E drops below this
+    energy_tol: float = ZERO_TOL    # stop once E drops below this
     stall_window: int = 100         # ... or improvement stalls for this many steps
 
 

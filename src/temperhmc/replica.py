@@ -24,6 +24,7 @@ from .minimize import RMinConfig, rmin
 from .network import init_standard
 
 DT0 = 0.1       # each rung's burn-in adapts dt from here
+START_TOL_PER_T = 1e-3  # a rung's start-up rmin stops below this times T
 
 
 def make_ladder(t_min: float, t_max: float, n_temps: int) -> np.ndarray:
@@ -44,6 +45,10 @@ class Replica:
     identity: int = None        # which initial chain currently occupies the slot
     grad: np.ndarray = None     # gradient at w; run_remd fills it when absent
     e_test: float = None        # held-out energy at w; run_remd fills it
+    # how init_replica started the rung; they stay with the slot on a swap
+    start_energy: float = None  # rmin's final energy
+    start_steps: int = None     # rmin's steps, one value_grad call each
+    start_clipped: int = None   # coordinates moved off a prior-box wall
 
     def __post_init__(self):
         if self.identity is None:
@@ -89,25 +94,40 @@ def init_replica(index, temperature, value_grad, box, seed, arch,
                  cfg: RemdConfig = None) -> Replica:
     """Standard init -> fast minimisation -> burn-in at T that adapts dt.
 
-    seed is anything np.random.default_rng takes, an int or a SeedSequence.
+    The minimisation stops at E < START_TOL_PER_T * T rather than at the
+    baseline's zero-energy tolerance: below that energy e^(-E/T) differs
+    from a zero-energy minimum's weight by under 0.1%, so minimising on
+    buys the rung nothing, while the last decades of E can take rmin's
+    whole step budget or carry w out through the prior-box walls.  The
+    returned replica records the start in start_energy, start_steps and
+    start_clipped.  seed is anything np.random.default_rng takes, an int
+    or a SeedSequence.
     """
     cfg = cfg or RemdConfig()
     rng = np.random.default_rng(seed)
-    w = rmin(init_standard(arch, rng), value_grad, cfg=RMinConfig()).w
+    start = rmin(init_standard(arch, rng), value_grad,
+                 cfg=RMinConfig(energy_tol=START_TOL_PER_T * temperature))
+    w = start.w
+    n_clipped = 0
     if box is not None:
         # the minimiser ignores the prior box, and a start outside it
         # rejects every proposal and drives the adapted dt down.  Move the
         # coordinates on or outside a wall (|w| >= sigma/2) well into the
-        # interior; burn-in re-equilibrates.  A coordinate just inside a wall
-        # stays; criterion 12 rests on this rule (see its note in CHANGES.md).
+        # interior; burn-in re-equilibrates.  Since rmin stops at
+        # START_TOL_PER_T * T this is rare: it moves no coordinate of the
+        # benchmark's remd starts (1, 35 and 160 under the zero-energy
+        # tolerance) and 2 of criterion 12's, in one rung (7,163 in 15).
         outside = np.abs(w) >= box.half_width
         w[outside] = np.sign(w[outside]) * 0.3 * box.sigma[outside]
+        n_clipped = int(np.count_nonzero(outside))
 
     w, (e, g), dt = adapt_step_size(
         w, value_grad(w), value_grad,
         HmcConfig(temperature, DT0, cfg.n_leapfrog), rng, box,
         cfg.burn_in_traj)
-    return Replica(index, temperature, w, e, dt, rng, grad=g)
+    return Replica(index, temperature, w, e, dt, rng, grad=g,
+                   start_energy=float(start.energy), start_steps=start.n_steps,
+                   start_clipped=n_clipped)
 
 
 @dataclass

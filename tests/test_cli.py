@@ -14,7 +14,7 @@ from temperhmc.cli import SETTINGS, build_parser, main, write_manifest
 from temperhmc.harness import baseline_optimize, write_sweep_csv
 from temperhmc.minimize import RMinConfig
 from temperhmc.network import get_arch, save_params
-from temperhmc.replica import RemdConfig, RunTrace
+from temperhmc.replica import START_TOL_PER_T, RemdConfig, RunTrace, make_ladder
 from temperhmc.ti import TiConfig
 
 
@@ -156,6 +156,17 @@ class TestRemdAndReport:
         assert sum(meta["swap_attempts"]) == 3 * 10      # N_T attempts a sweep
         assert all(0 <= acc <= att for acc, att in
                    zip(meta["swap_accepts"], meta["swap_attempts"]))
+
+    def test_run_file_records_each_rung_s_start(self, remd_out):
+        meta = json.loads((remd_out / "remd_run.json").read_text())
+        energies, steps, clipped = (meta[k] for k in
+                                    ("start_energy", "start_steps", "start_clipped"))
+        assert len(energies) == len(steps) == len(clipped) == meta["nt"] == 3
+        assert all(isinstance(n, int) and n >= 1 for n in steps)
+        assert all(isinstance(n, int) and n >= 0 for n in clipped)
+        # coldest rung first; each start-up rmin stopped below 1e-3 T
+        ladder = make_ladder(meta["tmin"], meta["tmax"], meta["nt"])
+        assert all(e < START_TOL_PER_T * T for e, T in zip(energies, ladder))
 
     def test_report_rebuilds_table(self, remd_out, tmp_path):
         out = tmp_path / "table.csv"
@@ -409,7 +420,7 @@ class TestExitCodes:
         rc = main(["ti", "--model", "M3", "--data", "D50",
                    "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "out"),
                    "--w0", str(w0), "--repeats", "1", "--n-bridge", "1",
-                   "--L", "1", "--burn-in-traj", "1", "--sample-traj", "1",
+                   "--L", "1", "--burn-in-traj", "1", "--sample-traj", "2",
                    "--fit-burn-in-traj", "1", "--fit-sample-traj", "2"])
         assert rc == 2
         assert "does not match the requested model" in capsys.readouterr().err
@@ -444,6 +455,63 @@ class TestExitCodes:
                          "--config", str(cfg)) == 2
         assert "n_traj" in capsys.readouterr().err
         assert not (tmp_path / "remd_manifest.json").exists()
+
+
+class TestOutOfRangeSettings:
+    """A count or step size below its bound exits 2 before any data is read."""
+
+    RUN = ["--model", "M1", "--data", "D50"]
+
+    @pytest.mark.parametrize("argv", [
+        ["remd", "--ntraj", "0"],
+        ["remd", "--L", "0"],
+        ["ti", "--L", "0"],
+        ["remd", "--eval-subset", "-5"],
+        ["ti", "--repeats", "0"],
+        ["minimize", "--restarts", "0"],
+        ["remd", "--sweeps", "1"],
+        ["ti", "--sample-traj", "1"],
+        ["ti", "--fit-sample-traj", "0"],
+        ["minimize", "--n-steps", "0"],
+        ["minimize", "--dt0", "0"],
+        ["remd", "--burn-in-traj", "-1"],
+        ["ti", "--burn-in-traj", "-2"],
+        ["ti", "--fit-burn-in-traj", "-1"],
+        ["ti", "--n-bridge", "0"],
+        ["remd", "--checkpoint-every", "-1"],
+        ["remd", "--seed", "-1"],
+        ["prepare-data", "--size", "0"],
+    ], ids=" ".join)
+    def test_exit_2_and_no_output_directory(self, data_dir, corpus_dir, w0_path,
+                                            tmp_path, capsys, argv):
+        command, flag, value = argv
+        out = tmp_path / "out"
+        if command == "prepare-data":
+            argv = [*argv, "--mnist-dir", str(corpus_dir), "--data-dir", str(out)]
+        else:
+            argv = [*argv, *self.RUN, "--data-dir", str(data_dir),
+                    "--out-dir", str(out)]
+        if command == "ti":
+            argv += ["--w0", str(w0_path)]
+        assert main(argv) == 2
+        assert f"{flag} must be greater than" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bound_applies_to_a_config_file_value(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweeps": 1}))
+        assert main(["remd", *self.RUN, "--data-dir", str(data_dir),
+                     "--out-dir", str(tmp_path / "out"), "--config", str(cfg)]) == 2
+        assert "--sweeps must be greater than 1, not 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_lowest_values_in_range_run(self, data_dir, tmp_path):
+        # remd's bounds are tight: the least value each allows runs
+        assert main(["remd", *self.RUN, "--data-dir", str(data_dir),
+                     "--out-dir", str(tmp_path), "--nt", "2", "--ntraj", "1",
+                     "--L", "1", "--sweeps", "2", "--burn-in-traj", "0",
+                     "--eval-subset", "0", "--checkpoint-every", "0",
+                     "--seed", "0"]) == 0
 
 
 class TestVersion:

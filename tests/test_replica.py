@@ -8,11 +8,12 @@ import temperhmc.hmc
 import temperhmc.replica
 from temperhmc.errors import ConfigError, InsufficientSamples
 from temperhmc.hmc import HmcConfig, hmc_trajectory
-from temperhmc.network import NetworkArch, dataset_energy_fns, prior_box
-from temperhmc.replica import (RemdConfig, Replica, RunTrace, attempt_swap,
-                               blocked_mean_se, init_replica, load_checkpoint,
-                               make_ladder, measure_sweep, run_remd,
-                               save_checkpoint, swap_log_prob)
+from temperhmc.minimize import rmin
+from temperhmc.network import NetworkArch, dataset_energy_fns, get_arch, prior_box
+from temperhmc.replica import (START_TOL_PER_T, RemdConfig, Replica, RunTrace,
+                               attempt_swap, blocked_mean_se, init_replica,
+                               load_checkpoint, make_ladder, measure_sweep,
+                               run_remd, save_checkpoint, swap_log_prob)
 from temperhmc.ti import TiConfig, fit_stiffness, run_ti
 
 
@@ -105,6 +106,38 @@ class TestInitReplica:
         assert a.energy == b.energy
         from temperhmc.network import in_support
         assert in_support(a.w, box)
+
+    @pytest.mark.parametrize("temperature", [1e-2, 1e2])
+    def test_minimiser_stops_at_the_first_energy_below_tol_per_t(
+            self, d50, monkeypatch, temperature):
+        arch = get_arch("M1")
+        train, _ = d50
+        _, value_grad = dataset_energy_fns(arch, train.inputs, train.labels)
+        runs = []
+
+        def recording_rmin(w0, potential, cfg):
+            calls = 0
+
+            def counted(w):
+                nonlocal calls
+                calls += 1
+                return potential(w)
+
+            res = rmin(w0, counted, cfg=cfg)
+            runs.append((res, calls))
+            return res
+
+        monkeypatch.setattr(temperhmc.replica, "rmin", recording_rmin)
+        r = init_replica(0, temperature, value_grad, prior_box(arch), seed=4,
+                         arch=arch, cfg=RemdConfig(burn_in_traj=1, n_leapfrog=2))
+        (res, calls), = runs
+        tol = START_TOL_PER_T * temperature
+        energies = [e for _, e, _ in res.trace]
+        assert energies[-1] < tol
+        assert all(e >= tol for e in energies[:-1])
+        assert (r.start_energy, r.start_steps) == (res.energy, len(energies))
+        assert calls == r.start_steps + 1       # and one at the start
+        assert r.start_clipped == 0
 
 
 class TestRunRemd:
