@@ -263,8 +263,8 @@ def cmd_minimize(args):
 def cmd_remd(args):
     cfg = _resolve(args)
     with _reading_config():
+        ladder = make_ladder(cfg["tmin"], cfg["tmax"], cfg["nt"])   # before any read
         arch, train, test = _model_and_data(cfg)
-        ladder = make_ladder(cfg["tmin"], cfg["tmax"], cfg["nt"])
     remd_cfg = RemdConfig(n_traj=cfg["ntraj"], n_leapfrog=cfg["L"],
                           sweeps=cfg["sweeps"], burn_in_traj=cfg["burn_in_traj"],
                           checkpoint_every=cfg["checkpoint_every"])
@@ -303,6 +303,8 @@ def cmd_remd(args):
                 start_steps=[r.start_steps for r in replicas],
                 start_clipped=[r.start_clipped for r in replicas],
                 accept_rate=np.mean(trace.accept_rate, axis=0).tolist(),
+                grad_calls=[r.grad_calls for r in replicas],
+                wall_stops=[r.wall_stops for r in replicas],
                 swap_attempts=np.sum(trace.swap_attempts, axis=0).tolist(),
                 swap_accepts=np.sum(trace.swap_accepts, axis=0).tolist())
     _write_json(os.path.join(out_dir, "remd_run.json"), meta)
@@ -351,11 +353,16 @@ def cmd_ti(args):
         "log_prior_volume": box.log_volume,
         "log_evidence": float(np.mean([r.log_evidence for r in runs])),
         "repeats": repeats,
-        "per_lambda": {
+        "per_lambda": {     # the first repeat's windows
             "lambdas": runs[0].lambdas.tolist(),
             "mean": runs[0].integrand_mean.tolist(),
             "se": runs[0].integrand_se.tolist(),
+            "dt": runs[0].dt.tolist(),
+            "accept_rate": runs[0].accept_rate.tolist(),
+            "grad_calls": runs[0].grad_calls.tolist(),
         },
+        # windows of the first repeat whose sampling accepted no trajectory
+        "frozen_lambdas": runs[0].lambdas[runs[0].accept_rate == 0].tolist(),
         "stiffness_fit": fits,      # per repeat
     }
     out_path = os.path.join(out_dir, "ti_run.json")

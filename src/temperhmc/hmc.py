@@ -2,13 +2,17 @@
 
 A trajectory draws unit-mass momenta p_i ~ N(0, T), propagates (w, p)
 with velocity Verlet for L steps, and accepts with log-probability
-(U_old - U_new) / T where U = E + sum(p^2) / 2.  Proposals leaving the
-uniform prior box are rejected outright; non-finite energies or gradients
-are treated as rejections so the chain stays valid.
+(U_old - U_new) / T where U = E + sum(p^2) / 2.  The uniform prior box
+makes the potential +inf outside it, so a trajectory is rejected at its
+first drift that leaves the box, before that point is evaluated (Neal
+2011, Handbook of MCMC, ch. 5); the reverse trajectory visits the same
+points, so the rule keeps detailed balance.  Non-finite energies or
+gradients are treated as rejections so the chain stays valid.
 
 The potential is one call, value_grad(w) -> (E, gradient).  The chain
 state is (w, E, g): a trajectory starts from the carried pair and ends with
-the pair at its last Verlet step, so L steps cost exactly L calls.
+the pair at its last Verlet step, so L steps cost at most L calls; a
+trajectory stops at its first drift outside the box.
 run_chain strings trajectories together; every sampling loop drives it,
 and so does adapt_step_size, the burn-in that sets each sampler's fixed dt.
 """
@@ -21,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FailedToTune
-from .network import PriorBox, in_support
+from .network import PriorBox
 
 
 @dataclass
@@ -42,15 +46,21 @@ class TrajectoryOutcome:
     energy: float          # potential energy of the returned state
     grad: np.ndarray       # its gradient
     log_accept: float      # (U_o - U_n) / T; -inf for a proposal never accepted
+    n_calls: int = 0       # value_grad calls the trajectory made
+    at_wall: bool = False  # stopped at a drift outside the prior box
 
 
-def velocity_verlet(w, p, g, value_grad, dt, n_steps):
+def velocity_verlet(w, p, g, value_grad, dt, n_steps, box=None):
     """Kick-drift-kick integration of (w, p) for n_steps >= 1 steps.
 
     g is the gradient at the starting w.  Returns (w, p, e, g, ok) with the
     energy and gradient at the final w; ok is False when a gradient went
     non-finite, in which case the trajectory must be counted as rejected.
-    The kicks and drifts go through one scratch vector, in place.
+    With a prior box, every drift is tested against it before value_grad
+    sees the new w: at the first drift that puts a coordinate on or past a
+    wall it returns ok False, that w, e nan and the last gradient, so a
+    trajectory makes at most n_steps calls.  The kicks and drifts go
+    through one scratch vector, in place.
     """
     w = np.array(w, dtype=float)
     p = np.array(p, dtype=float)
@@ -60,6 +70,8 @@ def velocity_verlet(w, p, g, value_grad, dt, n_steps):
     for _ in range(n_steps):
         p -= np.multiply(half, g, out=step)
         w += np.multiply(dt, p, out=step)
+        if box is not None and not np.all(np.abs(w, out=step) < box.half_width):
+            return w, p, np.nan, g, False
         e, g = value_grad(w)
         if not np.all(np.isfinite(g)):
             return w, p, e, g, False
@@ -73,23 +85,34 @@ def hmc_trajectory(w, value_grad, cfg: HmcConfig, rng,
     """One HMC proposal from w; returns the accepted or retained state.
 
     current is the (energy, gradient) pair at w carried from the previous
-    trajectory; without it one extra value_grad call computes it.
+    trajectory; without it one extra value_grad call computes it.  A
+    trajectory that drifts out of the box stops there (velocity_verlet) and
+    is rejected; the uniform draw of the accept test is made all the same,
+    so the random stream does not depend on where a trajectory stopped.
     """
-    e_old, g_old = value_grad(w) if current is None else current
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return value_grad(x)
+
+    e_old, g_old = counted(w) if current is None else current
     p0 = rng.normal(0.0, np.sqrt(cfg.temperature), size=w.shape)
     u_old = e_old + float(np.sum(p0 * p0 / 2.0))
 
-    w_new, p_new, e_new, g_new, ok = velocity_verlet(w, p0, g_old, value_grad,
-                                                     cfg.dt, cfg.n_steps)
+    w_new, p_new, e_new, g_new, ok = velocity_verlet(w, p0, g_old, counted,
+                                                     cfg.dt, cfg.n_steps, box)
     log_u = np.log(rng.uniform())
-    outside = box is not None and not in_support(w_new, box)
-    if not ok or not np.isfinite(e_new) or outside:
-        return TrajectoryOutcome(False, w, e_old, g_old, -np.inf)
+    if not ok or not np.isfinite(e_new):
+        # a gradient failure stops inside the box, a wall stop outside it
+        at_wall = box is not None and not np.all(np.abs(w_new) < box.half_width)
+        return TrajectoryOutcome(False, w, e_old, g_old, -np.inf, calls, at_wall)
     u_new = e_new + float(np.sum(p_new * p_new / 2.0))
     alpha = (u_old - u_new) / cfg.temperature
     if log_u < alpha:
-        return TrajectoryOutcome(True, w_new, e_new, g_new, alpha)
-    return TrajectoryOutcome(False, w, e_old, g_old, alpha)
+        return TrajectoryOutcome(True, w_new, e_new, g_new, alpha, calls)
+    return TrajectoryOutcome(False, w, e_old, g_old, alpha, calls)
 
 
 def run_chain(w, current, value_grad, cfg: HmcConfig, rng, box, n_traj,

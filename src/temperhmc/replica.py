@@ -3,9 +3,10 @@
 Each sweep runs every replica for a fixed number of HMC trajectories at
 its own temperature, then makes N_T random adjacent-pair swap attempts.
 A swap exchanges the parameter vectors, cached energies, gradients and
-held-out energies, and replica identity labels; the step size and RNG
-stream stay with the temperature slot.  Per-replica seed streams plus a
-dedicated swap stream make a run bit-reproducible.
+held-out energies, and replica identity labels; the step size, RNG
+stream and production counters stay with the temperature slot.
+Per-replica seed streams plus a dedicated swap stream make a run
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -49,10 +50,18 @@ class Replica:
     start_energy: float = None  # rmin's final energy
     start_steps: int = None     # rmin's steps, one value_grad call each
     start_clipped: int = None   # coordinates moved off a prior-box wall
+    # run_remd's production work at this slot; they stay with it on a swap
+    grad_calls: int = 0         # value_grad calls of its trajectories
+    wall_stops: int = 0         # trajectories stopped at a prior-box wall
 
     def __post_init__(self):
         if self.identity is None:
             self.identity = self.index
+
+    def count_work(self, out):
+        """Add a production trajectory's outcome to the slot's counters."""
+        self.grad_calls += out.n_calls
+        self.wall_stops += out.at_wall
 
 
 def swap_log_prob(t_lo, t_hi, e_lo, e_hi) -> float:
@@ -197,7 +206,8 @@ def run_remd(replicas, value_grad, box, cfg: RemdConfig, swap_seed,
     trajectory leaves w, and so the value, unchanged.  Passing an existing
     trace resumes recording.  A replica without a carried gradient (built
     by hand, or loaded from a checkpoint, which stores none) gets it from
-    one value_grad call here.
+    one value_grad call here.  Each rung adds its trajectories' value_grad
+    calls and wall stops to its grad_calls and wall_stops.
     """
     replicas = list(replicas)
     for r in replicas:
@@ -214,7 +224,8 @@ def run_remd(replicas, value_grad, box, cfg: RemdConfig, swap_seed,
         for i, r in enumerate(replicas):
             hmc_cfg = HmcConfig(r.temperature, r.dt, cfg.n_leapfrog)
             r.w, (r.energy, r.grad), n_acc = run_chain(
-                r.w, (r.energy, r.grad), value_grad, hmc_cfg, r.rng, box, cfg.n_traj)
+                r.w, (r.energy, r.grad), value_grad, hmc_cfg, r.rng, box, cfg.n_traj,
+                r.count_work)
             accept[i] = n_acc / cfg.n_traj
             if test_energy_fn and (n_acc or r.e_test is None):
                 r.e_test = test_energy_fn(r.w)

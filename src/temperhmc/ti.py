@@ -65,6 +65,10 @@ class TIResult:
     integrand_mean: np.ndarray
     integrand_se: np.ndarray
     log_evidence: float = None      # -F - log prior volume; set by evidence()
+    # what each window's sampling did, one entry per lambda
+    dt: np.ndarray = None           # its step size (before the jitter)
+    accept_rate: np.ndarray = None
+    grad_calls: np.ndarray = None   # calls of the window's bridge potential
 
 
 def fit_stiffness(value_grad, w0, cfg: TiConfig, rng,
@@ -228,13 +232,17 @@ def run_ti(energy_fn, value_grad, stiff: StiffnessDiag, box: PriorBox,
     points; chains warm-start sequentially from the previous lambda, with
     prior-box rejection active throughout.  The burn-in of every
     retune_every_lambdas-th window adapts dt, starting from the dt in use;
-    the others run at it.  F = F0 - integral of the mean observable.
+    the others run at it.  F = F0 - integral of the mean observable.  The
+    result records each window's sampling dt, acceptance rate and calls.
     """
     lambdas = np.linspace(0.0, 1.0, cfg.n_bridge + 2)
     w = stiff.w0.copy()
     dt = cfg.dt0
     means = np.zeros_like(lambdas)
     ses = np.zeros_like(lambdas)
+    dts = np.zeros_like(lambdas)
+    accept_rate = np.zeros_like(lambdas)
+    grad_calls = np.zeros(len(lambdas), dtype=int)
     for idx, lam in enumerate(lambdas):
         bridge = bridge_energy_fns(value_grad, stiff, lam)
         n_adapt = cfg.burn_in_traj if idx % cfg.retune_every_lambdas == 0 else 0
@@ -245,18 +253,24 @@ def run_ti(energy_fn, value_grad, stiff: StiffnessDiag, box: PriorBox,
         w, current, _ = run_chain(w, current, bridge, hmc_cfg, rng, box,
                                   cfg.burn_in_traj - n_adapt, None, DT_JITTER)
         samples = []
-        w = run_chain(w, current, bridge, hmc_cfg, rng, box, cfg.sample_traj,
-                      lambda out: samples.append(
-                          ti_observable(energy_fn, stiff, out.w)
-                          if out.accepted or not samples else samples[-1]), DT_JITTER)[0]
+
+        def observe(out):
+            grad_calls[idx] += out.n_calls
+            samples.append(ti_observable(energy_fn, stiff, out.w)
+                           if out.accepted or not samples else samples[-1])
+
+        w, _, n_acc = run_chain(w, current, bridge, hmc_cfg, rng, box,
+                                cfg.sample_traj, observe, DT_JITTER)
         means[idx], ses[idx] = blocked_mean_se(samples)
+        dts[idx], accept_rate[idx] = dt, n_acc / cfg.sample_traj
 
     # The bridge at lambda=1 is the reference quadratic shifted by J(w0), so
     # the total correction from F0 to F is J(w0) minus the quadrature of the
     # mean observable over [0, 1].  With a zero-energy minimum J(w0) drops out.
     correction = stiff.j0 - simpson_uniform(lambdas, means)
     f0 = -log_z0(stiff, box)
-    return TIResult(f0 + correction, f0, correction, lambdas, means, ses)
+    return TIResult(f0 + correction, f0, correction, lambdas, means, ses,
+                    dt=dts, accept_rate=accept_rate, grad_calls=grad_calls)
 
 
 def evidence(ti: TIResult, box: PriorBox) -> float:

@@ -168,6 +168,16 @@ class TestRemdAndReport:
         ladder = make_ladder(meta["tmin"], meta["tmax"], meta["nt"])
         assert all(e < START_TOL_PER_T * T for e, T in zip(energies, ladder))
 
+    def test_run_file_counts_each_rung_s_production_work(self, remd_out):
+        meta = json.loads((remd_out / "remd_run.json").read_text())
+        calls, stops = meta["grad_calls"], meta["wall_stops"]
+        assert len(calls) == len(stops) == len(meta["accept_rate"]) == 3
+        n_traj, n_steps = meta["ntraj"] * meta["n_sweeps"], meta["L"]
+        for c, s in zip(calls, stops):
+            assert isinstance(c, int) and isinstance(s, int)
+            # a wall stop makes at most L - 1 calls, any other trajectory L
+            assert (n_traj - s) * n_steps <= c <= n_traj * n_steps - s
+
     def test_report_rebuilds_table(self, remd_out, tmp_path):
         out = tmp_path / "table.csv"
         rc = main(["report", "--trace", str(remd_out / "remd_trace.csv"),
@@ -210,7 +220,15 @@ class TestTiAndCompare:
         # f0 and integral are repeat means, like free_energy
         assert run["free_energy"] == pytest.approx(run["f0"] + run["integral"],
                                                    rel=1e-12, abs=1e-9)
-        assert len(run["per_lambda"]["lambdas"]) == 4
+        per = run["per_lambda"]
+        assert len(per["lambdas"]) == 4
+        assert len(per["dt"]) == len(per["accept_rate"]) == len(per["grad_calls"]) == 4
+        assert all(dt > 0 for dt in per["dt"])
+        # 6 sampling trajectories of L = 10 a window
+        assert all(a in [n / 6 for n in range(7)] for a in per["accept_rate"])
+        assert all(isinstance(c, int) and 0 <= c <= 60 for c in per["grad_calls"])
+        assert run["frozen_lambdas"] == [lam for lam, a in
+                                         zip(per["lambdas"], per["accept_rate"]) if a == 0]
         assert len(run["stiffness_fit"]) == 2          # one per repeat
         for fit in run["stiffness_fit"]:
             assert set(fit) == {"frac_outside_box", "degenerate"}
@@ -495,6 +513,22 @@ class TestOutOfRangeSettings:
             argv += ["--w0", str(w0_path)]
         assert main(argv) == 2
         assert f"{flag} must be greater than" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ladder", [("5", "1", "4"), ("0.1", "10", "1")],
+                             ids=["tmin above tmax", "one rung"])
+    def test_bad_ladder_exit_2_before_the_data_is_read(self, data_dir, tmp_path,
+                                                       monkeypatch, capsys, ladder):
+        def load(*args):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(temperhmc.cli.DatasetStore, "load", load)
+        tmin, tmax, nt = ladder
+        out = tmp_path / "out"
+        assert main(["remd", *self.RUN, "--data-dir", str(data_dir),
+                     "--out-dir", str(out), "--tmin", tmin, "--tmax", tmax,
+                     "--nt", nt]) == 2
+        assert "bad ladder range" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bound_applies_to_a_config_file_value(self, data_dir, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from temperhmc.hmc import (HmcConfig, StepSizeController, adapt_step_size,
                            hmc_trajectory, measure_acceptance, run_chain,
                            tune_step_size, velocity_verlet)
 from temperhmc.network import PriorBox
+from temperhmc.replica import blocked_mean_se
 
 
 def quad_fns(h):
@@ -95,17 +97,48 @@ class TestTrajectory:
         assert all(o.log_accept == pytest.approx(0.0, abs=1e-12) for o in outcomes)
 
     def test_out_of_box_rejected(self):
-        # tiny box around the origin: a free-flight proposal almost surely exits
+        # tiny box around the origin: the first free-flight drift leaves it
         box = PriorBox(np.full(3, 1e-6))
         cfg = HmcConfig(temperature=1.0, dt=0.5, n_steps=20)
         rng, free = np.random.default_rng(3), np.random.default_rng(3)
-        out = hmc_trajectory(np.zeros(3), flat, cfg, rng, box)
-        assert not out.accepted
+        calls = []
+
+        def counted(w):
+            calls.append(w.copy())
+            return flat(w)
+
+        w, current = np.zeros(3), flat(np.zeros(3))
+        out = hmc_trajectory(w, counted, cfg, rng, box, current)
+        assert not out.accepted and out.at_wall
         assert out.log_accept == -np.inf        # acceptance probability 0
-        np.testing.assert_array_equal(out.w, 0.0)
-        # the same random draws as the accepted move without the box
-        assert hmc_trajectory(np.zeros(3), flat, cfg, free).accepted
+        # the carried objects come back, and the point outside is never evaluated
+        assert out.w is w and out.energy is current[0] and out.grad is current[1]
+        assert calls == [] and out.n_calls == 0
+        # the same random draws as the full-length accepted move without the box
+        full = hmc_trajectory(w, counted, cfg, free, None, current)
+        assert full.accepted and not full.at_wall
+        assert len(calls) == full.n_calls == 20
         assert rng.bit_generator.state == free.bit_generator.state
+
+    def test_truncated_gaussian_exact_with_wall_stops(self):
+        # N(0, 1) on |w| < a: at dt 0.35 and L 12 about half the trajectories
+        # stop at a wall, and many of them would have come back inside.
+        # <w^2> = 1 - 2 a phi(a) / (2 Phi(a) - 1) = 0.1957.  Over pilot seeds
+        # 1-30 of this set-up the z-score had sd 1.02 and max |z| 2.34.
+        a = 0.8
+        phi = math.exp(-a * a / 2) / math.sqrt(2 * math.pi)
+        exact = 1 - 2 * a * phi / math.erf(a / math.sqrt(2))
+        _, value_grad = quad_fns([1.0])
+        w = np.zeros(1)
+        n = 15_000
+        outcomes = []
+        run_chain(w, value_grad(w), value_grad, HmcConfig(1.0, 0.35, 12),
+                  np.random.default_rng(0), PriorBox(np.array([2 * a])), n,
+                  outcomes.append)
+        sq = np.array([o.w[0] ** 2 for o in outcomes])
+        mean, se = blocked_mean_se(sq, 20)
+        assert abs(mean - exact) < 4 * se
+        assert 0.3 < np.mean([o.at_wall for o in outcomes]) < 0.7
 
     def test_gaussian_stationarity_1d(self):
         _, value_grad = quad_fns([1.0])

@@ -22,7 +22,7 @@ from temperhmc.network import (LOGISTIC_SOFTMAX, NetworkArch, PriorBox,
                                get_arch, init_standard, prior_box)
 from temperhmc.replica import (RemdConfig, Replica, RunTrace, attempt_swap,
                                init_replica, run_remd)
-from temperhmc.ti import StiffnessDiag, bridge_energy_fns
+from temperhmc.ti import StiffnessDiag, TiConfig, bridge_energy_fns, run_ti
 
 
 class Counting:
@@ -39,6 +39,18 @@ class Counting:
 
 def quad(w):
     return 0.5 * float(np.dot(w, w)), w.copy()
+
+
+def flat(w):
+    return 0.0, np.zeros_like(w)
+
+
+def box_guarded(value_grad, box):
+    """value_grad that fails when it is called at a point outside the box."""
+    def guarded(w):
+        assert np.all(np.abs(w) < box.half_width), "potential called outside the box"
+        return value_grad(w)
+    return guarded
 
 
 def masked_sigmoid(a):
@@ -167,6 +179,41 @@ class TestCallCounts:
         assert not out.accepted
         np.testing.assert_array_equal(out.w, w)
         assert out.grad is current[1]
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 8])
+    def test_kth_drift_out_of_the_box_makes_k_minus_1_calls(self, k):
+        # free flight from the origin puts drift j at j dt p0, so a half-width
+        # of (k - 1/2) dt max|p0| makes drift k the first one outside
+        potential = Counting(flat)
+        cfg = HmcConfig(1.0, 0.2, 8)
+        p0 = np.random.default_rng(5).normal(size=3)
+        box = PriorBox(np.full(3, 2 * (k - 0.5) * cfg.dt * np.max(np.abs(p0))))
+        w, current = np.zeros(3), flat(np.zeros(3))
+        out = hmc_trajectory(w, potential, cfg, np.random.default_rng(5), box, current)
+        assert potential.calls == out.n_calls == k - 1
+        assert out.at_wall and not out.accepted and out.log_accept == -np.inf
+        assert out.w is w and out.energy is current[0] and out.grad is current[1]
+
+    def test_a_box_no_trajectory_leaves_changes_no_bit(self):
+        arch, x, y = small_problem(rows=20)
+        _, value_grad = dataset_energy_fns(arch, x, y)
+        w0 = init_standard(arch, np.random.default_rng(6))
+        cfg = HmcConfig(1.0, 0.05, 6)
+        runs = []
+        for box in (prior_box(arch), None):
+            outcomes, rng = [], np.random.default_rng(6)
+            w, (e, g), n_acc = run_chain(w0, value_grad(w0), value_grad, cfg, rng,
+                                         box, 30, outcomes.append)
+            runs.append((w, e, g, n_acc, outcomes, rng.bit_generator.state))
+        (w, e, g, n_acc, outcomes, state), free = runs
+        assert 0 < n_acc == free[3]
+        assert not any(o.at_wall for o in outcomes)
+        np.testing.assert_array_equal(bits(w), bits(free[0]))
+        np.testing.assert_array_equal(bits(g), bits(free[2]))
+        assert e == free[1] and state == free[5]
+        for a, b in zip(outcomes, free[4]):
+            np.testing.assert_array_equal(bits(a.w), bits(b.w))
+            assert a.n_calls == b.n_calls == 6
 
     @pytest.mark.parametrize("n_steps", [1, 7])
     def test_rmin_step_makes_one_call(self, n_steps):
@@ -519,3 +566,56 @@ class TestRemdReplay:
                  swap_seed=0)
         assert potential.calls == 1 + 2 * 3 * 4
         np.testing.assert_array_equal(r.grad, quad(r.w)[1])
+
+
+class TestNoCallOutsideTheBox:
+    """No sampler evaluates the potential at a point outside the prior box.
+
+    The box is tight enough that many trajectories drift out of it; each
+    must stop at that drift, before the point is evaluated.
+    """
+
+    BOX = PriorBox(np.full(3, 2.0))
+    CFG = HmcConfig(1.0, 0.4, 10)
+
+    def start(self):
+        w = np.array([0.2, -0.1, 0.3])
+        return w, quad(w)
+
+    def test_run_chain(self):
+        outcomes = []
+        run_chain(*self.start(), box_guarded(quad, self.BOX), self.CFG,
+                  np.random.default_rng(0), self.BOX, 200, outcomes.append)
+        assert 20 < sum(o.at_wall for o in outcomes) < 180
+
+    def test_adapt_step_size(self):
+        potential = Counting(box_guarded(quad, self.BOX))
+        adapt_step_size(*self.start(), potential, self.CFG,
+                        np.random.default_rng(1), self.BOX, 100)
+        assert potential.calls < 100 * self.CFG.n_steps    # some stopped early
+
+    def test_run_remd_counts_each_rung_s_calls_and_wall_stops(self):
+        potential = Counting(box_guarded(quad, self.BOX))
+        w, (e, g) = self.start()
+        replicas = [Replica(i, T, w.copy(), e, 0.4, np.random.default_rng(i), grad=g)
+                    for i, T in enumerate([0.5, 2.0])]
+        cfg = RemdConfig(n_traj=3, n_leapfrog=10, sweeps=20)
+        run_remd(replicas, potential, self.BOX, cfg, swap_seed=2)
+        assert potential.calls == sum(r.grad_calls for r in replicas)
+        n_traj, n_steps = cfg.n_traj * cfg.sweeps, cfg.n_leapfrog
+        for r in replicas:
+            # a wall stop makes at most L - 1 calls, any other trajectory L
+            assert 0 < r.wall_stops < n_traj
+            assert ((n_traj - r.wall_stops) * n_steps <= r.grad_calls
+                    <= n_traj * n_steps - r.wall_stops)
+
+    def test_run_ti(self):
+        stiff = StiffnessDiag(np.zeros(3), np.ones(3), 0.0)
+        cfg = TiConfig(n_bridge=4, burn_in_traj=10, sample_traj=20, n_leapfrog=10,
+                       retune_every_lambdas=3, dt0=0.4)
+        guarded = box_guarded(quad, self.BOX)
+        result = run_ti(lambda w: guarded(w)[0], guarded, stiff, self.BOX, cfg,
+                        np.random.default_rng(3))
+        assert np.all(result.grad_calls <= cfg.sample_traj * cfg.n_leapfrog)
+        assert np.sum(result.grad_calls) < 6 * cfg.sample_traj * cfg.n_leapfrog
+        assert np.all((0 <= result.accept_rate) & (result.accept_rate <= 1))
