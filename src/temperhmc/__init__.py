@@ -1,6 +1,8 @@
 """Tempered-posterior sampling of small classifiers with replica-exchange
 HMC, and model evidence by thermodynamic integration."""
 
+__version__ = "0.1.0"
+
 from .network import (NetworkArch, PriorBox, STANDARD_ARCHS, get_arch,
                       forward, energy, energy_gradient, prior_box,
                       in_support, init_standard, dataset_energy_fns)

@@ -24,11 +24,11 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from importlib.metadata import PackageNotFoundError, version
 from typing import NamedTuple
 
 import numpy as np
 
+from . import __version__
 from .data import (DatasetStore, load_idx_split, stratified_indices,
                    stratified_subset, transform)
 from .errors import BudgetError, ConfigError, NumericalError
@@ -117,7 +117,7 @@ def write_manifest(out_dir, name, config, outputs):
     manifest = {
         "command": name,
         "config": config,
-        "package_version": _version(),
+        "package_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "outputs": {os.path.basename(p): _file_checksum(p) for p in outputs
                     if os.path.exists(p)},
@@ -130,13 +130,6 @@ def write_manifest(out_dir, name, config, outputs):
 def _write_json(path, payload):
     with replacing(path) as tmp, open(tmp, "w") as fh:
         json.dump(payload, fh, indent=2)
-
-
-def _version():
-    try:
-        return version("temperhmc")
-    except PackageNotFoundError:
-        return "unknown"
 
 
 @contextmanager

@@ -1,10 +1,11 @@
 """Fast inertial energy minimiser.
 
 Single velocity Verlet steps with an adaptive time step: after a downhill
-step dt grows by DT_INCREMENT; after an uphill step, or one that reaches a
-non-finite energy or gradient, the step is discarded, the momenta are
-zeroed and dt shrinks by DT_FACTOR, FIRE's f_dec = 0.5 (Bitzek et al.
-2006, PRL 97:170201).  Related to FIRE, but without FIRE's velocity
+step dt grows to max(dt + DT_INCREMENT, DT_GROWTH * dt); after an uphill
+step, or one that reaches a non-finite energy or gradient, the step is
+discarded, the momenta are zeroed and dt shrinks by DT_FACTOR.  DT_GROWTH
+and DT_FACTOR are FIRE's f_inc = 1.1 and f_dec = 0.5 (Bitzek et al. 2006,
+PRL 97:170201).  Related to FIRE, but without FIRE's velocity
 re-projection: the momentum direction is never re-normalised, only reset.
 
 The potential is one call, value_grad(w) -> (E, gradient), so a step
@@ -16,6 +17,16 @@ increment of 0.05 overshoots by 50% and one halving undoes it, so about
 half the steps are accepted.  At DT_FACTOR = 0.95 it takes about 8
 rejections, each costing a value_grad call and the momentum, to undo
 one overshoot, and about 90% of the steps are rejected.
+
+Why the growth factor: the increment is the larger of the two while
+dt < DT_INCREMENT / (DT_GROWTH - 1) = 0.5, so every step at dt <= 0.5 is
+as it was with the increment alone, and the balance above holds there.
+Near a zero-energy minimum of a softmax classifier the energy and its
+gradient shrink exponentially as the weights grow along the valley, so a
+dt that grows by a fixed increment crawls: on four 500-row M3 inputs, 3
+starts still stood at E = 4e-10 to 1e-9 after 2,000 steps.  Growing dt
+geometrically keeps pace with the valley; all four reach ZERO_TOL in 217
+to 339 steps.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from .errors import NonFiniteEnergy
 from .hmc import velocity_verlet
 
 DT_INCREMENT = 0.05
+DT_GROWTH = 1.1         # downhill, once it beats DT_INCREMENT (dt > 0.5)
 DT_FACTOR = 0.5         # uphill: one halving undoes one DT_INCREMENT overshoot
 STALL_REL_TOL = 1e-12   # a smaller relative improvement counts towards a stall
 ZERO_TOL = 1e-10        # an energy below this counts as a zero-energy minimum
@@ -70,7 +82,7 @@ def rmin(w0, value_grad, cfg: RMinConfig = None) -> RMinResult:
         w_new, p_new, e_new, g_new, ok = velocity_verlet(w, p, g, value_grad, dt, 1)
         if ok and np.isfinite(e_new) and e_new < e:
             w, p, e, g = w_new, p_new, e_new, g_new
-            dt += DT_INCREMENT
+            dt = max(dt + DT_INCREMENT, DT_GROWTH * dt)
         else:
             p = np.zeros_like(w)
             dt *= DT_FACTOR

@@ -1,7 +1,6 @@
 import inspect
 import json
 import os
-from importlib.metadata import PackageNotFoundError
 
 import numpy as np
 import pytest
@@ -549,20 +548,11 @@ class TestOutOfRangeSettings:
 
 
 class TestVersion:
-    def test_missing_package_reads_unknown(self, monkeypatch):
-        def not_installed(name):
-            raise PackageNotFoundError(name)
-
-        monkeypatch.setattr(temperhmc.cli, "version", not_installed)
-        assert temperhmc.cli._version() == "unknown"
-
-    def test_other_errors_propagate(self, monkeypatch):
-        def broken(name):
-            raise RuntimeError("broken metadata")
-
-        monkeypatch.setattr(temperhmc.cli, "version", broken)
-        with pytest.raises(RuntimeError, match="broken metadata"):
-            temperhmc.cli._version()
+    def test_manifest_names_the_package_version(self, tmp_path):
+        path = write_manifest(str(tmp_path), "run", {}, [])
+        with open(path) as fh:
+            manifest = json.load(fh)
+        assert manifest["package_version"] == temperhmc.__version__
 
 
 class _Stop(Exception):

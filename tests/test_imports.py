@@ -76,9 +76,19 @@ def test_check_sees_a_third_party_import():
     assert third_party_modules(tree) == {"numpy", "scipy"}
 
 
-def test_cli_import_loads_no_scipy():
+def modules_loaded_by_cli_import(prefix):
     code = ("import sys, temperhmc.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    assert modules_loaded_by_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_importlib_metadata():
+    # the package version is temperhmc.__version__; asking the installed
+    # metadata for it cost every process about 1 MB of RSS and 25 ms
+    assert modules_loaded_by_cli_import("importlib.metadata") == "[]"

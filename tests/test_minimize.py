@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from temperhmc.errors import NonFiniteEnergy
-from temperhmc.minimize import RMinConfig, RMinResult, rmin
+from temperhmc.minimize import ZERO_TOL, RMinConfig, RMinResult, rmin
+from temperhmc.network import NetworkArch, dataset_energy_fns, init_standard
 
 
 def quad1d():
@@ -26,6 +27,21 @@ class TestConvergence:
         res = rmin(np.array([2.0, -1.0, 0.5]), lambda w: (energy(w), h * w),
                    RMinConfig(n_steps=2000, energy_tol=1e-12))
         assert res.energy < 1e-10
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_separable_toy_net_reaches_zero_energy(self, seed):
+        # A softmax net on separable data has no finite minimum: E and its
+        # gradient shrink exponentially as the weights grow along a valley,
+        # which a dt grown by a fixed increment only crawls along.
+        arch = NetworkArch((8, 6, 3))
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(30, 8))
+        labels = np.argmax(x[:, :3] @ rng.normal(size=(3, 3)), axis=1)
+        w0 = init_standard(arch, rng)
+        _, value_grad = dataset_energy_fns(arch, x, labels)
+        res = rmin(w0, value_grad, RMinConfig())
+        assert res.energy < ZERO_TOL
+        assert res.n_steps <= 500
 
     def test_stationary_start_never_moves(self):
         value_grad = quad1d()
@@ -63,6 +79,23 @@ class TestStepSizeSchedule:
                    RMinConfig(n_steps=3, dt0=0.1, energy_tol=-np.inf))
         dts = [t[2] for t in res.trace]
         np.testing.assert_allclose(dts, [0.15, 0.20, 0.10], atol=1e-12)
+
+    def test_down_down_up_sequence_above_half(self):
+        # above dt = 0.5 a downhill step grows dt by 10%, not by 0.05
+        outcomes = iter([True, True, False])
+        state = {"e": 10.0, "started": False}
+
+        def scripted_energy(w):
+            if not state["started"]:
+                state["started"] = True
+                return state["e"]
+            state["e"] += -1.0 if next(outcomes, False) else 1.0
+            return state["e"]
+
+        res = rmin(np.array([1.0]), lambda w: (scripted_energy(w), np.ones_like(w)),
+                   RMinConfig(n_steps=3, dt0=1.0, energy_tol=-np.inf))
+        dts = [t[2] for t in res.trace]
+        np.testing.assert_allclose(dts, [1.1, 1.21, 0.605], atol=1e-12)
 
     def test_never_keeps_a_nonfinite_gradient(self):
         # E = w^2 falls all the way to 0, but its gradient is NaN below w = 1
