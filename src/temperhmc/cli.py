@@ -29,8 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .data import (DatasetStore, load_idx_split, stratified_indices,
-                   stratified_subset, transform)
+from .data import (DatasetStore, all_rows, load_idx_split, stratified_indices,
+                   stratified_split, transform)
 from .errors import BudgetError, ConfigError, NumericalError
 from .files import replacing
 from .harness import (N_RESTARTS, N_SOLUTIONS, anneal_stop, baseline_optimize,
@@ -189,7 +189,8 @@ def _typed(s, value):
     return typed
 
 
-def _model_and_data(cfg):
+def _model_and_data(cfg, test_rows=all_rows):
+    """The model, the train split and the test rows test_rows picks."""
     arch = get_arch(cfg["model"])
     store = DatasetStore(cfg["data_dir"])
     tag = cfg["data"]
@@ -201,7 +202,7 @@ def _model_and_data(cfg):
             f"dataset {tag} (seed {seed}) not found in {cfg['data_dir']}; "
             "run prepare-data first"
         )
-    return (arch, *store.load(n, seed))
+    return (arch, *store.load(n, seed, test_rows=test_rows))
 
 
 def cmd_prepare_data(args):
@@ -210,11 +211,12 @@ def cmd_prepare_data(args):
     with _reading_config():
         full_train, full_test = transform(load_idx_split(cfg["mnist_dir"], "train"),
                                           load_idx_split(cfg["mnist_dir"], "test"))
-        train, test = stratified_subset(full_train, full_test, n, seed)
-    del full_train, full_test       # the whole corpus is freed before the writes
+        train, test = stratified_split(full_train, full_test, n, seed)
+    # both splits are written by row index from the features, with no copy
     paths = DatasetStore(cfg["data_dir"]).save(n, seed, train, test)
     write_manifest(cfg["data_dir"], "prepare-data", cfg, paths)
-    print(f"prepared D{n} seed {seed}: train {len(train)}, test {len(test)}")
+    print(f"prepared D{n} seed {seed}: train {n}, "
+          f"test {len(full_train) + len(full_test) - n}")
     return 0
 
 
@@ -255,24 +257,21 @@ def cmd_minimize(args):
 
 def cmd_remd(args):
     cfg = _resolve(args)
+    n_eval = cfg["eval_subset"]
     with _reading_config():
         ladder = make_ladder(cfg["tmin"], cfg["tmax"], cfg["nt"])   # before any read
-        arch, train, test = _model_and_data(cfg)
+        # a fixed stratified evaluation subset keeps the per-sweep cost bounded
+        arch, train, test = _model_and_data(cfg, lambda labels: (
+            stratified_indices(labels, n_eval, seed=12345)
+            if 0 < n_eval < len(labels) else all_rows(labels)))
     remd_cfg = RemdConfig(n_traj=cfg["ntraj"], n_leapfrog=cfg["L"],
                           sweeps=cfg["sweeps"], burn_in_traj=cfg["burn_in_traj"],
                           checkpoint_every=cfg["checkpoint_every"])
-    n_eval, out_dir = cfg["eval_subset"], cfg["out_dir"]
+    out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     box = prior_box(arch)
     _, value_grad = dataset_energy_fns(arch, train.inputs, train.labels)
-
-    if n_eval and n_eval < len(test):
-        # fixed stratified evaluation subset keeps the per-sweep cost bounded
-        idx = stratified_indices(test.labels, n_eval, seed=12345)
-        eval_inputs, eval_labels = test.inputs[idx], test.labels[idx]
-    else:
-        eval_inputs, eval_labels = test.inputs, test.labels
-    test_energy_fn, _ = dataset_energy_fns(arch, eval_inputs, eval_labels)
+    test_energy_fn, _ = dataset_energy_fns(arch, test.inputs, test.labels)
 
     seeds = np.random.SeedSequence(cfg["seed"]).spawn(len(ladder) + 1)
     replicas = [init_replica(i, T, value_grad, box, seeds[i],
@@ -310,7 +309,7 @@ def cmd_remd(args):
 def cmd_ti(args):
     cfg = _resolve(args)
     with _reading_config():
-        arch, train, _ = _model_and_data(cfg)
+        arch, train, _ = _model_and_data(cfg, test_rows=None)
         ckpt_arch, w0 = load_params(cfg["w0"])
         if ckpt_arch != arch:
             raise ConfigError("w0 checkpoint does not match the requested model")

@@ -6,6 +6,13 @@ features, and standardised per feature using statistics over the full
 combined (train + test) set.  Training subsets D_n are stratified: n/10
 examples per class; everything not selected is appended to the test split.
 A D_n is saved as a checksummed binary snapshot whose name holds (n, seed).
+
+Each step holds only the rows it uses, and no step holds two full-size
+float copies of the corpus: the writer streams a split's rows out of the
+standardised features by index, and the reader streams a snapshot through
+its checksum, keeping only the rows its caller picks from the labels.  A
+command reads only the rows it uses, and one that uses no test rows opens
+no test snapshot.
 """
 
 from __future__ import annotations
@@ -33,6 +40,9 @@ VARIANCE_FLOOR = 1e-8
 # Images scaled and resized per block: a block's float copy is 64 x 28 x 28
 # x 8 B = 400 kB, so no split is ever held as a whole float array.
 RESIZE_BLOCK = 64
+# Feature rows per block of the variance and of a snapshot read or write:
+# 256 KiB, 128 rows of 256 features.
+BLOCK_BYTES = 1 << 18
 
 SNAPSHOT_MAGIC = b"THMCDS01"
 
@@ -87,7 +97,7 @@ def _parse_idx_array(data: bytes) -> np.ndarray:
         raise TruncatedPayload(
             f"payload has {payload.size} bytes, header promises {expected}"
         )
-    return payload.reshape(dims).copy()
+    return payload.reshape(dims)       # a read-only view of data
 
 
 def parse_idx(image_bytes: bytes, label_bytes: bytes) -> RawImageSet:
@@ -164,12 +174,37 @@ def _resize_into(out: np.ndarray, images: np.ndarray) -> None:
         out[i:i + RESIZE_BLOCK] = resize_images(images[i:i + RESIZE_BLOCK] / 255.0)
 
 
+def _block_rows(n, d):
+    """Rows in a block of n rows of d features; at least one."""
+    return max(1, min(n, BLOCK_BYTES // (8 * d)))
+
+
+def _variance(feats, mean):
+    """feats.var(axis=0), bit for bit, without a full-size array of deviations.
+
+    numpy adds axis 0 one row at a time.  Each block's squared deviations
+    are reduced with the running sum as their first row, so the additions
+    keep that order; summing blocks apart and adding the sums would not.
+    """
+    step = _block_rows(*feats.shape)
+    block = np.empty((step + 1, feats.shape[1]))
+    total = np.zeros(feats.shape[1])
+    for a in range(0, len(feats), step):
+        rows = feats[a:a + step]
+        dev = block[1:1 + len(rows)]
+        np.subtract(rows, mean, out=dev)
+        np.multiply(dev, dev, out=dev)
+        block[0] = total
+        np.add.reduce(block[int(a == 0):1 + len(rows)], axis=0, out=total)
+    return total / len(feats)
+
+
 def transform(train_raw: RawImageSet, test_raw: RawImageSet):
     """Resize, flatten, and standardise both splits jointly.
 
     Standardisation statistics are computed per feature over the combined
     train + test set, with a variance floor for near-constant border
-    pixels.  Returns (train, test) Datasets.
+    pixels.  Returns (train, test) Datasets, views of one feature array.
     """
     n_train = len(train_raw.labels)
     feats = np.empty((n_train + len(test_raw.labels), TARGET_SIDE, TARGET_SIDE))
@@ -177,7 +212,7 @@ def transform(train_raw: RawImageSet, test_raw: RawImageSet):
     _resize_into(feats[n_train:], test_raw.images)
     feats = feats.reshape(len(feats), -1)
     mean = feats.mean(axis=0)
-    std = np.sqrt(np.maximum(feats.var(axis=0), VARIANCE_FLOOR))
+    std = np.sqrt(np.maximum(_variance(feats, mean), VARIANCE_FLOOR))
     feats -= mean
     feats /= std
     return (Dataset(feats[:n_train], train_raw.labels),
@@ -199,12 +234,25 @@ def stratified_indices(labels: np.ndarray, n: int, seed: int) -> np.ndarray:
     return np.sort(np.concatenate(chosen))
 
 
-def stratified_subset(train: Dataset, test: Dataset, n: int, seed: int):
-    """Stratified D_n and its complement-augmented test set.
+def all_rows(labels: np.ndarray) -> np.ndarray:
+    """Every row: the selection of a full read or write."""
+    return np.arange(len(labels))
+
+
+def _ascending(rows, n: int) -> np.ndarray:
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size and (rows[0] < 0 or rows[-1] >= n or np.any(np.diff(rows) <= 0)):
+        raise ValueError(f"rows are not ascending indices below {n}")
+    return rows
+
+
+def stratified_split(train: Dataset, test: Dataset, n: int, seed: int):
+    """The rows of a stratified D_n and of its complement-augmented test set.
 
     Draws n/10 examples per class from the training split without
     replacement; unused training examples are appended to the test split.
-    Fully determined by (n, seed).
+    Each split is a list of (Dataset, ascending row indices) pieces, its
+    rows in order.  Fully determined by (n, seed).
     """
     if n % N_CLASSES != 0:
         raise IndivisibleSize(f"subset size {n} is not a multiple of {N_CLASSES}")
@@ -216,50 +264,90 @@ def stratified_subset(train: Dataset, test: Dataset, n: int, seed: int):
                 f"class {c} has {count} examples, need {per_class}"
             )
     chosen = stratified_indices(train.labels, n, seed)
-    mask = np.zeros(len(train), dtype=bool)
-    mask[chosen] = True
-
-    sub = Dataset(train.inputs[chosen], train.labels[chosen])
-    rest_inputs = np.concatenate([test.inputs, train.inputs[~mask]])
-    rest_labels = np.concatenate([test.labels, train.labels[~mask]])
-    return sub, Dataset(rest_inputs, rest_labels)
+    rest = np.ones(len(train), dtype=bool)
+    rest[chosen] = False
+    return ([(train, chosen)],
+            [(test, all_rows(test.labels)), (train, np.flatnonzero(rest))])
 
 
-def _checksum(inputs: np.ndarray, labels: np.ndarray) -> str:
-    # sha256 reads the arrays' own buffers, so no byte copy is made
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(inputs, dtype="<f8"))
-    h.update(np.ascontiguousarray(labels, dtype="<i8"))
-    return h.hexdigest()
+def _labels(pieces) -> np.ndarray:
+    return np.concatenate([ds.labels[rows] for ds, rows in pieces])
 
 
-def save_dataset(path, ds: Dataset) -> None:
-    """Versioned binary snapshot with a sha256 trailer; atomic write."""
-    inputs = np.ascontiguousarray(ds.inputs, dtype="<f8")
-    labels = np.ascontiguousarray(ds.labels, dtype="<i8")
-    digest = _checksum(inputs, labels)
+def stratified_subset(train: Dataset, test: Dataset, n: int, seed: int):
+    """Stratified D_n and its complement-augmented test set, as Datasets.
+
+    The rows of stratified_split, gathered.
+    """
+    return tuple(Dataset(np.concatenate([ds.inputs[rows] for ds, rows in pieces]),
+                         _labels(pieces))
+                 for pieces in stratified_split(train, test, n, seed))
+
+
+def save_dataset(path, split) -> None:
+    """Versioned binary snapshot with a sha256 trailer; atomic write.
+
+    split is a Dataset, or (Dataset, row indices) pieces as stratified_split
+    gives them.  The rows go through the checksum and out a block at a time,
+    so a split given by pieces is never built as an array of its own.
+    """
+    pieces = [(split, all_rows(split.labels))] if isinstance(split, Dataset) else split
+    pieces = [(ds, _ascending(rows, len(ds))) for ds, rows in pieces]
+    labels = np.ascontiguousarray(_labels(pieces), dtype="<i8")
+    d = pieces[0][0].inputs.shape[1]
+    block = np.empty((_block_rows(len(labels), d), d), dtype="<f8")
+    digest = hashlib.sha256()
     with replacing(path) as tmp, open(tmp, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<qq", inputs.shape[0], inputs.shape[1]))
-        fh.write(inputs)
+        fh.write(struct.pack("<qq", len(labels), d))
+        for ds, rows in pieces:
+            for a in range(0, len(rows), len(block)):
+                part = rows[a:a + len(block)]
+                # mode="clip" writes straight into out; the rows are in range
+                buf = np.take(ds.inputs, part, axis=0, out=block[:len(part)],
+                              mode="clip")
+                digest.update(buf)
+                fh.write(buf)
+        digest.update(labels)
         fh.write(labels)
-        fh.write(bytes.fromhex(digest))
+        fh.write(digest.digest())
 
 
-def load_dataset(path) -> Dataset:
-    """Inverse of save_dataset; the payload is read straight into its arrays."""
+def load_dataset(path, rows=all_rows) -> Dataset:
+    """Inverse of save_dataset, keeping the rows rows(labels) picks.
+
+    rows maps the snapshot's labels to the ascending indices of the rows to
+    keep; by default it keeps them all.  The labels are read first, then
+    the inputs stream through the checksum a block at a time, and only the
+    picked rows are kept.  Every load checks the whole payload against the
+    trailer.
+    """
     with open(path, "rb") as fh:
         if fh.read(len(SNAPSHOT_MAGIC)) != SNAPSHOT_MAGIC:
             raise BadMagic(f"{path} is not a dataset snapshot")
         n, d = struct.unpack("<qq", fh.read(16))
-        inputs = np.empty((n, d), dtype="<f8")
+        start = fh.tell()
+        if os.fstat(fh.fileno()).st_size != start + 8 * (n * d + n) + 32:
+            raise TruncatedPayload(f"{path}: size differs from its header's")
+        fh.seek(8 * n * d, os.SEEK_CUR)
         labels = np.empty(n, dtype="<i8")
-        if fh.readinto(inputs) != inputs.nbytes or fh.readinto(labels) != labels.nbytes:
-            raise TruncatedPayload(f"{path}: payload shorter than its header says")
-        stored = fh.read(32).hex()
-    if _checksum(inputs, labels) != stored:
+        fh.readinto(labels)
+        stored = fh.read(32)
+        keep = _ascending(rows(labels), n)
+        inputs = np.empty((len(keep), d), dtype="<f8")
+        block = np.empty((_block_rows(n, d), d), dtype="<f8")
+        digest = hashlib.sha256()
+        fh.seek(start)
+        for a in range(0, n, len(block)):
+            buf = block[:min(len(block), n - a)]
+            fh.readinto(buf)
+            digest.update(buf)
+            lo, hi = np.searchsorted(keep, (a, a + len(buf)))
+            np.take(buf, keep[lo:hi] - a, axis=0, out=inputs[lo:hi], mode="clip")
+        digest.update(labels)
+    if digest.digest() != stored:
         raise TruncatedPayload(f"{path}: checksum mismatch")
-    return Dataset(inputs, labels)
+    return Dataset(inputs, labels[keep])
 
 
 class DatasetStore:
@@ -275,13 +363,21 @@ class DatasetStore:
     def has(self, n, seed):
         return all(os.path.exists(p) for p in self._paths(n, seed))
 
-    def load(self, n, seed):
+    def load(self, n, seed, test_rows=all_rows):
+        """The (n, seed) pair: the whole train split and the test rows picked.
+
+        test_rows maps the test labels to the ascending indices of the rows
+        to read, as load_dataset's rows does; None reads no test snapshot
+        and gives None in its place.
+        """
         train_p, test_p = self._paths(n, seed)
-        return load_dataset(train_p), load_dataset(test_p)
+        train = load_dataset(train_p)
+        return train, None if test_rows is None else load_dataset(test_p, test_rows)
 
     def save(self, n, seed, train, test):
         """Write the (n, seed) snapshot pair; returns the two paths.
 
+        train and test are Datasets or pieces, as save_dataset takes them.
         Only saving creates the directory, so a mistyped one given to a
         reader is reported, not left behind empty.
         """
@@ -290,4 +386,3 @@ class DatasetStore:
         save_dataset(paths[0], train)
         save_dataset(paths[1], test)
         return paths
-

@@ -7,6 +7,10 @@ in environments without the real image corpus.  Each class is a fixed
 arrangement of Gaussian blobs; samples add random sub-pixel shifts,
 amplitude jitter, and pixel noise, giving classes that are learnable but
 overlap enough for small training sets to overfit.
+
+The corpus is rendered and written one split at a time, and each file's
+header and payload are written apart, so no step holds a second copy of a
+split's images.  Each file is written atomically.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import os
 import struct
 
 import numpy as np
+
+from .files import replacing
 
 SIDE = 28
 N_CLASSES = 10
@@ -58,36 +64,38 @@ def make_images(n: int, seed: int):
     return images, labels.astype(np.int64)
 
 
+def _idx_header(magic: int, shape) -> bytes:
+    return struct.pack(f">{1 + len(shape)}i", magic, *shape)
+
+
 def idx_image_bytes(images: np.ndarray) -> bytes:
-    n, rows, cols = images.shape
-    return struct.pack(">iiii", 2051, n, rows, cols) + \
-        images.astype(np.uint8).tobytes()
+    return _idx_header(2051, images.shape) + images.astype(np.uint8).tobytes()
 
 
 def idx_label_bytes(labels: np.ndarray) -> bytes:
-    return struct.pack(">ii", 2049, len(labels)) + \
-        labels.astype(np.uint8).tobytes()
+    return _idx_header(2049, labels.shape) + labels.astype(np.uint8).tobytes()
 
 
-def write_corpus(directory, n_train: int = 6000, n_test: int = 1000,
-                 seed: int = 0):
-    """Write gzipped train/test IDX pairs with the standard file names.
+def _write_gz(path, magic: int, payload: np.ndarray) -> None:
+    """One gzipped IDX file: the header, then the uint8 payload's own buffer.
 
     Level 1 compression: the pixel noise leaves little for a higher level
     to gain (84% of the raw size against 82% at level 9), at a fifth of the
     time.
     """
+    with replacing(path) as tmp, open(tmp, "wb") as raw, \
+            gzip.GzipFile(path, "wb", compresslevel=1, fileobj=raw) as fh:
+        fh.write(_idx_header(magic, payload.shape))
+        fh.write(payload)
+
+
+def write_corpus(directory, n_train: int = 6000, n_test: int = 1000,
+                 seed: int = 0):
+    """Write gzipped train/test IDX pairs with the standard file names."""
     os.makedirs(directory, exist_ok=True)
-    train_imgs, train_labels = make_images(n_train, seed)
-    test_imgs, test_labels = make_images(n_test, seed + 1)
-    files = {
-        "train-images-idx3-ubyte": idx_image_bytes(train_imgs),
-        "train-labels-idx1-ubyte": idx_label_bytes(train_labels),
-        "t10k-images-idx3-ubyte": idx_image_bytes(test_imgs),
-        "t10k-labels-idx1-ubyte": idx_label_bytes(test_labels),
-    }
-    for name, payload in files.items():
-        with gzip.open(os.path.join(directory, name + ".gz"), "wb",
-                       compresslevel=1) as fh:
-            fh.write(payload)
+    for prefix, n, split_seed in (("train", n_train, seed), ("t10k", n_test, seed + 1)):
+        images, labels = make_images(n, split_seed)
+        stem = os.path.join(directory, prefix)
+        _write_gz(f"{stem}-images-idx3-ubyte.gz", 2051, images)
+        _write_gz(f"{stem}-labels-idx1-ubyte.gz", 2049, labels.astype(np.uint8))
     return directory

@@ -1,6 +1,9 @@
+import builtins
+import hashlib
 import inspect
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ import pytest
 import temperhmc.cli
 import temperhmc.harness
 import temperhmc.replica
-from temperhmc import synth
+from temperhmc import data, synth
 from temperhmc.cli import SETTINGS, build_parser, main, write_manifest
 from temperhmc.harness import baseline_optimize, write_sweep_csv
 from temperhmc.minimize import RMinConfig
@@ -48,6 +51,36 @@ def snapshots(data_dir, size=100, seed=0):
             for split in ("train", "test")]
 
 
+def reference_snapshots(mnist_dir, size, seed):
+    """The two snapshots as built before prepare-data streamed its rows.
+
+    The spread is var(axis=0) of the whole feature array, the test split is
+    built by concatenate, and each split is written from its own arrays.
+    """
+    train_raw, test_raw = (data.load_idx_split(mnist_dir, s) for s in ("train", "test"))
+    n_train = len(train_raw.labels)
+    feats = np.empty((n_train + len(test_raw.labels), 16, 16))
+    data._resize_into(feats[:n_train], train_raw.images)
+    data._resize_into(feats[n_train:], test_raw.images)
+    feats = feats.reshape(len(feats), -1)
+    feats = (feats - feats.mean(axis=0)) / np.sqrt(
+        np.maximum(feats.var(axis=0), data.VARIANCE_FLOOR))
+    train_x, test_x = feats[:n_train], feats[n_train:]
+    train_y, test_y = train_raw.labels, test_raw.labels
+    chosen = data.stratified_indices(train_y, size, seed)
+    mask = np.zeros(n_train, dtype=bool)
+    mask[chosen] = True
+    splits = [(train_x[chosen], train_y[chosen]),
+              (np.concatenate([test_x, train_x[~mask]]),
+               np.concatenate([test_y, train_y[~mask]]))]
+    blobs = []
+    for x, y in splits:
+        payload = x.astype("<f8").tobytes() + y.astype("<i8").tobytes()
+        blobs.append(data.SNAPSHOT_MAGIC + struct.pack("<qq", *x.shape) + payload
+                     + hashlib.sha256(payload).digest())
+    return blobs
+
+
 class TestPrepareData:
     def test_outputs_and_manifest(self, corpus_dir, tmp_path):
         # the two D_n snapshots and the manifest: no corpus cache, no sidecars
@@ -60,6 +93,12 @@ class TestPrepareData:
         assert manifest["config"]["size"] == 50
         assert set(manifest["config"]) == setting_names("prepare-data")
         assert set(manifest["outputs"]) == snaps
+
+    @pytest.mark.parametrize("size,seed", [(50, 0), (500, 3)])
+    def test_snapshots_match_the_reference(self, corpus_dir, tmp_path, size, seed):
+        assert prepare(corpus_dir, tmp_path, size=size, seed=seed) == 0
+        assert snapshots(tmp_path, size, seed) == reference_snapshots(
+            corpus_dir, size, seed)
 
     def test_idempotent(self, data_dir, corpus_dir):
         before = snapshots(data_dir, 50)
@@ -545,6 +584,58 @@ class TestOutOfRangeSettings:
                      "--L", "1", "--sweeps", "2", "--burn-in-traj", "0",
                      "--eval-subset", "0", "--checkpoint-every", "0",
                      "--seed", "0"]) == 0
+
+
+class TestDataReads:
+    """Each command reads only the snapshot rows it uses."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        paths = []
+
+        def recording_open(path, *args, **kwargs):
+            paths.append(os.path.basename(path))
+            return builtins.open(path, *args, **kwargs)
+
+        monkeypatch.setattr(data, "open", recording_open, raising=False)
+        return paths
+
+    def test_ti_opens_no_test_snapshot(self, data_dir, w0_path, tmp_path,
+                                       monkeypatch, opened):
+        def stop(*args, **kwargs):
+            raise _Stop
+
+        monkeypatch.setattr(temperhmc.cli, "fit_stiffness", stop)
+        with pytest.raises(_Stop):
+            main(["ti", "--model", "M1", "--data", "D50", "--data-dir", str(data_dir),
+                  "--out-dir", str(tmp_path), "--w0", str(w0_path)])
+        assert opened == ["d50_seed0_train.bin"]
+
+    @pytest.mark.parametrize("n_eval", [100, 1000, 0, 10 ** 6])
+    def test_remd_evaluates_its_stratified_rows(self, data_dir, tmp_path,
+                                                monkeypatch, opened, n_eval):
+        seen = []
+
+        def energy_fns(arch, inputs, labels):
+            seen.append((inputs, labels))
+            return None, None
+
+        def stop(*args, **kwargs):
+            raise _Stop
+
+        monkeypatch.setattr(temperhmc.cli, "dataset_energy_fns", energy_fns)
+        monkeypatch.setattr(temperhmc.cli, "init_replica", stop)
+        with pytest.raises(_Stop):
+            main(["remd", "--model", "M1", "--data", "D50", "--data-dir",
+                  str(data_dir), "--out-dir", str(tmp_path),
+                  "--eval-subset", str(n_eval)])
+        assert opened == ["d50_seed0_train.bin", "d50_seed0_test.bin"]
+        _, full = data.DatasetStore(data_dir).load(50, 0)
+        idx = (data.stratified_indices(full.labels, n_eval, 12345)
+               if 0 < n_eval < len(full) else np.arange(len(full)))
+        eval_inputs, eval_labels = seen[1]
+        np.testing.assert_array_equal(eval_inputs, full.inputs[idx])
+        np.testing.assert_array_equal(eval_labels, full.labels[idx])
 
 
 class TestVersion:

@@ -1,5 +1,6 @@
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,14 @@ class TestWriteCorpus:
             blob = (tmp_path / (name + ".gz")).read_bytes()
             assert gzip.decompress(blob) == payload
             assert blob[8] == 4         # the header's "fastest" flag: level 1
+
+    def test_failed_write_keeps_earlier_files(self, tmp_path, fail_writes):
+        synth.write_corpus(tmp_path, n_train=40, n_test=20, seed=4)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        fail_writes(synth)
+        with pytest.raises(OSError):
+            synth.write_corpus(tmp_path, n_train=40, n_test=20, seed=5)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestResize:
@@ -244,3 +253,62 @@ class TestStore:
         open(path, "wb").write(blob[:len(blob) // 2])
         with pytest.raises(TruncatedPayload):
             store.load(100, 3)
+
+
+class TestSelectiveLoad:
+    """load_dataset keeps only the rows its selection picks."""
+
+    K = 100
+
+    @staticmethod
+    def pick(labels):
+        return data.stratified_indices(labels, TestSelectiveLoad.K, seed=12345)
+
+    @pytest.fixture
+    def path(self, tmp_path, d500):
+        # 3,100 rows: many blocks, the last one partial
+        path = tmp_path / "test.bin"
+        data.save_dataset(path, d500[1])
+        return path
+
+    @pytest.mark.parametrize("rows", [
+        pick, lambda labels: np.array([0, 127, 128, 129, len(labels) - 1]),
+        lambda labels: np.array([], dtype=int)], ids=["stratified", "block edges", "none"])
+    def test_equals_the_full_load_indexed(self, path, rows):
+        full = data.load_dataset(path)
+        idx = rows(full.labels)
+        got = data.load_dataset(path, rows)
+        np.testing.assert_array_equal(got.inputs, full.inputs[idx])
+        np.testing.assert_array_equal(got.labels, full.labels[idx])
+
+    def test_rows_out_of_order_raise(self, path):
+        with pytest.raises(ValueError, match="ascending"):
+            data.load_dataset(path, lambda labels: np.array([5, 3]))
+
+    @pytest.mark.parametrize("where", ["unpicked row", "label", "trailer"])
+    def test_flipped_byte_raises(self, path, where):
+        blob = bytearray(path.read_bytes())
+        full = data.load_dataset(path)
+        unpicked = np.setdiff1d(np.arange(len(full)), self.pick(full.labels))[0]
+        at = {"unpicked row": 24 + unpicked * full.inputs.shape[1] * 8 + 3,
+              "label": len(blob) - 32 - 8, "trailer": len(blob) - 1}[where]
+        blob[at] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TruncatedPayload):
+            data.load_dataset(path, self.pick)
+
+    @pytest.mark.parametrize("cut", [1, 32, 5000])
+    def test_truncated_file_raises(self, path, cut):
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(TruncatedPayload):
+            data.load_dataset(path, self.pick)
+
+    def test_peak_memory_is_the_rows_kept_and_one_block(self, path):
+        tracemalloc.start()
+        try:
+            got = data.load_dataset(path, self.pick)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got) == self.K
+        assert peak <= got.inputs.nbytes + data.BLOCK_BYTES + 64 * 1024

@@ -14,7 +14,9 @@ ROOT = Path(__file__).resolve().parents[1]
     ["demos/temperature_sweep.py", "--nt", "2", "--sweeps", "5"],
     ["demos/evidence_comparison.py"],
     ["demos/minimizer_baseline.py", "--restarts", "2"],
-], ids=["temperature_sweep", "evidence_comparison", "minimizer_baseline"])
+    ["demos/peak_memory.py", "--train", "300", "--test", "100", "--size", "50"],
+], ids=["temperature_sweep", "evidence_comparison", "minimizer_baseline",
+        "peak_memory"])
 def test_demo_runs(argv, tmp_path):
     # the demos write their stand-in corpus under TMPDIR, and remove it
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
