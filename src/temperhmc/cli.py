@@ -296,6 +296,7 @@ def cmd_remd(args):
                 start_clipped=[r.start_clipped for r in replicas],
                 accept_rate=np.mean(trace.accept_rate, axis=0).tolist(),
                 grad_calls=[r.grad_calls for r in replicas],
+                kick_calls=[r.kick_calls for r in replicas],
                 wall_stops=[r.wall_stops for r in replicas],
                 swap_attempts=np.sum(trace.swap_attempts, axis=0).tolist(),
                 swap_accepts=np.sum(trace.swap_accepts, axis=0).tolist())
@@ -352,11 +353,16 @@ def cmd_ti(args):
             "dt": runs[0].dt.tolist(),
             "accept_rate": runs[0].accept_rate.tolist(),
             "grad_calls": runs[0].grad_calls.tolist(),
+            "kick_calls": runs[0].kick_calls.tolist(),
         },
         # windows of the first repeat whose sampling accepted no trajectory
         "frozen_lambdas": runs[0].lambdas[runs[0].accept_rate == 0].tolist(),
         "stiffness_fit": fits,      # per repeat
     }
+    if payload["frozen_lambdas"]:
+        print("warning: no trajectory was accepted in the windows at lambda = "
+              + ", ".join(f"{lam:.4g}" for lam in payload["frozen_lambdas"]),
+              file=sys.stderr)
     out_path = os.path.join(out_dir, "ti_run.json")
     _write_json(out_path, payload)
     write_manifest(out_dir, "ti", cfg, [out_path])

@@ -11,8 +11,20 @@ gradients are treated as rejections so the chain stays valid.
 
 The potential is one call, value_grad(w) -> (E, gradient).  The chain
 state is (w, E, g): a trajectory starts from the carried pair and ends with
-the pair at its last Verlet step, so L steps cost at most L calls; a
-trajectory stops at its first drift outside the box.
+the pair at its last Verlet step; a trajectory stops at its first drift
+outside the box.  A potential may carry a cheaper gradient alone,
+value_grad.kick(w), such as the network's float32 one.  The L - 1 inner
+Verlet steps then kick with it and the last step makes the one value_grad
+call, so L steps cost L - 1 kicks and one value_grad call (kicks alone
+when the trajectory stops at a wall), and the carried pair and the accept
+test stay float64.  This is exact for any kick that is a fixed function
+of w (Neal 2011; Zhang, Shahbaba & Zhao 2017, Stat. Comput. 27:1473):
+every kick and drift is a shear, so the map preserves volume, and the
+forces met along the path, value_grad's at w_0, the kick's at w_1 ..
+w_{L-1}, value_grad's at w_L, read the same backwards, so the path run
+back from (w_L, -p_L) meets the same forces at the same points and ends
+at (w_0, -p_0).  A potential without a kick calls value_grad at every
+step.
 run_chain strings trajectories together; every sampling loop drives it,
 and so does adapt_step_size, the burn-in that sets each sampler's fixed dt.
 """
@@ -46,8 +58,9 @@ class TrajectoryOutcome:
     energy: float          # potential energy of the returned state
     grad: np.ndarray       # its gradient
     log_accept: float      # (U_o - U_n) / T; -inf for a proposal never accepted
-    n_calls: int = 0       # value_grad calls the trajectory made
+    n_calls: int = 0       # potential calls the trajectory made, kicks included
     at_wall: bool = False  # stopped at a drift outside the prior box
+    n_kicks: int = 0       # of n_calls, those to value_grad.kick
 
 
 def velocity_verlet(w, p, g, value_grad, dt, n_steps, box=None):
@@ -56,23 +69,30 @@ def velocity_verlet(w, p, g, value_grad, dt, n_steps, box=None):
     g is the gradient at the starting w.  Returns (w, p, e, g, ok) with the
     energy and gradient at the final w; ok is False when a gradient went
     non-finite, in which case the trajectory must be counted as rejected.
-    With a prior box, every drift is tested against it before value_grad
-    sees the new w: at the first drift that puts a coordinate on or past a
-    wall it returns ok False, that w, e nan and the last gradient, so a
-    trajectory makes at most n_steps calls.  The kicks and drifts go
-    through one scratch vector, in place.
+    When value_grad has a kick attribute, kick(w) -> gradient, every step
+    but the last takes its gradient from kick, and the last from
+    value_grad; without one every step calls value_grad.  With a prior
+    box, every drift is tested against it before the potential sees the
+    new w: at the first drift that puts a coordinate on or past a wall it
+    returns ok False, that w, e nan and the last gradient, so a trajectory
+    makes at most n_steps calls.  The kicks and drifts go through one
+    scratch vector, in place.
     """
     w = np.array(w, dtype=float)
     p = np.array(p, dtype=float)
     if not np.all(np.isfinite(g)):
         return w, p, np.nan, g, False
-    half, step = 0.5 * dt, np.empty_like(w)
-    for _ in range(n_steps):
+    kick = getattr(value_grad, "kick", None)
+    half, step, e = 0.5 * dt, np.empty_like(w), np.nan
+    for left in range(n_steps - 1, -1, -1):     # steps after this one
         p -= np.multiply(half, g, out=step)
         w += np.multiply(dt, p, out=step)
         if box is not None and not np.all(np.abs(w, out=step) < box.half_width):
             return w, p, np.nan, g, False
-        e, g = value_grad(w)
+        if left and kick is not None:
+            g = kick(w)
+        else:
+            e, g = value_grad(w)
         if not np.all(np.isfinite(g)):
             return w, p, e, g, False
         p -= np.multiply(half, g, out=step)
@@ -89,13 +109,23 @@ def hmc_trajectory(w, value_grad, cfg: HmcConfig, rng,
     trajectory that drifts out of the box stops there (velocity_verlet) and
     is rejected; the uniform draw of the accept test is made all the same,
     so the random stream does not depend on where a trajectory stopped.
+    The outcome counts every potential call in n_calls and the kicks among
+    them in n_kicks.
     """
-    calls = 0
+    calls = kicks = 0
 
     def counted(x):
         nonlocal calls
         calls += 1
         return value_grad(x)
+
+    kick = getattr(value_grad, "kick", None)
+    if kick is not None:
+        def counted_kick(x):
+            nonlocal calls, kicks
+            calls, kicks = calls + 1, kicks + 1
+            return kick(x)
+        counted.kick = counted_kick
 
     e_old, g_old = counted(w) if current is None else current
     p0 = rng.normal(0.0, np.sqrt(cfg.temperature), size=w.shape)
@@ -107,12 +137,13 @@ def hmc_trajectory(w, value_grad, cfg: HmcConfig, rng,
     if not ok or not np.isfinite(e_new):
         # a gradient failure stops inside the box, a wall stop outside it
         at_wall = box is not None and not np.all(np.abs(w_new) < box.half_width)
-        return TrajectoryOutcome(False, w, e_old, g_old, -np.inf, calls, at_wall)
+        return TrajectoryOutcome(False, w, e_old, g_old, -np.inf, calls, at_wall,
+                                 n_kicks=kicks)
     u_new = e_new + float(np.sum(p_new * p_new / 2.0))
     alpha = (u_old - u_new) / cfg.temperature
     if log_u < alpha:
-        return TrajectoryOutcome(True, w_new, e_new, g_new, alpha, calls)
-    return TrajectoryOutcome(False, w, e_old, g_old, alpha, calls)
+        return TrajectoryOutcome(True, w_new, e_new, g_new, alpha, calls, n_kicks=kicks)
+    return TrajectoryOutcome(False, w, e_old, g_old, alpha, calls, n_kicks=kicks)
 
 
 def run_chain(w, current, value_grad, cfg: HmcConfig, rng, box, n_traj,

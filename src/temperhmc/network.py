@@ -16,6 +16,13 @@ call allocates only what it returns, the gradient, besides the transient
 buffers numpy takes to broadcast or cast (at most 64 KiB).  energy and
 energy_gradient called without a workspace build a throwaway one, so
 both routes run the same code and give the same bits.
+
+value_grad.kick(w), the gradient the samplers' inner Verlet steps kick
+with, runs the same kernel in float32: on float32 copies of w and of the
+inputs (made on the first kick), in a workspace that views the float64
+blocks as float32.  At 500 rows it costs about half a float64 value and
+gradient call (demos/kernel_timing.py); its relative error is 1e-7 to
+1e-5 on bench-shaped data.  The float64 functions keep their bits.
 """
 
 from __future__ import annotations
@@ -154,25 +161,63 @@ def _sigmoid(a, out=None, e=None):
     return out
 
 
+def _sigmoid32(a):
+    """Logistic function of a float32 block, in place, as (1 + tanh(a/2)) / 2.
+
+    Half the passes of _sigmoid, and no tiny values: 1 + tanh(a/2) is 0 or
+    at least 2^-24, so the result and its complement are 0 or at least
+    2^-25, and no product of the backward pass starts from a subnormal.
+    The price is an absolute error of about 3e-8 where the exact value is
+    smaller, as at a < -17.
+    """
+    np.multiply(a, 0.5, out=a)
+    np.tanh(a, out=a)
+    a += 1.0
+    a *= 0.5
+    return a
+
+
+# The float32 kernel keeps subnormals out of its arithmetic: on x86 each
+# one costs about a hundred cycles, and left in they made a kick at w ~
+# N(0, 5^2) several times slower than at the start.  It floors the exponent
+# of every exponential at FLOOR32 (float32's smallest normal, TINY32, is
+# exp(-87.34)), and zeroes the output delta's entries below FLUSH32 times
+# its largest, which would go subnormal in the products below.
+TINY32 = np.finfo(np.float32).tiny
+FLOOR32 = np.float32(-87.0)
+FLUSH32 = 2.0 ** -40
+
+
 class Workspace:
     """Scratch blocks for energy and gradient calls on one fixed dataset.
 
     Built for one (inputs, labels) pair, which it checks once; it also
     holds the flat index of each row's label in the (rows, classes) scores.
-    Each block holds rows x widest-layer floats and is allocated the first
-    time a call asks for it, so a closure that only evaluates energies
-    never holds the gradient's blocks.  A call reuses the blocks of the
-    calls before it and returns nothing that points into them.
+    Each block holds rows x widest-layer float64s and is allocated the
+    first time a call asks for it, so a closure that only evaluates
+    energies never holds the gradient's blocks.  A call reuses the blocks
+    of the calls before it and returns nothing that points into them.
+
+    The workspace computes in its inputs' dtype, float64 or float32.  A
+    float32 one sets floor, FLOOR32, which caps the exponents of its
+    exponentials from below.  share, a workspace over the same rows, lends
+    its blocks: the kick's float32 workspace views the float64 one's blocks
+    as float32, so a closure pair holds one set.  The two must not run at
+    once.
     """
 
-    def __init__(self, arch: NetworkArch, inputs: np.ndarray, labels=None):
+    def __init__(self, arch: NetworkArch, inputs: np.ndarray, labels=None,
+                 share=None):
         if inputs.ndim != 2 or inputs.shape[1] != arch.layer_sizes[0]:
             raise ShapeMismatch(f"inputs of shape {inputs.shape} for input width "
                                 f"{arch.layer_sizes[0]}")
         self.rows = rows = inputs.shape[0]
+        self.dtype = dtype = inputs.dtype
+        self.floor = FLOOR32 if dtype == np.float32 else None
         self._width = max(arch.layer_sizes[1:])
-        self._blocks, self._views = {}, {}
-        self.row = np.empty((rows, 1))      # a per-row max, then a per-row sum
+        self._blocks = {} if share is None else share._blocks
+        self._views = {}
+        self.row = np.empty((rows, 1), dtype)   # a per-row max, then a per-row sum
         if labels is not None:
             n_classes = arch.layer_sizes[-1]
             labels = np.asarray(labels)
@@ -181,7 +226,7 @@ class Workspace:
             if rows and not 0 <= labels.min() <= labels.max() < n_classes:
                 raise ShapeMismatch(f"labels outside 0..{n_classes - 1}")
             self.picks = np.arange(rows) * n_classes + labels
-            self.picked = np.empty(rows)
+            self.picked = np.empty(rows, dtype)
 
     def block(self, key, cols: int) -> np.ndarray:
         """A (rows, cols) view of block key; views of one key share memory."""
@@ -190,7 +235,7 @@ class Workspace:
             buf = self._blocks.get(key)
             if buf is None:
                 buf = self._blocks[key] = np.empty(self.rows * self._width)
-            view = buf[:self.rows * cols].reshape(self.rows, cols)
+            view = buf.view(self.dtype)[:self.rows * cols].reshape(self.rows, cols)
             self._views[(key, cols)] = view
         return view
 
@@ -221,7 +266,10 @@ def _forward_pass(arch, w, x, work, keep):
         np.matmul(h, w[w_sl].reshape(n_out, n_in).T, out=a)
         a += w[b_sl]
         if i < last or arch.head == LOGISTIC_SOFTMAX:
-            _sigmoid(a, a, work.block("a" if keep else (i + 1) % 2, n_out))
+            if work.floor is None:
+                _sigmoid(a, a, work.block("a" if keep else (i + 1) % 2, n_out))
+            else:
+                _sigmoid32(a)
         layers.append(a)
         h = a
     return layers
@@ -241,7 +289,9 @@ def _log_softmax(scores, work, key, scratch):
     for j in range(1, cols):
         np.maximum(top, scores[:, j], out=top)
     shifted = np.subtract(scores, work.row, out=work.block(key, cols))
-    exps = np.exp(shifted, out=work.block(scratch, cols))
+    exps = work.block(scratch, cols)
+    np.exp(shifted if work.floor is None
+           else np.maximum(shifted, work.floor, out=exps), out=exps)
     np.log(np.add.reduce(exps, axis=-1, keepdims=True, out=work.row), out=work.row)
     shifted -= work.row
     return shifted
@@ -293,24 +343,72 @@ def energy_gradient(arch: NetworkArch, w: np.ndarray, inputs: np.ndarray,
     if work is None:
         inputs = np.asarray(inputs, dtype=float)
         work = Workspace(arch, inputs, labels)
-    w = _params(arch, w)
+    return _value_grad(arch, _params(arch, w), inputs, work)
+
+
+def kick(arch: NetworkArch, w: np.ndarray, inputs: np.ndarray,
+         labels: np.ndarray, work: Workspace | None = None) -> np.ndarray:
+    """The energy's gradient at w computed in float32, returned as float64.
+
+    The samplers' inner Verlet kicks (hmc.velocity_verlet).  inputs are
+    float32 and work, when given, is a float32 Workspace built for them and
+    the labels; without it the call builds a throwaway one.
+    """
+    if work is None:
+        inputs = np.asarray(inputs, dtype=np.float32)
+        work = Workspace(arch, inputs, labels)
+    w = _params(arch, w).astype(np.float32)
+    return _value_grad(arch, w, inputs, work)[1].astype(float)
+
+
+def _flush(x, scratch):
+    """Zero the entries of x below FLUSH32 times its largest, in place.
+
+    The cut is at least TINY32, so no subnormal stays.  NaN and inf keep x
+    non-finite.  scratch is a block of x's shape.
+    """
+    np.abs(x, out=scratch)
+    cut = max(float(scratch.max(initial=0.0)) * FLUSH32, TINY32)
+    np.greater_equal(scratch, cut, out=scratch)
+    x *= scratch
+
+
+def _value_grad(arch, w, inputs, work):
+    """(energy, gradient) in the dtype of w, inputs and work.
+
+    A float32 workspace changes four steps, none of which the float64
+    path takes: the sigmoid is _sigmoid32; the exponents are floored at
+    work.floor; the labelled column of the output delta is minus the other
+    classes' sum rather than p_y - 1, which rounds to 0 in float32 once the
+    others' mass falls below 6e-8; and the output delta is flushed.
+    """
     layout = arch.layout()
     layers = _forward_pass(arch, w, inputs, work, keep=True)
     scores = layers[-1]
+    classes = scores.shape[1]
     logp = _log_softmax(scores, work, "a", "b")
     value = _total(logp, work)
 
     # the output delta softmax - onehot; blocks "a" and "b" then alternate
     # between the delta and the scratch of the layer below
-    delta = np.exp(logp, out=work.block("b", scores.shape[1]))
+    delta = work.block("b", classes)
     flat = delta.reshape(-1)
-    flat.take(work.picks, out=work.picked, mode="clip")
-    work.picked -= 1.0
-    flat.put(work.picks, work.picked, mode="clip")
+    if work.floor is None:
+        np.exp(logp, out=delta)
+        flat.take(work.picks, out=work.picked, mode="clip")
+        work.picked -= 1.0
+        flat.put(work.picks, work.picked, mode="clip")
+    else:
+        np.exp(np.maximum(logp, work.floor, out=delta), out=delta)
+        flat.put(work.picks, 0.0, mode="clip")
+        others = np.add.reduce(delta, axis=-1, out=work.row[:, 0])
+        flat.put(work.picks, np.negative(others, out=others), mode="clip")
     free = "a"
     if arch.head == LOGISTIC_SOFTMAX:
         delta *= scores
-        delta *= np.subtract(1.0, scores, out=work.block(free, scores.shape[1]))
+        delta *= np.subtract(1.0, scores, out=work.block(free, classes))
+    if work.floor is not None:
+        _flush(delta, work.block(free, classes))
 
     grad = np.empty_like(w)
     for i in range(len(layout) - 1, -1, -1):
@@ -333,12 +431,15 @@ def dataset_energy_fns(arch: NetworkArch, inputs: np.ndarray, labels: np.ndarray
 
     energy_fn(w) is the value alone, for observables; value_grad(w) returns
     (value, gradient) from one pass and is the potential the samplers and
-    the minimiser take.  The pair shares one Workspace, so they must not
-    run at the same time from two threads.
+    the minimiser take.  value_grad.kick(w) is the float32 gradient alone
+    (kick), for the samplers' inner Verlet steps; its float32 copy of the
+    inputs is made on the first kick.  All three share one Workspace, so
+    they must not run at the same time from two threads.
     """
     inputs = np.ascontiguousarray(inputs, dtype=float)
     labels = np.asarray(labels)
     work = Workspace(arch, inputs, labels)
+    single = []         # the float32 inputs and workspace, once built
 
     def energy_fn(w):
         return energy(arch, w, inputs, labels, work)
@@ -346,6 +447,13 @@ def dataset_energy_fns(arch: NetworkArch, inputs: np.ndarray, labels: np.ndarray
     def value_grad(w):
         return energy_gradient(arch, w, inputs, labels, work)
 
+    def kick_fn(w):
+        if not single:
+            x = inputs.astype(np.float32)
+            single.extend((x, Workspace(arch, x, labels, share=work)))
+        return kick(arch, w, single[0], labels, single[1])
+
+    value_grad.kick = kick_fn
     return energy_fn, value_grad
 
 

@@ -47,11 +47,12 @@ class Replica:
     grad: np.ndarray = None     # gradient at w; run_remd fills it when absent
     e_test: float = None        # held-out energy at w; run_remd fills it
     # how init_replica started the rung; they stay with the slot on a swap
-    start_energy: float = None  # rmin's final energy
+    start_energy: float = None  # the energy burn-in started from
     start_steps: int = None     # rmin's steps, one value_grad call each
     start_clipped: int = None   # coordinates moved off a prior-box wall
     # run_remd's production work at this slot; they stay with it on a swap
-    grad_calls: int = 0         # value_grad calls of its trajectories
+    grad_calls: int = 0         # potential calls of its trajectories
+    kick_calls: int = 0         # of grad_calls, those to value_grad.kick
     wall_stops: int = 0         # trajectories stopped at a prior-box wall
 
     def __post_init__(self):
@@ -61,6 +62,7 @@ class Replica:
     def count_work(self, out):
         """Add a production trajectory's outcome to the slot's counters."""
         self.grad_calls += out.n_calls
+        self.kick_calls += out.n_kicks
         self.wall_stops += out.at_wall
 
 
@@ -108,9 +110,10 @@ def init_replica(index, temperature, value_grad, box, seed, arch,
     from a zero-energy minimum's weight by under 0.1%, so minimising on
     buys the rung nothing, while the last decades of E can take rmin's
     whole step budget or carry w out through the prior-box walls.  The
-    returned replica records the start in start_energy, start_steps and
-    start_clipped.  seed is anything np.random.default_rng takes, an int
-    or a SeedSequence.
+    returned replica records the start: start_energy is the energy at the
+    point burn-in starts from, after any coordinate was moved off a wall,
+    start_steps rmin's steps and start_clipped the coordinates moved.
+    seed is anything np.random.default_rng takes, an int or a SeedSequence.
     """
     cfg = cfg or RemdConfig()
     rng = np.random.default_rng(seed)
@@ -130,12 +133,13 @@ def init_replica(index, temperature, value_grad, box, seed, arch,
         w[outside] = np.sign(w[outside]) * 0.3 * box.sigma[outside]
         n_clipped = int(np.count_nonzero(outside))
 
+    current = value_grad(w)
     w, (e, g), dt = adapt_step_size(
-        w, value_grad(w), value_grad,
+        w, current, value_grad,
         HmcConfig(temperature, DT0, cfg.n_leapfrog), rng, box,
         cfg.burn_in_traj)
     return Replica(index, temperature, w, e, dt, rng, grad=g,
-                   start_energy=float(start.energy), start_steps=start.n_steps,
+                   start_energy=float(current[0]), start_steps=start.n_steps,
                    start_clipped=n_clipped)
 
 
@@ -206,8 +210,9 @@ def run_remd(replicas, value_grad, box, cfg: RemdConfig, swap_seed,
     trajectory leaves w, and so the value, unchanged.  Passing an existing
     trace resumes recording.  A replica without a carried gradient (built
     by hand, or loaded from a checkpoint, which stores none) gets it from
-    one value_grad call here.  Each rung adds its trajectories' value_grad
-    calls and wall stops to its grad_calls and wall_stops.
+    one value_grad call here.  Each rung adds its trajectories' potential
+    calls, kicks and wall stops to its grad_calls, kick_calls and
+    wall_stops.
     """
     replicas = list(replicas)
     for r in replicas:

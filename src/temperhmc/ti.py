@@ -69,6 +69,7 @@ class TIResult:
     dt: np.ndarray = None           # its step size (before the jitter)
     accept_rate: np.ndarray = None
     grad_calls: np.ndarray = None   # calls of the window's bridge potential
+    kick_calls: np.ndarray = None   # of grad_calls, those to its kick
 
 
 def fit_stiffness(value_grad, w0, cfg: TiConfig, rng,
@@ -115,11 +116,19 @@ def bridge_energy_fns(value_grad, stiff: StiffnessDiag, lam: float):
     value = (1-lam) (J(w) - J(w0)) + lam * sum k (w - w0)^2 / 2 + J(w0),
     with value and gradient from one call of the underlying value_grad (none
     at lam = 1).  The bridged gradient is formed in place in the new
-    gradient that value_grad returns.
+    gradient that value_grad returns.  When value_grad has a kick and
+    lam < 1, the closure has one too: the same mixture with value_grad.kick
+    in place of the gradient.
     """
     if not 0.0 <= lam <= 1.0:
         raise GridMismatch(f"lambda {lam} outside [0, 1]")
     w0, k, j0 = stiff.w0, stiff.k, stiff.j0
+
+    def mixed(g, kd):
+        g *= 1.0 - lam
+        kd *= lam
+        g += kd
+        return g
 
     def bridge(w):
         d = w - w0
@@ -128,11 +137,11 @@ def bridge_energy_fns(value_grad, stiff: StiffnessDiag, lam: float):
         if lam == 1.0:
             return quad + j0, kd
         e, g = value_grad(w)
-        g *= 1.0 - lam
-        kd *= lam
-        g += kd
-        return (1.0 - lam) * (e - j0) + lam * quad + j0, g
+        return (1.0 - lam) * (e - j0) + lam * quad + j0, mixed(g, kd)
 
+    kick = getattr(value_grad, "kick", None)
+    if kick is not None and lam < 1.0:
+        bridge.kick = lambda w: mixed(kick(w), k * (w - w0))
     return bridge
 
 
@@ -243,6 +252,7 @@ def run_ti(energy_fn, value_grad, stiff: StiffnessDiag, box: PriorBox,
     dts = np.zeros_like(lambdas)
     accept_rate = np.zeros_like(lambdas)
     grad_calls = np.zeros(len(lambdas), dtype=int)
+    kick_calls = np.zeros(len(lambdas), dtype=int)
     for idx, lam in enumerate(lambdas):
         bridge = bridge_energy_fns(value_grad, stiff, lam)
         n_adapt = cfg.burn_in_traj if idx % cfg.retune_every_lambdas == 0 else 0
@@ -256,6 +266,7 @@ def run_ti(energy_fn, value_grad, stiff: StiffnessDiag, box: PriorBox,
 
         def observe(out):
             grad_calls[idx] += out.n_calls
+            kick_calls[idx] += out.n_kicks
             samples.append(ti_observable(energy_fn, stiff, out.w)
                            if out.accepted or not samples else samples[-1])
 
@@ -270,7 +281,8 @@ def run_ti(energy_fn, value_grad, stiff: StiffnessDiag, box: PriorBox,
     correction = stiff.j0 - simpson_uniform(lambdas, means)
     f0 = -log_z0(stiff, box)
     return TIResult(f0 + correction, f0, correction, lambdas, means, ses,
-                    dt=dts, accept_rate=accept_rate, grad_calls=grad_calls)
+                    dt=dts, accept_rate=accept_rate, grad_calls=grad_calls,
+                    kick_calls=kick_calls)
 
 
 def evidence(ti: TIResult, box: PriorBox) -> float:

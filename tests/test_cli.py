@@ -216,6 +216,15 @@ class TestRemdAndReport:
             # a wall stop makes at most L - 1 calls, any other trajectory L
             assert (n_traj - s) * n_steps <= c <= n_traj * n_steps - s
 
+    def test_run_file_counts_each_rung_s_kicks(self, remd_out):
+        # a trajectory kicks at its L - 1 inner steps and makes one value_grad
+        # call at its last; a wall stop makes kicks alone
+        meta = json.loads((remd_out / "remd_run.json").read_text())
+        n_traj = meta["ntraj"] * meta["n_sweeps"]
+        for c, k, s in zip(meta["grad_calls"], meta["kick_calls"], meta["wall_stops"]):
+            assert isinstance(k, int)
+            assert c - k == n_traj - s
+
     def test_report_rebuilds_table(self, remd_out, tmp_path):
         out = tmp_path / "table.csv"
         rc = main(["report", "--trace", str(remd_out / "remd_trace.csv"),
@@ -285,6 +294,49 @@ class TestTiAndCompare:
         rc = main(["compare-models", "--a", str(ti_out / "ti_run.json"),
                    "--b", str(other)])
         assert rc == 2
+
+    @pytest.mark.parametrize("frozen", [[], [1, 3]])
+    def test_frozen_windows_warn_and_exit_0(self, data_dir, w0_path, tmp_path,
+                                            capsys, monkeypatch, frozen):
+        run_ti = temperhmc.cli.run_ti
+
+        def freezing(*args):
+            result = run_ti(*args)
+            result.accept_rate[:] = 0.5
+            result.accept_rate[frozen] = 0.0
+            return result
+
+        monkeypatch.setattr(temperhmc.cli, "run_ti", freezing)
+        capsys.readouterr()
+        rc = main(["ti", "--model", "M1", "--data", "D50",
+                   "--data-dir", str(data_dir), "--out-dir", str(tmp_path),
+                   "--w0", str(w0_path), "--repeats", "1", "--n-bridge", "2",
+                   "--L", "3", "--burn-in-traj", "2", "--sample-traj", "4",
+                   "--fit-burn-in-traj", "4", "--fit-sample-traj", "8"])
+        assert rc == 0
+        run = json.loads((tmp_path / "ti_run.json").read_text())
+        lambdas = run["per_lambda"]["lambdas"]
+        assert run["frozen_lambdas"] == [lambdas[i] for i in frozen]
+        err = capsys.readouterr().err
+        if frozen:
+            assert err == ("warning: no trajectory was accepted in the windows at "
+                           "lambda = 0.3333, 1\n")
+        else:
+            assert err == ""
+
+    def test_window_kick_calls(self, data_dir, w0_path, tmp_path):
+        rc = main(["ti", "--model", "M1", "--data", "D50",
+                   "--data-dir", str(data_dir), "--out-dir", str(tmp_path),
+                   "--w0", str(w0_path), "--repeats", "1", "--n-bridge", "2",
+                   "--L", "3", "--burn-in-traj", "2", "--sample-traj", "4",
+                   "--fit-burn-in-traj", "4", "--fit-sample-traj", "8"])
+        assert rc == 0
+        per = json.loads((tmp_path / "ti_run.json").read_text())["per_lambda"]
+        # each of the 4 sampling trajectories makes at most one value_grad
+        # call; the bridge at lambda = 1 calls no network, so has no kick
+        for lam, c, k in zip(per["lambdas"], per["grad_calls"], per["kick_calls"]):
+            assert isinstance(k, int)
+            assert 0 < k and c - k <= 4 if lam < 1 else k == 0
 
     def test_single_repeat_reports_no_spread(self, data_dir, w0_path, tmp_path,
                                              capsys):

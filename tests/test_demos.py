@@ -15,8 +15,9 @@ ROOT = Path(__file__).resolve().parents[1]
     ["demos/evidence_comparison.py"],
     ["demos/minimizer_baseline.py", "--restarts", "2"],
     ["demos/peak_memory.py", "--train", "300", "--test", "100", "--size", "50"],
+    ["demos/kernel_timing.py", "--calls", "3"],
 ], ids=["temperature_sweep", "evidence_comparison", "minimizer_baseline",
-        "peak_memory"])
+        "peak_memory", "kernel_timing"])
 def test_demo_runs(argv, tmp_path):
     # the demos write their stand-in corpus under TMPDIR, and remove it
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))

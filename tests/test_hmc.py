@@ -9,7 +9,7 @@ from temperhmc.errors import FailedToTune
 from temperhmc.hmc import (HmcConfig, StepSizeController, adapt_step_size,
                            hmc_trajectory, measure_acceptance, run_chain,
                            tune_step_size, velocity_verlet)
-from temperhmc.network import PriorBox
+from temperhmc.network import NetworkArch, PriorBox, dataset_energy_fns, init_standard
 from temperhmc.replica import blocked_mean_se
 
 
@@ -25,6 +25,16 @@ def quad_fns(h):
 
 def flat(w):
     return 0.0, np.zeros_like(w)
+
+
+def with_wrong_kick(value_grad, scale):
+    """value_grad with a kick of scale x its gradient rounded to 2 significant digits."""
+    def potential(w):
+        return value_grad(w)
+
+    potential.kick = lambda w: scale * np.array([float(f"{v:.1e}")
+                                                 for v in value_grad(w)[1]])
+    return potential
 
 
 def reject_off_start(w):
@@ -79,6 +89,22 @@ class TestVerlet:
         np.testing.assert_allclose(w, w0, atol=1e-10)
         np.testing.assert_allclose(-p, p0, atol=1e-10)
 
+    def test_reversibility_with_the_network_kick(self, rng):
+        # the inner steps kick with the float32 gradient, the end points use
+        # the float64 one: the force sequence is a palindrome, so -p retraces
+        arch = NetworkArch((8, 6, 3))
+        x, labels = rng.normal(size=(30, 8)), rng.integers(0, 3, 30)
+        _, value_grad = dataset_energy_fns(arch, x, labels)
+        w0 = init_standard(arch, rng)
+        p0 = rng.normal(size=arch.n_params)
+        w, p, _, g, ok = velocity_verlet(w0, p0, value_grad(w0)[1], value_grad,
+                                         0.05, 100)
+        assert ok and np.max(np.abs(w - w0)) > 0.1
+        w, p, _, _, ok = velocity_verlet(w, -p, g, value_grad, 0.05, 100)
+        assert ok
+        np.testing.assert_allclose(w, w0, atol=1e-10)
+        np.testing.assert_allclose(-p, p0, atol=1e-10)
+
     def test_nonfinite_gradient_flagged(self):
         def value_grad(w):
             return 0.0, np.full_like(w, np.nan)
@@ -120,25 +146,44 @@ class TestTrajectory:
         assert len(calls) == full.n_calls == 20
         assert rng.bit_generator.state == free.bit_generator.state
 
-    def test_truncated_gaussian_exact_with_wall_stops(self):
-        # N(0, 1) on |w| < a: at dt 0.35 and L 12 about half the trajectories
-        # stop at a wall, and many of them would have come back inside.
-        # <w^2> = 1 - 2 a phi(a) / (2 Phi(a) - 1) = 0.1957.  Over pilot seeds
-        # 1-30 of this set-up the z-score had sd 1.02 and max |z| 2.34.
+    @staticmethod
+    def truncated_gaussian_z(value_grad):
+        """z-score of <w^2> and the outcomes of 15,000 trajectories on |w| < 0.8.
+
+        The target is N(0, 1) on |w| < a; value_grad is its potential, with
+        or without a kick.  <w^2> = 1 - 2 a phi(a) / (2 Phi(a) - 1) = 0.1957.
+        """
         a = 0.8
         phi = math.exp(-a * a / 2) / math.sqrt(2 * math.pi)
         exact = 1 - 2 * a * phi / math.erf(a / math.sqrt(2))
-        _, value_grad = quad_fns([1.0])
         w = np.zeros(1)
-        n = 15_000
         outcomes = []
         run_chain(w, value_grad(w), value_grad, HmcConfig(1.0, 0.35, 12),
-                  np.random.default_rng(0), PriorBox(np.array([2 * a])), n,
+                  np.random.default_rng(0), PriorBox(np.array([2 * a])), 15_000,
                   outcomes.append)
-        sq = np.array([o.w[0] ** 2 for o in outcomes])
-        mean, se = blocked_mean_se(sq, 20)
-        assert abs(mean - exact) < 4 * se
+        mean, se = blocked_mean_se(np.array([o.w[0] ** 2 for o in outcomes]), 20)
+        return (mean - exact) / se, outcomes
+
+    def test_truncated_gaussian_exact_with_wall_stops(self):
+        # at dt 0.35 and L 12 about half the trajectories stop at a wall, and
+        # many of them would have come back inside.  Over pilot seeds 1-30
+        # of this set-up the z-score had sd 1.02 and max |z| 2.34.
+        z, outcomes = self.truncated_gaussian_z(quad_fns([1.0])[1])
+        assert abs(z) < 4
         assert 0.3 < np.mean([o.at_wall for o in outcomes]) < 0.7
+
+    def test_truncated_gaussian_exact_with_a_wrong_kick(self):
+        # the set-up above, with inner kicks of 5 x the gradient rounded to 2
+        # significant digits: any fixed force between float64 end points
+        # leaves the target exact.  The kick is strong enough to tell: an
+        # integrator that used it in the last half-kick as well (no longer
+        # a palindrome) gave z-scores of 9.8 to 14.3 on seeds 0-3, while this
+        # one gave -3.8 to 1.8 on seeds 0-9; 1.5 x the rounded gradient left
+        # that mutant within 2.1.
+        z, outcomes = self.truncated_gaussian_z(with_wrong_kick(quad_fns([1.0])[1], 5.0))
+        assert abs(z) < 4
+        kicks = sum(o.n_kicks for o in outcomes)
+        assert 0 < kicks < sum(o.n_calls for o in outcomes)
 
     def test_gaussian_stationarity_1d(self):
         _, value_grad = quad_fns([1.0])

@@ -106,16 +106,23 @@ def plain_energy_gradient(arch, w, x, labels):
 def allocating_verlet(w, p, g, value_grad, dt, n_steps):
     """velocity_verlet's arithmetic with a new array for every update.
 
-    The reference the in-place loop must match bit for bit.
+    The reference the in-place loop must match bit for bit: the inner steps
+    take value_grad.kick when the potential has one, the last step
+    value_grad.  On a potential without a kick it is the loop as it was
+    before kicks: value_grad at every step.
     """
     w = np.array(w, dtype=float)
     p = np.array(p, dtype=float)
     if not np.all(np.isfinite(g)):
         return w, p, np.nan, g, False
-    for _ in range(n_steps):
+    kick = getattr(value_grad, "kick", None)
+    for step in range(1, n_steps + 1):
         p -= 0.5 * dt * g
         w += dt * p
-        e, g = value_grad(w)
+        if kick is not None and step < n_steps:
+            e, g = np.nan, kick(w)
+        else:
+            e, g = value_grad(w)
         if not np.all(np.isfinite(g)):
             return w, p, e, g, False
         p -= 0.5 * dt * g
@@ -432,6 +439,44 @@ class TestInPlaceUpdates:
         assert new[4] and old[4]
         for a, b in zip(new[:4], old[:4]):
             np.testing.assert_array_equal(bits(a), bits(b))
+
+    @pytest.mark.parametrize("n_steps", [1, 6])
+    def test_potential_without_kick_keeps_the_loop_bit_for_bit(
+            self, n_steps, monkeypatch):
+        # the network closure stripped of its kick: every step calls
+        # value_grad, as before kicks, and the float32 kernel never runs
+        arch, x, y = small_problem(rows=20)
+        _, value_grad = dataset_energy_fns(arch, x, y)
+        calls, kicks = [], []
+        monkeypatch.setattr(network, "kick", lambda *args: kicks.append(1))
+
+        def plain(w):
+            calls.append(1)
+            return value_grad(w)
+
+        rng = np.random.default_rng(7)
+        w, p = rng.normal(size=(2, arch.n_params))
+        g = value_grad(w)[1]
+        new = velocity_verlet(w, p, g, plain, 0.3, n_steps)
+        assert len(calls) == n_steps
+        old = allocating_verlet(w, p, g, plain, 0.3, n_steps)
+        assert new[4] and old[4]
+        for a, b in zip(new[:4], old[:4]):
+            np.testing.assert_array_equal(bits(a), bits(b))
+        assert kicks == []
+
+    def test_kicked_steps_make_l_minus_1_kicks_and_one_value_grad_call(self):
+        arch, x, y = small_problem(rows=20)
+        _, value_grad = dataset_energy_fns(arch, x, y)
+        w0 = init_standard(arch, np.random.default_rng(2))
+        potential = Counting(value_grad)
+        kicks = potential.kick = Counting(value_grad.kick)
+        out = hmc_trajectory(w0, potential, HmcConfig(1.0, 0.01, 6),
+                             np.random.default_rng(2), prior_box(arch),
+                             value_grad(w0))
+        assert (potential.calls, kicks.calls) == (1, 5)
+        assert (out.n_calls, out.n_kicks) == (6, 5)
+        assert out.accepted and out.energy == value_grad(out.w)[0]
 
     @pytest.mark.parametrize("bad_call", [0, 1, 3])
     def test_verlet_nonfinite_exits_match(self, bad_call):

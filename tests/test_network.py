@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from temperhmc.errors import ShapeMismatch
-from temperhmc.network import (LOGISTIC_SOFTMAX, NetworkArch, energy,
+from temperhmc.minimize import rmin
+from temperhmc.network import (LINEAR_SOFTMAX, LOGISTIC_SOFTMAX, NetworkArch,
+                               Workspace, dataset_energy_fns, energy,
                                energy_gradient, forward, get_arch,
-                               in_support, init_standard, load_params,
+                               in_support, init_standard, kick, load_params,
                                prior_box, save_params)
 
 
@@ -139,6 +141,93 @@ class TestGradient:
         _, g1 = energy_gradient(tiny_arch, w, x[:5], labels[:5])
         _, g2 = energy_gradient(tiny_arch, w, x[5:], labels[5:])
         np.testing.assert_allclose(g_all, g1 + g2, rtol=1e-12, atol=1e-12)
+
+
+def relative_error(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestKick:
+    """The float32 gradient of the samplers' inner Verlet steps."""
+
+    SIZES = [(256, 40, 10), (256, 40, 40, 40, 10)]
+
+    @pytest.mark.parametrize("head", [LINEAR_SOFTMAX, LOGISTIC_SOFTMAX])
+    @pytest.mark.parametrize("sizes", SIZES, ids=["M1", "M3"])
+    def test_relative_error_along_an_rmin_path(self, d50, sizes, head):
+        # a linear head's path runs from init_standard down to E < 1e-10,
+        # where p_y - 1 would round to 0 in float32 (the labelled column is
+        # formed as minus the other classes' sum).  A logistic head's path
+        # ends at a stationary point above its energy floor, where the
+        # gradient is a cancelling sum that float32 resolves only to about
+        # 1e-6 of the starting gradient: there the error is measured
+        # against a tenth of that.
+        arch = NetworkArch(sizes, head=head)
+        train, _ = d50
+        _, value_grad = dataset_energy_fns(arch, train.inputs, train.labels)
+        path = []
+
+        def recording(w):
+            e, g = value_grad(w)
+            path.append((e, w.copy(), g))
+            return e, g
+
+        rmin(init_standard(arch, np.random.default_rng(0)), recording)
+        assert len(path) >= 10
+        floor = 0.0
+        if head == LINEAR_SOFTMAX:
+            assert path[-1][0] < 1e-10
+        else:
+            floor = 0.1 * np.linalg.norm(path[0][2])
+        for _, w, g in path:
+            error = np.linalg.norm(value_grad.kick(w) - g)
+            assert error <= 1e-4 * max(np.linalg.norm(g), floor)
+
+    @pytest.mark.parametrize("head", [LINEAR_SOFTMAX, LOGISTIC_SOFTMAX])
+    @pytest.mark.parametrize("sizes", SIZES, ids=["M1", "M3"])
+    def test_relative_error_at_prior_scale(self, d50, sizes, head):
+        arch = NetworkArch(sizes, head=head)
+        train, _ = d50
+        _, value_grad = dataset_energy_fns(arch, train.inputs, train.labels)
+        rng = np.random.default_rng(1)
+        half = prior_box(arch).half_width
+        for w in (rng.uniform(-half, half), rng.normal(scale=5.0, size=arch.n_params)):
+            assert relative_error(value_grad.kick(w), value_grad(w)[1]) <= 1e-4
+
+    @pytest.mark.parametrize("head", [LINEAR_SOFTMAX, LOGISTIC_SOFTMAX])
+    @pytest.mark.parametrize("sizes", SIZES, ids=["M1", "M3"])
+    def test_no_subnormal_left_in_the_workspace(self, d500, sizes, head):
+        # at w ~ N(0, 5^2) float32 exponentials and the products of the
+        # output delta go subnormal unless floored and flushed, and
+        # subnormals slow float32 arithmetic several-fold
+        arch = NetworkArch(sizes, head=head)
+        train, _ = d500
+        x = train.inputs.astype(np.float32)
+        work = Workspace(arch, x, train.labels)
+        tiny = np.finfo(np.float32).tiny
+        for seed in range(5):
+            w = np.random.default_rng(seed).normal(scale=5.0, size=arch.n_params)
+            assert kick(arch, w, x, train.labels, work).dtype == np.float64
+            blocks = list(work._views.values()) + [work.row, work.picked]
+            assert all(b.dtype == np.float32 for b in blocks)
+            for b in blocks:
+                assert not np.any((b != 0) & (np.abs(b) < tiny))
+
+    def test_float32_workspace_shares_the_float64_blocks(self):
+        arch = get_arch("M1")
+        rng = np.random.default_rng(3)
+        x, labels = rng.normal(size=(20, 256)), rng.integers(0, 10, 20)
+        work = Workspace(arch, x, labels)
+        single = Workspace(arch, x.astype(np.float32), labels, share=work)
+        w = init_standard(arch, rng)
+        e, g = energy_gradient(arch, w, x, labels, work)
+        k = kick(arch, w, x.astype(np.float32), labels, single)
+        assert set(single._blocks) == set(work._blocks)
+        assert relative_error(k, g) <= 1e-5
+        # the float64 call after a kick gives the same bits
+        e2, g2 = energy_gradient(arch, w, x, labels, work)
+        assert e2 == e
+        np.testing.assert_array_equal(g2, g)
 
 
 class TestPrior:
