@@ -9,6 +9,12 @@ wait4 reports for that process is printed, so no step's peak hides
 another's.  The default corpus is bench-shaped (1000 + 1000 images);
 --train 60000 --test 10000 gives an MNIST-sized stand-in.
 
+ti refuses a w0 outside the prior box, and minimize's unboxed rmin can
+end outside it on a small D_n.  So the w0 step runs the minimisation that
+`minimize --mode best-of --restarts 1 --n-steps 400` runs, from the same
+start, but with the prior box given to rmin: its minimum lies inside the
+box by construction, and equals minimize's wherever that one does.
+
 Usage:
     python demos/peak_memory.py [--train 1000] [--test 1000] [--size 500] [--seed 0]
 """
@@ -30,11 +36,27 @@ TI_FLAGS = ["--repeats", "1", "--n-bridge", "4", "--burn-in-traj", "5",
             "--sample-traj", "10", "--L", "5", "--fit-burn-in-traj", "20",
             "--fit-sample-traj", "40"]
 
+# ti's w0: minimize's first best-of start and rmin run, with the prior box
+W0_CODE = """\
+import numpy as np
+from temperhmc.data import DatasetStore
+from temperhmc.minimize import RMinConfig, rmin
+from temperhmc.network import (dataset_energy_fns, get_arch, init_standard,
+                               prior_box, save_params)
+arch = get_arch("M1")
+train, _ = DatasetStore({data!r}).load({size}, {seed}, test_rows=None)
+_, value_grad = dataset_energy_fns(arch, train.inputs, train.labels)
+rng = np.random.default_rng(np.random.SeedSequence({seed}).spawn(1)[0])
+res = rmin(init_standard(arch, rng), value_grad, RMinConfig(n_steps=400),
+           box=prior_box(arch))
+save_params({path!r}, arch, res.w)
+"""
+
 
 def steps(work, args):
     """(name, python argv) of each step, in the order they must run."""
     raw, data = str(work / "raw"), str(work / "data")
-    w0 = work / "w0"
+    w0 = str(work / "w0.params")
 
     def cli(command, model, out, *flags):
         return ["-m", "temperhmc.cli", command, "--model", model,
@@ -49,13 +71,12 @@ def steps(work, args):
         ("prepare-data", ["-m", "temperhmc.cli", "prepare-data", "--mnist-dir", raw,
                           "--data-dir", data, "--size", str(args.size),
                           "--seed", str(args.seed)]),
-        ("minimize M1 (ti w0)", cli("minimize", "M1", "w0", "--mode", "best-of",
-                                    "--restarts", "1", "--n-steps", "400")),
+        ("rmin M1 (ti w0)", ["-c", W0_CODE.format(data=data, size=args.size,
+                                                  seed=args.seed, path=w0)]),
         ("minimize M3", cli("minimize", "M3", "minimize", "--mode", "best-of",
                             "--restarts", "1", "--n-steps", "1000")),
         ("remd M1", cli("remd", "M1", "remd", *REMD_FLAGS)),
-        ("ti M1", cli("ti", "M1", "ti", *TI_FLAGS,
-                      "--w0", str(w0 / "baseline_best.params"))),
+        ("ti M1", cli("ti", "M1", "ti", *TI_FLAGS, "--w0", w0)),
     ]
 
 

@@ -8,7 +8,8 @@ prepare-data, minimize, remd and ti declare each setting once in SETTINGS,
 which generates their flags and help.  _resolve takes a setting from its
 flag, else the --config JSON file, else its default (read from RemdConfig,
 TiConfig or RMinConfig where one holds it) and checks it against the
-setting's lower bound; the run manifest echoes every resolved setting.
+setting's lower bound, and a float for being finite; the run manifest
+echoes every resolved setting.  ti refuses a w0 outside the prior box.
 Flags, config and input files are read inside _reading_config, so a missing
 setting, a bad value, a value out of range or an unknown config key exits
 2; the same errors raised by the computation that follows propagate.
@@ -176,6 +177,8 @@ def _resolve(args):
             raise ConfigError(f"{args.command} requires {_flag(s)}")
         with _reading_config():
             cfg[s.name] = value = s.default if value is None else _typed(s, value)
+        if s.type is float and not np.isfinite(value):
+            raise ConfigError(f"{_flag(s)} must be finite, not {value}")
         if s.above is not None and value is not None and not value > s.above:
             raise ConfigError(f"{_flag(s)} must be greater than {s.above}, not {value}")
     return cfg
@@ -293,7 +296,6 @@ def cmd_remd(args):
                 dt=[r.dt for r in replicas],
                 start_energy=[r.start_energy for r in replicas],
                 start_steps=[r.start_steps for r in replicas],
-                start_clipped=[r.start_clipped for r in replicas],
                 accept_rate=np.mean(trace.accept_rate, axis=0).tolist(),
                 grad_calls=[r.grad_calls for r in replicas],
                 kick_calls=[r.kick_calls for r in replicas],
@@ -314,13 +316,17 @@ def cmd_ti(args):
         ckpt_arch, w0 = load_params(cfg["w0"])
         if ckpt_arch != arch:
             raise ConfigError("w0 checkpoint does not match the requested model")
+    box = prior_box(arch)
+    n_out = np.count_nonzero(~(np.abs(w0) < box.half_width))   # NaN is outside
+    if n_out:
+        raise ConfigError(f"w0 lies outside the prior box in {n_out} of {len(w0)} "
+                          "coordinates")
     ti_cfg = TiConfig(n_bridge=cfg["n_bridge"], burn_in_traj=cfg["burn_in_traj"],
                       sample_traj=cfg["sample_traj"], n_leapfrog=cfg["L"],
                       fit_burn_in_traj=cfg["fit_burn_in_traj"],
                       fit_sample_traj=cfg["fit_sample_traj"])
     repeats, out_dir = cfg["repeats"], cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    box = prior_box(arch)
     energy_fn, value_grad = dataset_energy_fns(arch, train.inputs, train.labels)
     seeds = np.random.SeedSequence(cfg["seed"]).spawn(repeats)
     runs, fits = [], []

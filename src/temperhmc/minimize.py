@@ -3,8 +3,11 @@
 Single velocity Verlet steps with an adaptive time step: after a downhill
 step dt grows to max(dt + DT_INCREMENT, DT_GROWTH * dt); after an uphill
 step, or one that reaches a non-finite energy or gradient, the step is
-discarded, the momenta are zeroed and dt shrinks by DT_FACTOR.  DT_GROWTH
-and DT_FACTOR are FIRE's f_inc = 1.1 and f_dec = 0.5 (Bitzek et al. 2006,
+discarded, the momenta are zeroed and dt shrinks by DT_FACTOR.  Given a
+prior box, a step whose drift puts a coordinate on or past a wall is
+discarded the same way, before the potential sees that point, so a
+minimisation started inside the box stays inside it.  DT_GROWTH and
+DT_FACTOR are FIRE's f_inc = 1.1 and f_dec = 0.5 (Bitzek et al. 2006,
 PRL 97:170201).  Related to FIRE, but without FIRE's velocity
 re-projection: the momentum direction is never re-normalised, only reset.
 
@@ -61,10 +64,12 @@ class RMinResult:
     trace: list = field(default_factory=list)   # (step, best energy, dt)
 
 
-def rmin(w0, value_grad, cfg: RMinConfig = None) -> RMinResult:
+def rmin(w0, value_grad, cfg: RMinConfig = None, *, box=None) -> RMinResult:
     """Minimise the energy of value_grad from w0; returns the best state seen.
 
-    Deterministic: identical (w0, cfg, value_grad) give identical traces.
+    With a prior box, a step that would cross a wall counts as uphill and
+    costs no value_grad call.  Deterministic: identical (w0, cfg,
+    value_grad, box) give identical traces.
     """
     cfg = cfg or RMinConfig()
     w = np.array(w0, dtype=float)
@@ -79,7 +84,7 @@ def rmin(w0, value_grad, cfg: RMinConfig = None) -> RMinResult:
     last_improve_step = 0
     steps_done = 0
     for step in range(cfg.n_steps):
-        w_new, p_new, e_new, g_new, ok = velocity_verlet(w, p, g, value_grad, dt, 1)
+        w_new, p_new, e_new, g_new, ok = velocity_verlet(w, p, g, value_grad, dt, 1, box)
         if ok and np.isfinite(e_new) and e_new < e:
             w, p, e, g = w_new, p_new, e_new, g_new
             dt = max(dt + DT_INCREMENT, DT_GROWTH * dt)

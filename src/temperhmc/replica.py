@@ -48,8 +48,7 @@ class Replica:
     e_test: float = None        # held-out energy at w; run_remd fills it
     # how init_replica started the rung; they stay with the slot on a swap
     start_energy: float = None  # the energy burn-in started from
-    start_steps: int = None     # rmin's steps, one value_grad call each
-    start_clipped: int = None   # coordinates moved off a prior-box wall
+    start_steps: int = None     # rmin's steps, at most one value_grad call each
     # run_remd's production work at this slot; they stay with it on a swap
     grad_calls: int = 0         # potential calls of its trajectories
     kick_calls: int = 0         # of grad_calls, those to value_grad.kick
@@ -109,38 +108,23 @@ def init_replica(index, temperature, value_grad, box, seed, arch,
     baseline's zero-energy tolerance: below that energy e^(-E/T) differs
     from a zero-energy minimum's weight by under 0.1%, so minimising on
     buys the rung nothing, while the last decades of E can take rmin's
-    whole step budget or carry w out through the prior-box walls.  The
-    returned replica records the start: start_energy is the energy at the
-    point burn-in starts from, after any coordinate was moved off a wall,
-    start_steps rmin's steps and start_clipped the coordinates moved.
-    seed is anything np.random.default_rng takes, an int or a SeedSequence.
+    whole step budget.  rmin gets the prior box, so a step that would
+    cross a wall fails like an uphill one and burn-in starts inside the
+    box.  The returned replica records the start: start_energy is the
+    energy rmin stopped at, the point burn-in starts from, and start_steps
+    rmin's steps.  seed is anything np.random.default_rng takes, an int or
+    a SeedSequence.
     """
     cfg = cfg or RemdConfig()
     rng = np.random.default_rng(seed)
     start = rmin(init_standard(arch, rng), value_grad,
-                 cfg=RMinConfig(energy_tol=START_TOL_PER_T * temperature))
-    w = start.w
-    n_clipped = 0
-    if box is not None:
-        # the minimiser ignores the prior box, and a start outside it
-        # rejects every proposal and drives the adapted dt down.  Move the
-        # coordinates on or outside a wall (|w| >= sigma/2) well into the
-        # interior; burn-in re-equilibrates.  Since rmin stops at
-        # START_TOL_PER_T * T this is rare: it moves no coordinate of the
-        # benchmark's remd starts (1, 35 and 160 under the zero-energy
-        # tolerance) and 2 of criterion 12's, in one rung (7,163 in 15).
-        outside = np.abs(w) >= box.half_width
-        w[outside] = np.sign(w[outside]) * 0.3 * box.sigma[outside]
-        n_clipped = int(np.count_nonzero(outside))
-
-    current = value_grad(w)
+                 cfg=RMinConfig(energy_tol=START_TOL_PER_T * temperature), box=box)
     w, (e, g), dt = adapt_step_size(
-        w, current, value_grad,
+        start.w, value_grad(start.w), value_grad,
         HmcConfig(temperature, DT0, cfg.n_leapfrog), rng, box,
         cfg.burn_in_traj)
     return Replica(index, temperature, w, e, dt, rng, grad=g,
-                   start_energy=float(current[0]), start_steps=start.n_steps,
-                   start_clipped=n_clipped)
+                   start_energy=start.energy, start_steps=start.n_steps)
 
 
 @dataclass

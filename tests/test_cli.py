@@ -15,7 +15,7 @@ from temperhmc import data, synth
 from temperhmc.cli import SETTINGS, build_parser, main, write_manifest
 from temperhmc.harness import baseline_optimize, write_sweep_csv
 from temperhmc.minimize import RMinConfig
-from temperhmc.network import get_arch, save_params
+from temperhmc.network import get_arch, prior_box, save_params
 from temperhmc.replica import START_TOL_PER_T, RemdConfig, RunTrace, make_ladder
 from temperhmc.ti import TiConfig
 
@@ -197,11 +197,9 @@ class TestRemdAndReport:
 
     def test_run_file_records_each_rung_s_start(self, remd_out):
         meta = json.loads((remd_out / "remd_run.json").read_text())
-        energies, steps, clipped = (meta[k] for k in
-                                    ("start_energy", "start_steps", "start_clipped"))
-        assert len(energies) == len(steps) == len(clipped) == meta["nt"] == 3
+        energies, steps = meta["start_energy"], meta["start_steps"]
+        assert len(energies) == len(steps) == meta["nt"] == 3
         assert all(isinstance(n, int) and n >= 1 for n in steps)
-        assert all(isinstance(n, int) and n >= 0 for n in clipped)
         # coldest rung first; each start-up rmin stopped below 1e-3 T
         ladder = make_ladder(meta["tmin"], meta["tmax"], meta["nt"])
         assert all(e < START_TOL_PER_T * T for e, T in zip(energies, ladder))
@@ -533,6 +531,25 @@ class TestExitCodes:
         assert rc == 2
         assert "does not match the requested model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["wall", "nan"])
+    def test_w0_outside_the_box_exit_2(self, data_dir, tmp_path, capsys, where):
+        arch = get_arch("M1")
+        w0 = np.zeros(arch.n_params)
+        # on the wall is outside the open box; a NaN coordinate is in no box
+        w0[7] = prior_box(arch).half_width[7] if where == "wall" else np.nan
+        save_params(tmp_path / "w0.params", arch, w0)
+        out = tmp_path / "out"
+        rc = main(["ti", "--model", "M1", "--data", "D50",
+                   "--data-dir", str(data_dir), "--out-dir", str(out),
+                   "--w0", str(tmp_path / "w0.params"), "--repeats", "1",
+                   "--n-bridge", "1", "--L", "1", "--burn-in-traj", "1",
+                   "--sample-traj", "2", "--fit-burn-in-traj", "1",
+                   "--fit-sample-traj", "2"])
+        assert rc == 2
+        assert (f"w0 lies outside the prior box in 1 of {arch.n_params} coordinates"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["remd", "--burn-in", "5", "--nt", "2", *RUN],
         ["minimize", "--n-step", "10", "--restarts", "1"],
@@ -619,6 +636,27 @@ class TestOutOfRangeSettings:
                      "--out-dir", str(out), "--tmin", tmin, "--tmax", tmax,
                      "--nt", nt]) == 2
         assert "bad ladder range" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,config", [
+        (["remd", "--tmax", "inf"], None),
+        (["minimize", "--dt0", "inf"], None),
+        (["remd"], '{"tmax": Infinity}'),
+    ], ids=["remd --tmax inf", "minimize --dt0 inf", "config tmax Infinity"])
+    def test_non_finite_float_exit_2_before_the_data_is_read(
+            self, data_dir, tmp_path, monkeypatch, capsys, argv, config):
+        def load(*args, **kwargs):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(temperhmc.cli.DatasetStore, "load", load)
+        out = tmp_path / "out"
+        argv = [*argv, *self.RUN, "--data-dir", str(data_dir), "--out-dir", str(out)]
+        if config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(config)
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert "must be finite, not inf" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bound_applies_to_a_config_file_value(self, data_dir, tmp_path, capsys):

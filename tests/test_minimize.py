@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from temperhmc.errors import NonFiniteEnergy
-from temperhmc.minimize import ZERO_TOL, RMinConfig, RMinResult, rmin
-from temperhmc.network import NetworkArch, dataset_energy_fns, init_standard
+from temperhmc.minimize import (DT_FACTOR, STALL_REL_TOL, ZERO_TOL, RMinConfig,
+                                RMinResult, rmin)
+from temperhmc.network import (NetworkArch, PriorBox, dataset_energy_fns,
+                               init_standard, prior_box)
 
 
 def quad1d():
@@ -150,3 +152,90 @@ class TestBookkeeping:
         res = rmin(np.array([1.0]), value_grad, RMinConfig(n_steps=10))
         assert isinstance(res, RMinResult)
         assert len(res.trace) == res.n_steps
+
+
+def recording(value_grad):
+    """value_grad that keeps a copy of each point it is called at."""
+    seen = []
+
+    def recorded(w):
+        seen.append(w.copy())
+        return value_grad(w)
+
+    return recorded, seen
+
+
+class TestPriorBox:
+    BOX = PriorBox(np.array([2.0]))     # |w| < 1
+
+    @staticmethod
+    def pulled_out(w):
+        # E = (w - 3)^2 / 2: its minimum lies outside the box
+        return 0.5 * float((w[0] - 3.0) ** 2), w - 3.0
+
+    def test_ends_inside_the_box(self):
+        res = rmin(np.array([0.0]), self.pulled_out, RMinConfig(), box=self.BOX)
+        assert 0.99 < res.w[0] < 1.0
+        assert res.energy == self.pulled_out(res.w)[0]
+
+    def test_never_calls_the_potential_on_or_past_a_wall(self):
+        value_grad, seen = recording(self.pulled_out)
+        rmin(np.array([0.0]), value_grad, RMinConfig(), box=self.BOX)
+        assert len(seen) > 10
+        assert all(np.all(np.abs(w) < self.BOX.half_width) for w in seen)
+
+    def test_a_refused_step_halves_dt_zeroes_p_and_calls_nothing(self):
+        # E = -w falls all the way to the wall, so every step inside the box
+        # is downhill and every refused one is a step through the wall
+        value_grad, seen = recording(lambda w: (-float(w[0]), -np.ones_like(w)))
+        cfg = RMinConfig(n_steps=40, energy_tol=-np.inf)
+        res = rmin(np.array([0.0]), value_grad, cfg, box=self.BOX)
+        energies = [-w[0] for w in seen]
+        assert all(b < a for a, b in zip(energies, energies[1:]))
+        calls, w, dt, refused, p_zero = iter(seen[1:]), seen[0], cfg.dt0, 0, True
+        for _, e, dt_next in res.trace:
+            if dt_next == dt * DT_FACTOR:
+                refused += 1
+                p_zero = True
+            else:
+                w_new = next(calls)
+                if p_zero:      # a step from rest: p = dt g / 2, one drift of dt p
+                    assert w_new == w + dt * (0.5 * dt)
+                w, p_zero = w_new, False
+                assert e == -w[0]
+            dt = dt_next
+        assert next(calls, None) is None
+        assert refused >= 10
+        assert len(seen) == 1 + len(res.trace) - refused
+
+    def test_stall_window_ends_the_run(self):
+        cfg = RMinConfig(n_steps=5000, energy_tol=-np.inf, stall_window=30)
+        res = rmin(np.array([0.0]), self.pulled_out, cfg, box=self.BOX)
+        assert res.n_steps < cfg.n_steps
+        energies = [e for _, e, _ in res.trace]
+        # the window's last improvement stays below the stall tolerance
+        window = energies[-cfg.stall_window - 1:]
+        assert window[-1] >= window[0] * (1.0 - STALL_REL_TOL)
+
+    @pytest.mark.parametrize("case", ["quadratic", "toy net"])
+    def test_a_path_inside_the_box_is_bit_identical(self, case):
+        cfg = RMinConfig()
+        if case == "quadratic":
+            w0, value_grad = np.array([3.0]), quad1d()
+            box = PriorBox(np.array([8.0]))
+        else:
+            # a start-up at T = 1 as a REMD rung makes it; it reaches 0.87
+            # of a half-width (minimised to zero energy it leaves the box)
+            cfg = RMinConfig(energy_tol=1e-3)
+            arch = NetworkArch((8, 6, 3))
+            rng = np.random.default_rng(2)
+            x = rng.normal(size=(30, 8))
+            labels = np.argmax(x[:, :3] @ rng.normal(size=(3, 3)), axis=1)
+            w0, box = init_standard(arch, rng), prior_box(arch)
+            _, value_grad = dataset_energy_fns(arch, x, labels)
+        value_grad, seen = recording(value_grad)
+        free = rmin(w0, value_grad, cfg)
+        assert all(np.all(np.abs(w) < box.half_width) for w in seen)
+        boxed = rmin(w0, value_grad, cfg, box=box)
+        assert boxed.trace == free.trace
+        np.testing.assert_array_equal(boxed.w, free.w)

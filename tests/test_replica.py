@@ -8,7 +8,7 @@ import temperhmc.hmc
 import temperhmc.replica
 from temperhmc.errors import ConfigError, InsufficientSamples
 from temperhmc.hmc import HmcConfig, hmc_trajectory
-from temperhmc.minimize import RMinResult, rmin
+from temperhmc.minimize import rmin
 from temperhmc.network import NetworkArch, dataset_energy_fns, get_arch, prior_box
 from temperhmc.replica import (START_TOL_PER_T, RemdConfig, Replica, RunTrace,
                                attempt_swap, blocked_mean_se, init_replica,
@@ -115,7 +115,7 @@ class TestInitReplica:
         _, value_grad = dataset_energy_fns(arch, train.inputs, train.labels)
         runs = []
 
-        def recording_rmin(w0, potential, cfg):
+        def recording_rmin(w0, potential, cfg, *, box):
             calls = 0
 
             def counted(w):
@@ -123,7 +123,7 @@ class TestInitReplica:
                 calls += 1
                 return potential(w)
 
-            res = rmin(w0, counted, cfg=cfg)
+            res = rmin(w0, counted, cfg=cfg, box=box)
             runs.append((res, calls))
             return res
 
@@ -137,32 +137,28 @@ class TestInitReplica:
         assert all(e >= tol for e in energies[:-1])
         assert (r.start_energy, r.start_steps) == (res.energy, len(energies))
         assert calls == r.start_steps + 1       # and one at the start
-        assert r.start_clipped == 0
 
-
-    def test_start_energy_is_taken_after_the_wall_clip(self, monkeypatch):
+    def test_start_is_where_the_boxed_minimiser_stopped(self):
         arch = NetworkArch((2, 4, 3))
         box = prior_box(arch)
         rng = np.random.default_rng(6)
-        _, value_grad = dataset_energy_fns(arch, rng.normal(size=(20, 2)),
-                                           rng.integers(0, 3, 20))
-        ends = []
+        _, net = dataset_energy_fns(arch, rng.normal(size=(20, 2)),
+                                    rng.integers(0, 3, 20))
+        target = 2.0 * box.half_width[0]
 
-        def outside_rmin(w0, potential, cfg):
-            # a start with three coordinates past a wall
-            w = w0.copy()
-            w[:3] = 2.0 * box.half_width[:3] * np.array([1, -1, 1])
-            ends.append(potential(w)[0])
-            return RMinResult(w, ends[-1], 7)
+        def value_grad(w):
+            # the network's energy plus a pull of w[0] out through its wall
+            e, g = net(w)
+            g = g.copy()
+            g[0] += w[0] - target
+            return e + 0.5 * (w[0] - target) ** 2, g
 
-        monkeypatch.setattr(temperhmc.replica, "rmin", outside_rmin)
         r = init_replica(0, 1.0, value_grad, box, seed=2, arch=arch,
                          cfg=RemdConfig(burn_in_traj=0))
-        assert r.start_clipped == 3 and r.start_steps == 7
         assert np.all(np.abs(r.w) < box.half_width)
-        # no burn-in: the replica holds the clipped start and its energy
+        # the start stays where rmin stopped, against the wall
+        assert r.w[0] > 0.99 * box.half_width[0]
         assert r.start_energy == r.energy == value_grad(r.w)[0]
-        assert r.start_energy != ends[0]
 
 
 class TestRunRemd:
