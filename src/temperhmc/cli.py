@@ -4,13 +4,14 @@ Subcommands: prepare-data, minimize, remd, ti, compare-models, report,
 anneal-stop.  Exit codes: 0 success, 2 configuration error, 3 numerical
 failure, 4 restart/iteration budget exceeded.
 
-prepare-data, minimize, remd and ti declare each setting once in SETTINGS,
-which generates their flags and help.  _resolve takes a setting from its
-flag, else the --config JSON file, else its default (read from RemdConfig,
-TiConfig or RMinConfig where one holds it) and checks it against the
-setting's lower bound, and a float for being finite; the run manifest
-echoes every resolved setting.  ti refuses a w0 outside the prior box.
-Flags, config and input files are read inside _reading_config, so a missing
+Every command declares each setting once in SETTINGS, which generates its
+flags and help.  Before a command runs, main's _resolve takes each setting
+from its flag, else the --config JSON file, else its default (read from
+RemdConfig, TiConfig or RMinConfig where one holds it), checks it against
+its lower bound, and a set float for being finite, and hands the command
+the resolved dict, which a run manifest echoes.  ti refuses a w0 outside
+the prior box, and report a burn-in that leaves under two sweeps.  Flags,
+config and input files are read inside _reading_config, so a missing
 setting, a bad value, a value out of range or an unknown config key exits
 2; the same errors raised by the computation that follows propagate.
 """
@@ -49,7 +50,7 @@ REQUIRED = object()    # a setting with no default
 class Setting(NamedTuple):     # flag --name with - for _; config key name
     name: str
     type: type
-    default: object = REQUIRED      # None: the command picks one
+    default: object = REQUIRED      # None: unset, or the command picks one
     help: str = None
     choices: tuple = None
     above: float = None             # a value must be greater than this
@@ -102,6 +103,23 @@ SETTINGS = {
         Setting("fit_burn_in_traj", int, TiConfig.fit_burn_in_traj, above=-1),
         Setting("fit_sample_traj", int, TiConfig.fit_sample_traj, above=0),
         Setting("L", int, TiConfig.n_leapfrog, above=0),
+    ],
+    "compare-models": [
+        Setting("a", str, help="ti_run.json of model a"),
+        Setting("b", str, help="ti_run.json of model b"),
+        Setting("log_prior_ratio", float, 0.0),
+    ],
+    "report": [
+        Setting("trace", str, help="remd_trace.csv"),
+        Setting("out", str, help="the table to write"),
+        Setting("n_train", int, help="training-set size", above=0),
+        Setting("burn_in", int, None, "sweeps to cut (default: a fifth)", above=-1),
+        Setting("baseline", float, None, "baseline test energy to record"),
+    ],
+    "anneal-stop": [
+        Setting("table", str, help="remd_summary.csv, as remd or report writes it"),
+        # anneal_stop checks the window against the table
+        Setting("smoothing", int, 1),
     ],
 }
 
@@ -177,7 +195,7 @@ def _resolve(args):
             raise ConfigError(f"{args.command} requires {_flag(s)}")
         with _reading_config():
             cfg[s.name] = value = s.default if value is None else _typed(s, value)
-        if s.type is float and not np.isfinite(value):
+        if s.type is float and value is not None and not np.isfinite(value):
             raise ConfigError(f"{_flag(s)} must be finite, not {value}")
         if s.above is not None and value is not None and not value > s.above:
             raise ConfigError(f"{_flag(s)} must be greater than {s.above}, not {value}")
@@ -187,7 +205,8 @@ def _resolve(args):
 def _typed(s, value):
     """value as the setting's type; a non-string must convert exactly."""
     typed = s.type(value) if isinstance(value, (str, int, float)) else None
-    if isinstance(value, bool) or (not isinstance(value, str) and typed != value):
+    if isinstance(value, bool) or (not isinstance(value, (str, s.type))
+                                   and typed != value):
         raise ConfigError(f"{s.name} = {json.dumps(value)} is not a {s.type.__name__}")
     return typed
 
@@ -208,8 +227,12 @@ def _model_and_data(cfg, test_rows=all_rows):
     return (arch, *store.load(n, seed, test_rows=test_rows))
 
 
-def cmd_prepare_data(args):
-    cfg = _resolve(args)
+def _outside_box(w, box):
+    """Indices of w's coordinates on or past a wall of box; NaN is outside."""
+    return np.flatnonzero(~(np.abs(w) < box.half_width))
+
+
+def cmd_prepare_data(cfg):
     n, seed = cfg["size"], cfg["seed"]
     with _reading_config():
         full_train, full_test = transform(load_idx_split(cfg["mnist_dir"], "train"),
@@ -223,8 +246,7 @@ def cmd_prepare_data(args):
     return 0
 
 
-def cmd_minimize(args):
-    cfg = _resolve(args)
+def cmd_minimize(cfg):
     best_of = cfg["mode"] == "best-of"
     if cfg["restarts"] is None:
         cfg["restarts"] = N_RESTARTS if best_of else N_SOLUTIONS
@@ -246,11 +268,16 @@ def cmd_minimize(args):
     best = int(np.argmin(result.train_energies))
     ckpt = os.path.join(out_dir, "baseline_best.params")
     save_params(ckpt, arch, result.solutions[best])
+    box = prior_box(arch)
     summary = {
         "mode": result.mode,
         "n_restarts": result.n_restarts,
         "n_solutions": len(result.solutions),
         "mean_test_energy": result.mean_test_energy,
+        # minima of zero prior mass, and the best one's coordinates ti refuses
+        "solutions_outside_box": sum(len(_outside_box(w, box)) > 0
+                                     for w in result.solutions),
+        "best_outside_box": _outside_box(result.solutions[best], box).tolist(),
     }
     _write_json(os.path.join(out_dir, "baseline_summary.json"), summary)
     write_manifest(out_dir, "minimize", cfg, [csv_path, ckpt])
@@ -258,8 +285,7 @@ def cmd_minimize(args):
     return 0
 
 
-def cmd_remd(args):
-    cfg = _resolve(args)
+def cmd_remd(cfg):
     n_eval = cfg["eval_subset"]
     with _reading_config():
         ladder = make_ladder(cfg["tmin"], cfg["tmax"], cfg["nt"])   # before any read
@@ -283,7 +309,7 @@ def cmd_remd(args):
     ckpt_path = os.path.join(out_dir, "remd_checkpoint.npz")
     trace = run_remd(replicas, value_grad, box, remd_cfg, seeds[-1],
                      test_energy_fn=test_energy_fn,
-                     checkpoint_path=ckpt_path if remd_cfg.checkpoint_every else None)
+                     checkpoint_path=ckpt_path)
     save_checkpoint(ckpt_path, replicas, trace.n_sweeps)
 
     trace_path = os.path.join(out_dir, "remd_trace.csv")
@@ -309,15 +335,14 @@ def cmd_remd(args):
     return 0
 
 
-def cmd_ti(args):
-    cfg = _resolve(args)
+def cmd_ti(cfg):
     with _reading_config():
         arch, train, _ = _model_and_data(cfg, test_rows=None)
         ckpt_arch, w0 = load_params(cfg["w0"])
         if ckpt_arch != arch:
             raise ConfigError("w0 checkpoint does not match the requested model")
     box = prior_box(arch)
-    n_out = np.count_nonzero(~(np.abs(w0) < box.half_width))   # NaN is outside
+    n_out = len(_outside_box(w0, box))
     if n_out:
         raise ConfigError(f"w0 lies outside the prior box in {n_out} of {len(w0)} "
                           "coordinates")
@@ -377,10 +402,10 @@ def cmd_ti(args):
     return 0
 
 
-def cmd_compare_models(args):
-    with open(args.a) as fh, _reading_config():
+def cmd_compare_models(cfg):
+    with open(cfg["a"]) as fh, _reading_config():
         a = json.load(fh)
-    with open(args.b) as fh, _reading_config():
+    with open(cfg["b"]) as fh, _reading_config():
         b = json.load(fh)
 
     def log_ev(run):
@@ -397,7 +422,7 @@ def cmd_compare_models(args):
         return run.get("dataset"), run.get("data_seed")
 
     with _reading_config():
-        log_odds = compare(log_ev(a), log_ev(b), float(args.log_prior_ratio),
+        log_odds = compare(log_ev(a), log_ev(b), cfg["log_prior_ratio"],
                            training_set(a), training_set(b))
         errs = err(a), err(b)
         sigma = None if None in errs else float(np.hypot(*errs))
@@ -413,24 +438,28 @@ def cmd_compare_models(args):
     return 0
 
 
-def cmd_report(args):
+def cmd_report(cfg):
     """Rebuild the per-temperature table from a per-sweep trace CSV."""
     with _reading_config():
-        trace = RunTrace.read_csv(args.trace)
-    burn = args.burn_in if args.burn_in is not None else trace.n_sweeps // 5
-    stop = write_sweep_csv(args.out, measure_sweep(trace, burn_in_sweeps=burn),
-                           args.n_train, args.baseline)
-    print(f"wrote {args.out}; argmin-T(test) = {stop:.4g}")
+        trace = RunTrace.read_csv(cfg["trace"])
+    n = trace.n_sweeps
+    burn = n // 5 if cfg["burn_in"] is None else cfg["burn_in"]
+    if n - burn < 2:
+        raise ConfigError(f"{cfg['trace']} holds {n} sweeps; a burn-in of {burn} "
+                          "leaves fewer than the 2 the table needs")
+    stop = write_sweep_csv(cfg["out"], measure_sweep(trace, burn_in_sweeps=burn),
+                           cfg["n_train"], cfg["baseline"])
+    print(f"wrote {cfg['out']}; argmin-T(test) = {stop:.4g}")
     return 0
 
 
-def cmd_anneal_stop(args):
+def cmd_anneal_stop(cfg):
     temps, vals = [], []
-    with open(args.table) as fh, _reading_config():
+    with open(cfg["table"]) as fh, _reading_config():
         for row in csv.DictReader(ln for ln in fh if not ln.startswith("#")):
             temps.append(float(row["temperature"]))
             vals.append(float(row["e_test_mean"]))
-    res = anneal_stop(temps, vals, smoothing_window=args.smoothing)
+    res = anneal_stop(temps, vals, smoothing_window=cfg["smoothing"])
     print(json.dumps({
         "stop_temperature": res.temperature,
         "val_energy": res.value,
@@ -452,37 +481,16 @@ def build_parser():
         ("minimize", cmd_minimize, "baseline repeated fast minimisation"),
         ("remd", cmd_remd, "replica-exchange temperature sweep"),
         ("ti", cmd_ti, "thermodynamic integration evidence run"),
+        ("compare-models", cmd_compare_models, "log odds from two ti run files"),
+        ("report", cmd_report, "per-temperature table from a trace CSV"),
+        ("anneal-stop", cmd_anneal_stop,
+         "annealing stop rule on a remd_summary.csv table"),
     ]:
         p = sub.add_parser(name, help=help_, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override")
         for s in SETTINGS[name]:
             p.add_argument(_flag(s), type=s.type, choices=s.choices, help=_help(s))
         p.set_defaults(func=func)
-
-    p = sub.add_parser("compare-models", allow_abbrev=False,
-                       help="log odds from two ti run files")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--log-prior-ratio", dest="log_prior_ratio",
-                   type=float, default=0.0)
-    p.set_defaults(func=cmd_compare_models)
-
-    p = sub.add_parser("report", allow_abbrev=False,
-                       help="per-temperature table from a trace CSV")
-    p.add_argument("--trace", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--n-train", dest="n_train", type=int, required=True)
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--baseline", type=float)
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("anneal-stop", allow_abbrev=False,
-                       help="annealing stop rule on a remd_summary.csv table")
-    p.add_argument("--table", required=True,
-                   help="remd_summary.csv, as remd or report writes it")
-    p.add_argument("--smoothing", type=int, default=1)
-    p.set_defaults(func=cmd_anneal_stop)
-
     return parser
 
 
@@ -490,7 +498,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_resolve(args))
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -21,6 +21,7 @@ import struct
 
 import numpy as np
 
+from .data import IMAGE_MAGIC, LABEL_MAGIC
 from .files import replacing
 
 SIDE = 28
@@ -69,11 +70,11 @@ def _idx_header(magic: int, shape) -> bytes:
 
 
 def idx_image_bytes(images: np.ndarray) -> bytes:
-    return _idx_header(2051, images.shape) + images.astype(np.uint8).tobytes()
+    return _idx_header(IMAGE_MAGIC, images.shape) + images.astype(np.uint8).tobytes()
 
 
 def idx_label_bytes(labels: np.ndarray) -> bytes:
-    return _idx_header(2049, labels.shape) + labels.astype(np.uint8).tobytes()
+    return _idx_header(LABEL_MAGIC, labels.shape) + labels.astype(np.uint8).tobytes()
 
 
 def _write_gz(path, magic: int, payload: np.ndarray) -> None:
@@ -96,6 +97,6 @@ def write_corpus(directory, n_train: int = 6000, n_test: int = 1000,
     for prefix, n, split_seed in (("train", n_train, seed), ("t10k", n_test, seed + 1)):
         images, labels = make_images(n, split_seed)
         stem = os.path.join(directory, prefix)
-        _write_gz(f"{stem}-images-idx3-ubyte.gz", 2051, images)
-        _write_gz(f"{stem}-labels-idx1-ubyte.gz", 2049, labels.astype(np.uint8))
+        _write_gz(f"{stem}-images-idx3-ubyte.gz", IMAGE_MAGIC, images)
+        _write_gz(f"{stem}-labels-idx1-ubyte.gz", LABEL_MAGIC, labels.astype(np.uint8))
     return directory

@@ -13,7 +13,7 @@ import temperhmc.harness
 import temperhmc.replica
 from temperhmc import data, synth
 from temperhmc.cli import SETTINGS, build_parser, main, write_manifest
-from temperhmc.harness import baseline_optimize, write_sweep_csv
+from temperhmc.harness import BaselineResult, baseline_optimize, write_sweep_csv
 from temperhmc.minimize import RMinConfig
 from temperhmc.network import get_arch, prior_box, save_params
 from temperhmc.replica import START_TOL_PER_T, RemdConfig, RunTrace, make_ladder
@@ -140,6 +140,28 @@ class TestMinimize:
         assert set(manifest["config"]) == setting_names("minimize")
         assert manifest["config"]["restarts"] == 3
         assert manifest["config"]["dt0"] == RMinConfig.dt0      # a default
+
+    def test_summary_counts_minima_outside_the_box(self, data_dir, tmp_path,
+                                                   monkeypatch, capsys):
+        arch = get_arch("M1")
+        half = prior_box(arch).half_width
+        # the best minimum has one coordinate on a wall and one past the other
+        at_wall = np.zeros(arch.n_params)
+        at_wall[7], at_wall[11] = half[7], -1.5 * half[11]
+        inside = np.full(arch.n_params, 0.5) * half
+
+        def stub(arch, train, test, seed, **kwargs):
+            return BaselineResult(np.array([1.0, 0.5]), np.array([3.0, 4.0]),
+                                  [inside, at_wall], 2, "best-of")
+
+        monkeypatch.setattr(temperhmc.cli, "baseline_optimize", stub)
+        capsys.readouterr()
+        assert main(["minimize", "--model", "M1", "--data", "D50", "--mode", "best-of",
+                     "--data-dir", str(data_dir), "--out-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "baseline_summary.json").read_text())
+        assert summary["solutions_outside_box"] == 1
+        assert summary["best_outside_box"] == [7, 11]
+        assert json.loads(capsys.readouterr().out) == summary
 
     def test_unknown_model_exit_2(self, data_dir, tmp_path):
         rc = main(["minimize", "--model", "M9", "--data", "D50",
@@ -676,6 +698,53 @@ class TestOutOfRangeSettings:
                      "--seed", "0"]) == 0
 
 
+class TestAnalysisSettings:
+    """report, compare-models and anneal-stop resolve their settings as the
+    run commands do: a bad value exits 2 before anything is written."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["report", "--burn-in", "-3"], "--burn-in must be greater than -1, not -3"),
+        (["report", "--n-train", "0"], "--n-train must be greater than 0, not 0"),
+        (["report", "--baseline", "nan"], "--baseline must be finite, not nan"),
+        (["report", "--burn-in", "9"], "holds 10 sweeps; a burn-in of 9 leaves"),
+        (["compare-models", "--log-prior-ratio", "inf"],
+         "--log-prior-ratio must be finite, not inf"),
+    ], ids=["report --burn-in -3", "report --n-train 0", "report --baseline nan",
+            "report leaves one sweep", "compare-models --log-prior-ratio inf"])
+    def test_exit_2_and_nothing_written(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "table.csv"
+        if argv[0] == "report":
+            argv = [*argv, "--trace", str(_write_trace(tmp_path, 10)), "--out", str(out)]
+            if "--n-train" not in argv:
+                argv += ["--n-train", "50"]
+        else:
+            run = tmp_path / "run.json"
+            run.write_text(json.dumps({"dataset": "D50", "log_evidence": -1.0}))
+            argv = [*argv, "--a", str(run), "--b", str(run)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_report_reads_its_config_and_runs_on_two_sweeps(self, tmp_path):
+        # the least trace a burn-in may leave; no baseline line when unset
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_train": 50, "burn_in": 8}))
+        out = tmp_path / "table.csv"
+        assert main(["report", "--config", str(cfg), "--out", str(out),
+                     "--trace", str(_write_trace(tmp_path, 10))]) == 0
+        text = out.read_text()
+        assert "# uninformed_train_energy,115.129" in text
+        assert "baseline_test_mean" not in text
+
+    @pytest.mark.parametrize("command", ["compare-models", "report", "anneal-stop"])
+    def test_missing_setting_exit_2(self, capsys, command):
+        assert main([command]) == 2
+        assert f"{command} requires --" in capsys.readouterr().err
+
+
 class TestDataReads:
     """Each command reads only the snapshot rows it uses."""
 
@@ -751,7 +820,7 @@ def w0_path(tmp_path_factory):
 class TestSettingsTable:
     """SETTINGS drives the flags, the --config merge, the defaults and help."""
 
-    # the flags of each config-reading command, besides -h and --config
+    # the flags of each command, besides -h and --config
     FLAGS = {
         "prepare-data": {"--mnist-dir", "--data-dir", "--size", "--seed"},
         "minimize": {"--data-dir", "--data", "--data-seed", "--seed", "--out-dir",
@@ -763,6 +832,9 @@ class TestSettingsTable:
         "ti": {"--data-dir", "--data", "--data-seed", "--seed", "--out-dir",
                "--model", "--w0", "--repeats", "--n-bridge", "--burn-in-traj",
                "--sample-traj", "--fit-burn-in-traj", "--fit-sample-traj", "--L"},
+        "compare-models": {"--a", "--b", "--log-prior-ratio"},
+        "report": {"--trace", "--out", "--n-train", "--burn-in", "--baseline"},
+        "anneal-stop": {"--table", "--smoothing"},
     }
 
     def built(self, monkeypatch, command, data_dir, w0_path, tmp_path, *flags):
@@ -790,14 +862,15 @@ class TestSettingsTable:
         return seen[0]
 
     def test_flags_unchanged(self):
+        # every subcommand the parser builds takes its flags from SETTINGS
         parser = build_parser()
         commands = parser._subparsers._group_actions[0].choices
-        for command, flags in self.FLAGS.items():
-            found = {opt for action in commands[command]._actions
-                     for opt in action.option_strings}
+        assert set(commands) == set(SETTINGS) == set(self.FLAGS)
+        for command, sub in commands.items():
+            found = {opt for action in sub._actions for opt in action.option_strings}
+            flags = {"--" + name.replace("_", "-") for name in setting_names(command)}
             assert found == flags | {"-h", "--help", "--config"}, command
-            assert {"--" + name.replace("_", "-")
-                    for name in setting_names(command)} == flags
+            assert flags == self.FLAGS[command], command
 
     def test_no_run_flags_build_the_dataclass_defaults(
             self, monkeypatch, data_dir, w0_path, tmp_path):
