@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .network import (NetworkArch, PriorBox, STANDARD_ARCHS, get_arch,
                       forward, energy, energy_gradient, prior_box,
-                      in_support, init_standard, dataset_energy_fns)
+                      init_standard, dataset_energy_fns)
 from .data import (Dataset, DatasetStore, RawImageSet, parse_idx,
                    transform, stratified_indices, stratified_subset)
 from .hmc import HmcConfig, StepSizeController, hmc_trajectory, \

@@ -10,10 +10,11 @@ from its flag, else the --config JSON file, else its default (read from
 RemdConfig, TiConfig or RMinConfig where one holds it), checks it against
 its lower bound, and a set float for being finite, and hands the command
 the resolved dict, which a run manifest echoes.  ti refuses a w0 outside
-the prior box, and report a burn-in that leaves under two sweeps.  Flags,
-config and input files are read inside _reading_config, so a missing
-setting, a bad value, a value out of range or an unknown config key exits
-2; the same errors raised by the computation that follows propagate.
+the prior box (PriorBox.inside), and report a burn-in that leaves under
+two sweeps.  Flags, config and input files are read inside
+_reading_config, so a missing setting, a bad value, a value out of range
+or an unknown config key exits 2; the same errors raised by the
+computation that follows propagate.
 """
 
 from __future__ import annotations
@@ -227,11 +228,6 @@ def _model_and_data(cfg, test_rows=all_rows):
     return (arch, *store.load(n, seed, test_rows=test_rows))
 
 
-def _outside_box(w, box):
-    """Indices of w's coordinates on or past a wall of box; NaN is outside."""
-    return np.flatnonzero(~(np.abs(w) < box.half_width))
-
-
 def cmd_prepare_data(cfg):
     n, seed = cfg["size"], cfg["seed"]
     with _reading_config():
@@ -275,9 +271,8 @@ def cmd_minimize(cfg):
         "n_solutions": len(result.solutions),
         "mean_test_energy": result.mean_test_energy,
         # minima of zero prior mass, and the best one's coordinates ti refuses
-        "solutions_outside_box": sum(len(_outside_box(w, box)) > 0
-                                     for w in result.solutions),
-        "best_outside_box": _outside_box(result.solutions[best], box).tolist(),
+        "solutions_outside_box": sum(not box.inside(w).all() for w in result.solutions),
+        "best_outside_box": np.flatnonzero(~box.inside(result.solutions[best])).tolist(),
     }
     _write_json(os.path.join(out_dir, "baseline_summary.json"), summary)
     write_manifest(out_dir, "minimize", cfg, [csv_path, ckpt])
@@ -342,7 +337,7 @@ def cmd_ti(cfg):
         if ckpt_arch != arch:
             raise ConfigError("w0 checkpoint does not match the requested model")
     box = prior_box(arch)
-    n_out = len(_outside_box(w0, box))
+    n_out = np.count_nonzero(~box.inside(w0))
     if n_out:
         raise ConfigError(f"w0 lies outside the prior box in {n_out} of {len(w0)} "
                           "coordinates")

@@ -59,7 +59,7 @@ class TrajectoryOutcome:
     grad: np.ndarray       # its gradient
     log_accept: float      # (U_o - U_n) / T; -inf for a proposal never accepted
     n_calls: int = 0       # potential calls the trajectory made, kicks included
-    at_wall: bool = False  # stopped at a drift outside the prior box
+    at_wall: bool = False  # stopped at a drift that left PriorBox.inside
     n_kicks: int = 0       # of n_calls, those to value_grad.kick
 
 
@@ -72,10 +72,10 @@ def velocity_verlet(w, p, g, value_grad, dt, n_steps, box=None):
     When value_grad has a kick attribute, kick(w) -> gradient, every step
     but the last takes its gradient from kick, and the last from
     value_grad; without one every step calls value_grad.  With a prior
-    box, every drift is tested against it before the potential sees the
-    new w: at the first drift that puts a coordinate on or past a wall it
-    returns ok False, that w, e nan and the last gradient, so a trajectory
-    makes at most n_steps calls.  The kicks and drifts go through one
+    box, every drift is tested with PriorBox.inside before the potential
+    sees the new w: at the first drift that leaves the box it returns ok
+    False, that w, e nan and the last gradient, so a trajectory makes at
+    most n_steps calls.  The kicks and drifts go through one
     scratch vector, in place.
     """
     w = np.array(w, dtype=float)
@@ -87,7 +87,7 @@ def velocity_verlet(w, p, g, value_grad, dt, n_steps, box=None):
     for left in range(n_steps - 1, -1, -1):     # steps after this one
         p -= np.multiply(half, g, out=step)
         w += np.multiply(dt, p, out=step)
-        if box is not None and not np.all(np.abs(w, out=step) < box.half_width):
+        if box is not None and not box.inside(w).all():
             return w, p, np.nan, g, False
         if left and kick is not None:
             g = kick(w)
@@ -106,9 +106,10 @@ def hmc_trajectory(w, value_grad, cfg: HmcConfig, rng,
 
     current is the (energy, gradient) pair at w carried from the previous
     trajectory; without it one extra value_grad call computes it.  A
-    trajectory that drifts out of the box stops there (velocity_verlet) and
-    is rejected; the uniform draw of the accept test is made all the same,
-    so the random stream does not depend on where a trajectory stopped.
+    trajectory that leaves PriorBox.inside stops there (velocity_verlet), is
+    rejected and has at_wall set; the uniform draw of the accept test is
+    made all the same, so the random stream does not depend on where a
+    trajectory stopped.
     The outcome counts every potential call in n_calls and the kicks among
     them in n_kicks.
     """
@@ -136,7 +137,7 @@ def hmc_trajectory(w, value_grad, cfg: HmcConfig, rng,
     log_u = np.log(rng.uniform())
     if not ok or not np.isfinite(e_new):
         # a gradient failure stops inside the box, a wall stop outside it
-        at_wall = box is not None and not np.all(np.abs(w_new) < box.half_width)
+        at_wall = box is not None and not box.inside(w_new).all()
         return TrajectoryOutcome(False, w, e_old, g_old, -np.inf, calls, at_wall,
                                  n_kicks=kicks)
     u_new = e_new + float(np.sum(p_new * p_new / 2.0))

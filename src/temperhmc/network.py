@@ -119,6 +119,12 @@ class PriorBox:
         object.__setattr__(self, "log_volume", float(np.sum(np.log(self.sigma))))
         object.__setattr__(self, "half_width", 0.5 * self.sigma)
 
+    def inside(self, w: np.ndarray) -> np.ndarray:
+        """Per-coordinate mask of w strictly inside the box; NaN and inf are outside."""
+        if w.shape != self.sigma.shape:
+            raise ShapeMismatch("parameter vector and prior box lengths differ")
+        return np.abs(w) < self.half_width
+
 
 def prior_box(arch: NetworkArch) -> PriorBox:
     """Fan-in-scaled uniform prior.
@@ -128,12 +134,6 @@ def prior_box(arch: NetworkArch) -> PriorBox:
     """
     sigma = 2.0 * arch.prior_width_factor / np.sqrt(arch.fan_in())
     return PriorBox(sigma)
-
-
-def in_support(w: np.ndarray, box: PriorBox) -> bool:
-    if w.shape != box.sigma.shape:
-        raise ShapeMismatch("parameter vector and prior box lengths differ")
-    return bool(np.all(np.abs(w) < box.half_width))
 
 
 def init_standard(arch: NetworkArch, rng) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (DatasetMismatch, DegenerateDirection, GridMismatch,
                      NonFiniteEnergy)
 from .hmc import HmcConfig, adapt_step_size, run_chain
-from .network import PriorBox, in_support
+from .network import PriorBox
 from .replica import blocked_mean_se
 
 VARIANCE_FLOOR = 1e-12
@@ -78,7 +78,8 @@ def fit_stiffness(value_grad, w0, cfg: TiConfig, rng,
 
     No prior-box rejection is applied here, so the quadratic fit tracks the
     likelihood itself.  When a box is supplied it is only used for the
-    fraction-outside diagnostic.
+    diagnostic frac_outside_box: the fraction of the sampled states that
+    PriorBox.inside puts outside the box.
     """
     w0 = np.asarray(w0, dtype=float)
     current = value_grad(w0)
@@ -96,7 +97,7 @@ def fit_stiffness(value_grad, w0, cfg: TiConfig, rng,
         nonlocal sq_sum, n_outside
         d = out.w - w0
         sq_sum += d * d
-        if box is not None and not in_support(out.w, box):
+        if box is not None and not box.inside(out.w).all():
             n_outside += 1
 
     run_chain(w, current, value_grad, hmc_cfg, rng, None, cfg.fit_sample_traj,
@@ -214,8 +215,8 @@ def log_z0(stiff: StiffnessDiag, box: PriorBox) -> float:
     with scipy.special.log_ndtr to 1e-13 relative (tests/test_ti.py).
     """
     root_k = np.sqrt(stiff.k)
-    a = (-0.5 * box.sigma - stiff.w0) * root_k
-    b = (0.5 * box.sigma - stiff.w0) * root_k
+    a = (-box.half_width - stiff.w0) * root_k
+    b = (box.half_width - stiff.w0) * root_k
     # Work on the side with more mass: Phi(b) - Phi(a) = Phi(-a) - Phi(-b).
     flip = a + b > 0
     a_eff = np.where(flip, -b, a)

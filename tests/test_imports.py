@@ -1,5 +1,7 @@
-"""Every name a temperhmc module imports is used in that module, and every
-third-party module it imports is a declared runtime dependency.
+"""Every name a temperhmc module imports is used in that module, every
+third-party module it imports is a declared runtime dependency, and only
+network.py, where PriorBox.inside lives, compares anything with the prior
+box's half_width.
 
 No linter ships with the project, so this walks each module's syntax tree.
 """
@@ -47,6 +49,28 @@ def test_every_import_is_used(path):
 def test_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom math import pi, tau\nprint(pi)\n")
     assert unused_imports(tree) == {"os", "tau"}
+
+
+def half_width_comparisons(tree):
+    """Line numbers of the comparisons with an operand that is an attribute
+    named half_width."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and any(isinstance(operand, ast.Attribute) and operand.attr == "half_width"
+                    for operand in (node.left, *node.comparators))]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "network.py"),
+                         ids=lambda p: p.stem)
+def test_only_the_prior_box_compares_with_its_walls(path):
+    # a membership test of the box goes through PriorBox.inside
+    assert half_width_comparisons(ast.parse(path.read_text())) == []
+
+
+def test_check_sees_a_comparison_with_a_wall():
+    tree = ast.parse("a = abs(w) < box.half_width\nb = box.half_width >= x > 0\n"
+                     "c = 2 * box.half_width\nd = x < half_width\n")
+    assert half_width_comparisons(tree) == [1, 2]
 
 
 def third_party_modules(tree):

@@ -8,7 +8,7 @@ from temperhmc.minimize import rmin
 from temperhmc.network import (LINEAR_SOFTMAX, LOGISTIC_SOFTMAX, NetworkArch,
                                Workspace, dataset_energy_fns, energy,
                                energy_gradient, forward, get_arch,
-                               in_support, init_standard, kick, load_params,
+                               init_standard, kick, load_params,
                                prior_box, save_params)
 
 
@@ -251,16 +251,36 @@ class TestPrior:
         shallow = prior_box(get_arch("M1")).log_volume
         assert abs(shallow - 19945.2) < 0.6
 
-    def test_in_support_boundary_is_strict(self):
-        arch = get_arch("M1")
-        box = prior_box(arch)
-        w = np.zeros(arch.n_params)
-        assert in_support(w, box)
-        w[7] = 0.5 * box.sigma[7]
-        assert not in_support(w, box)
+
+class TestPriorBox:
+    """PriorBox.inside, the one membership rule of the prior box."""
+
+    BOX = prior_box(get_arch("M1"))
+
+    def test_boundary_is_strict(self):
+        half = self.BOX.half_width
+        w = np.zeros_like(half)
+        assert self.BOX.inside(w).all()
+        for wall in (half[7], -half[7]):
+            w[7] = wall
+            assert np.array_equal(np.flatnonzero(~self.BOX.inside(w)), [7])
+        for near in (np.nextafter(half[7], 0), -np.nextafter(half[7], 0)):
+            w[7] = near
+            assert self.BOX.inside(w).all()
         rng = np.random.default_rng(11)
-        w = rng.uniform(-1, 1, arch.n_params) * 0.49 * box.sigma
-        assert in_support(w, box)
+        w = rng.uniform(-1, 1, len(half)) * 0.49 * self.BOX.sigma
+        assert self.BOX.inside(w).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_coordinate_is_outside(self, bad):
+        w = np.zeros_like(self.BOX.sigma)
+        w[11] = bad
+        assert np.array_equal(np.flatnonzero(~self.BOX.inside(w)), [11])
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_a_w_of_the_wrong_length_raises(self, delta):
+        with pytest.raises(ShapeMismatch):
+            self.BOX.inside(np.zeros(len(self.BOX.sigma) + delta))
 
 
 class TestInit:

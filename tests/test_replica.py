@@ -104,8 +104,7 @@ class TestInitReplica:
         b = init_replica(0, 1.0, value_grad, box, seed=77, arch=arch, cfg=cfg)
         np.testing.assert_array_equal(a.w, b.w)
         assert a.energy == b.energy
-        from temperhmc.network import in_support
-        assert in_support(a.w, box)
+        assert box.inside(a.w).all()
 
     @pytest.mark.parametrize("temperature", [1e-2, 1e2])
     def test_minimiser_stops_at_the_first_energy_below_tol_per_t(
