@@ -21,6 +21,7 @@ import gzip
 import hashlib
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,16 +109,23 @@ def parse_idx(image_bytes: bytes, label_bytes: bytes) -> RawImageSet:
         raise BadMagic("image file does not hold a 3-D tensor")
     if labels.ndim != 1:
         raise BadMagic("label file does not hold a 1-D tensor")
+    if images.shape[1:] != (SOURCE_SIDE, SOURCE_SIDE):
+        raise BadMagic(f"images are {images.shape[1]}x{images.shape[2]}, "
+                       f"not {SOURCE_SIDE}x{SOURCE_SIDE}")
     return RawImageSet(images, labels.astype(np.int64))
 
 
 def _read_maybe_gzip(path) -> bytes:
+    """The file's bytes, gunzipped if it starts with the gzip magic."""
     with open(path, "rb") as fh:
         head = fh.read(2)
         fh.seek(0)
-        if head == b"\x1f\x8b":
+        if head != b"\x1f\x8b":
+            return fh.read()
+        try:
             return gzip.decompress(fh.read())
-        return fh.read()
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise TruncatedPayload(f"{path}: damaged gzip stream ({exc})") from exc
 
 
 _MNIST_NAMES = {

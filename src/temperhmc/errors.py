@@ -22,11 +22,12 @@ class ShapeMismatch(ConfigError):
 
 
 class BadMagic(ConfigError):
-    """Byte stream is not an IDX image/label file."""
+    """Byte stream is not an IDX file of 28x28 images or of labels."""
 
 
 class TruncatedPayload(ConfigError):
-    """IDX payload shorter than the header promises, or counts disagree."""
+    """IDX payload shorter than its header promises, counts disagree, or
+    the file's gzip stream is damaged."""
 
 
 class IndivisibleSize(ConfigError):

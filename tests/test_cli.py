@@ -120,6 +120,20 @@ class TestPrepareData:
     def test_missing_args_exit_2(self, tmp_path):
         assert main(["prepare-data", "--data-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("damage", [
+        lambda b: b[:len(b) // 2],                  # EOFError
+        lambda b: b[:2] + b"junk" + b[2:],          # gzip.BadGzipFile
+        lambda b: b[:len(b) // 2] + b"\xff" * 64 + b[len(b) // 2 + 64:],  # zlib.error
+    ], ids=["cut in half", "header junk", "overwritten bytes"])
+    def test_damaged_corpus_exit_2_naming_the_file(self, tmp_path, capsys, damage):
+        raw = tmp_path / "raw"
+        synth.write_corpus(raw, n_train=100, n_test=20, seed=1)
+        path = raw / "train-images-idx3-ubyte.gz"
+        path.write_bytes(damage(path.read_bytes()))
+        assert prepare(raw, tmp_path / "data", size=50) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
 
 class TestMinimize:
     def test_best_of_run(self, data_dir, tmp_path):

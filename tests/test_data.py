@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import struct
 import tracemalloc
 
@@ -54,6 +55,11 @@ class TestParseIdx:
         with pytest.raises(TruncatedPayload):
             data.parse_idx(img_b, lab_b)
 
+    def test_images_other_than_28x28(self):
+        img_b, lab_b, _, _ = make_idx_pair(side=32)
+        with pytest.raises(BadMagic, match="32x32, not 28x28"):
+            data.parse_idx(img_b, lab_b)
+
     def test_gzip_transparent(self, tmp_path):
         img_b, lab_b, images, _ = make_idx_pair()
         (tmp_path / "train-images-idx3-ubyte.gz").write_bytes(gzip.compress(img_b))
@@ -82,6 +88,42 @@ def oracle_resize(img, n_dst=16):
     return out
 
 
+def render_one_at_a_time(n, seed):
+    """make_images one image per loop step, with numpy's uniform and normal.
+
+    The reference the block render must equal bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    templates = synth._class_templates(np.random.default_rng(synth.TEMPLATE_SEED))
+    labels = np.arange(n) % 10
+    rng.shuffle(labels)
+    images = np.empty((n, 28, 28), dtype=np.uint8)
+    for i, lab in enumerate(labels):
+        dy, dx = rng.uniform(-2.0, 2.0, size=2)
+        img = np.roll(templates[lab], (int(round(dy)), int(round(dx))), axis=(0, 1))
+        img = img * rng.uniform(0.7, 1.0)
+        img = img + rng.normal(0.0, 0.12, size=img.shape)
+        images[i] = np.round(255 * np.clip(img, 0.0, 1.0)).astype(np.uint8)
+    return images, labels.astype(np.int64)
+
+
+class TestMakeImages:
+    @pytest.mark.parametrize("n", [0, 1, 40, 255, 256, 257, 600])
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_equals_the_one_at_a_time_render(self, n, seed):
+        images, labels = synth.make_images(n, seed)
+        ref_images, ref_labels = render_one_at_a_time(n, seed)
+        assert images.dtype == np.uint8 and labels.dtype == np.int64
+        np.testing.assert_array_equal(images, ref_images)
+        np.testing.assert_array_equal(labels, ref_labels)
+
+    def test_pins_the_conftest_train_split(self):
+        images, labels = synth.make_images(3000, 0)
+        digest = hashlib.sha256(images.tobytes() + labels.tobytes()).hexdigest()
+        assert digest == ("25ab4ec65e0ef8fc4eee7c44e46f71ef"
+                          "33fbdb262597cba2ddacefb56ffcd2d3")
+
+
 class TestWriteCorpus:
     def test_files_gunzip_to_the_idx_bytes(self, tmp_path):
         synth.write_corpus(tmp_path, n_train=40, n_test=20, seed=4)
@@ -98,6 +140,17 @@ class TestWriteCorpus:
             blob = (tmp_path / (name + ".gz")).read_bytes()
             assert gzip.decompress(blob) == payload
             assert blob[8] == 4         # the header's "fastest" flag: level 1
+
+    def test_same_seed_same_files(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        synth.write_corpus(a, n_train=300, n_test=40, seed=2)
+        synth.write_corpus(b, n_train=300, n_test=40, seed=2)
+        files = sorted(p.name for p in a.iterdir())
+        assert files == sorted(p.name for p in b.iterdir())
+        for name in files:
+            blob = (a / name).read_bytes()
+            assert blob == (b / name).read_bytes()
+            assert blob[4:8] == bytes(4)    # the header's mtime: none recorded
 
     def test_failed_write_keeps_earlier_files(self, tmp_path, fail_writes):
         synth.write_corpus(tmp_path, n_train=40, n_test=20, seed=4)
