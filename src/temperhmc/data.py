@@ -165,21 +165,25 @@ def resize_weights() -> np.ndarray:
     return weights
 
 
-def resize_images(images: np.ndarray) -> np.ndarray:
+def resize_images(images: np.ndarray, wmat: np.ndarray | None = None) -> np.ndarray:
     """Area-weighted resize of (n, 28, 28) images to (n, 16, 16).
 
     Linear in the pixel values and mass-conserving up to the (16/28)^2
-    area factor.
+    area factor.  wmat is resize_weights(), built when not given.
     """
-    wmat = resize_weights()
+    wmat = resize_weights() if wmat is None else wmat
     scale = SOURCE_SIDE / TARGET_SIDE
     return wmat @ images @ wmat.T / scale**2
 
 
-def _resize_into(out: np.ndarray, images: np.ndarray) -> None:
-    """Scale uint8 images to [0, 1] and resize them into out, a block at a time."""
+def _resize_into(out: np.ndarray, images: np.ndarray, wmat=None) -> None:
+    """Scale uint8 images to [0, 1] and resize them into out, a block at a time.
+
+    wmat is resize_weights(), built once here when not given.
+    """
+    wmat = resize_weights() if wmat is None else wmat
     for i in range(0, len(images), RESIZE_BLOCK):
-        out[i:i + RESIZE_BLOCK] = resize_images(images[i:i + RESIZE_BLOCK] / 255.0)
+        out[i:i + RESIZE_BLOCK] = resize_images(images[i:i + RESIZE_BLOCK] / 255.0, wmat)
 
 
 def _block_rows(n, d):
@@ -216,8 +220,9 @@ def transform(train_raw: RawImageSet, test_raw: RawImageSet):
     """
     n_train = len(train_raw.labels)
     feats = np.empty((n_train + len(test_raw.labels), TARGET_SIDE, TARGET_SIDE))
-    _resize_into(feats[:n_train], train_raw.images)
-    _resize_into(feats[n_train:], test_raw.images)
+    wmat = resize_weights()
+    _resize_into(feats[:n_train], train_raw.images, wmat)
+    _resize_into(feats[n_train:], test_raw.images, wmat)
     feats = feats.reshape(len(feats), -1)
     mean = feats.mean(axis=0)
     std = np.sqrt(np.maximum(_variance(feats, mean), VARIANCE_FLOOR))

@@ -99,6 +99,13 @@ def velocity_verlet(w, p, g, value_grad, dt, n_steps, box=None):
     return w, p, e, g, True
 
 
+def _kinetic(p, scratch):
+    """sum(p * p / 2.0) bit for bit, formed in scratch, a vector of p's shape."""
+    np.multiply(p, p, out=scratch)
+    scratch /= 2.0
+    return float(np.add.reduce(scratch))
+
+
 def hmc_trajectory(w, value_grad, cfg: HmcConfig, rng,
                    box: PriorBox | None = None,
                    current=None) -> TrajectoryOutcome:
@@ -129,8 +136,12 @@ def hmc_trajectory(w, value_grad, cfg: HmcConfig, rng,
         counted.kick = counted_kick
 
     e_old, g_old = counted(w) if current is None else current
-    p0 = rng.normal(0.0, np.sqrt(cfg.temperature), size=w.shape)
-    u_old = e_old + float(np.sum(p0 * p0 / 2.0))
+    # rng.normal(0.0, sqrt(T), w.shape) bit for bit: numpy forms 0.0 + scale * z
+    p0 = rng.standard_normal(w.shape)
+    p0 *= np.sqrt(cfg.temperature)
+    p0 += 0.0
+    scratch = np.empty_like(p0)
+    u_old = e_old + _kinetic(p0, scratch)
 
     w_new, p_new, e_new, g_new, ok = velocity_verlet(w, p0, g_old, counted,
                                                      cfg.dt, cfg.n_steps, box)
@@ -140,7 +151,7 @@ def hmc_trajectory(w, value_grad, cfg: HmcConfig, rng,
         at_wall = box is not None and not box.inside(w_new).all()
         return TrajectoryOutcome(False, w, e_old, g_old, -np.inf, calls, at_wall,
                                  n_kicks=kicks)
-    u_new = e_new + float(np.sum(p_new * p_new / 2.0))
+    u_new = e_new + _kinetic(p_new, scratch)
     alpha = (u_old - u_new) / cfg.temperature
     if log_u < alpha:
         return TrajectoryOutcome(True, w_new, e_new, g_new, alpha, calls, n_kicks=kicks)

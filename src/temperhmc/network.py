@@ -18,11 +18,17 @@ energy_gradient called without a workspace build a throwaway one, so
 both routes run the same code and give the same bits.
 
 value_grad.kick(w), the gradient the samplers' inner Verlet steps kick
-with, runs the same kernel in float32: on float32 copies of w and of the
-inputs (made on the first kick), in a workspace that views the float64
-blocks as float32.  At 500 rows it costs about half a float64 value and
-gradient call (demos/kernel_timing.py); its relative error is 1e-7 to
-1e-5 on bench-shaped data.  The float64 functions keep their bits.
+with, is a float32 kernel of its own, whose KickWorkspace the closure
+builds on the first kick.  It lays activations out features-major (layer
+width x rows), lets each bias ride in its layer's product through a row
+of ones, reduces the softmax over the class axis and takes the layer-1
+weight gradient against a row-major float32 copy of the inputs.  At 500
+rows it costs about half a float64 value and gradient call and at 50 rows
+about three quarters (demos/kernel_timing.py); its relative error against
+the float64 gradient is about 1e-7 at a standard start and up to about
+1e-5 in the prior box, on bench-shaped data.  It returns a float64
+gradient and keeps no state from one call to the next, so it is a fixed
+function of w, as hmc.py's exactness argument needs.
 """
 
 from __future__ import annotations
@@ -188,8 +194,27 @@ FLOOR32 = np.float32(-87.0)
 FLUSH32 = 2.0 ** -40
 
 
+def _rows(arch, inputs):
+    """The row count of a (rows, input width) block of inputs."""
+    if inputs.ndim != 2 or inputs.shape[1] != arch.layer_sizes[0]:
+        raise ShapeMismatch(f"inputs of shape {inputs.shape} for input width "
+                            f"{arch.layer_sizes[0]}")
+    return inputs.shape[0]
+
+
+def _labels(arch, rows, labels):
+    """labels as an array, checked: one class index per row."""
+    n_classes = arch.layer_sizes[-1]
+    labels = np.asarray(labels)
+    if labels.shape != (rows,):
+        raise ShapeMismatch(f"{labels.shape} labels for {rows} rows")
+    if rows and not 0 <= labels.min() <= labels.max() < n_classes:
+        raise ShapeMismatch(f"labels outside 0..{n_classes - 1}")
+    return labels
+
+
 class Workspace:
-    """Scratch blocks for energy and gradient calls on one fixed dataset.
+    """Scratch blocks for float64 energy and gradient calls on one fixed dataset.
 
     Built for one (inputs, labels) pair, which it checks once; it also
     holds the flat index of each row's label in the (rows, classes) scores.
@@ -197,36 +222,18 @@ class Workspace:
     first time a call asks for it, so a closure that only evaluates
     energies never holds the gradient's blocks.  A call reuses the blocks
     of the calls before it and returns nothing that points into them.
-
-    The workspace computes in its inputs' dtype, float64 or float32.  A
-    float32 one sets floor, FLOOR32, which caps the exponents of its
-    exponentials from below.  share, a workspace over the same rows, lends
-    its blocks: the kick's float32 workspace views the float64 one's blocks
-    as float32, so a closure pair holds one set.  The two must not run at
-    once.
     """
 
-    def __init__(self, arch: NetworkArch, inputs: np.ndarray, labels=None,
-                 share=None):
-        if inputs.ndim != 2 or inputs.shape[1] != arch.layer_sizes[0]:
-            raise ShapeMismatch(f"inputs of shape {inputs.shape} for input width "
-                                f"{arch.layer_sizes[0]}")
-        self.rows = rows = inputs.shape[0]
-        self.dtype = dtype = inputs.dtype
-        self.floor = FLOOR32 if dtype == np.float32 else None
+    def __init__(self, arch: NetworkArch, inputs: np.ndarray, labels=None):
+        self.rows = rows = _rows(arch, inputs)
         self._width = max(arch.layer_sizes[1:])
-        self._blocks = {} if share is None else share._blocks
+        self._blocks = {}
         self._views = {}
-        self.row = np.empty((rows, 1), dtype)   # a per-row max, then a per-row sum
+        self.row = np.empty((rows, 1))   # a per-row max, then a per-row sum
         if labels is not None:
-            n_classes = arch.layer_sizes[-1]
-            labels = np.asarray(labels)
-            if labels.shape != (rows,):
-                raise ShapeMismatch(f"{labels.shape} labels for {rows} rows")
-            if rows and not 0 <= labels.min() <= labels.max() < n_classes:
-                raise ShapeMismatch(f"labels outside 0..{n_classes - 1}")
-            self.picks = np.arange(rows) * n_classes + labels
-            self.picked = np.empty(rows, dtype)
+            labels = _labels(arch, rows, labels)
+            self.picks = np.arange(rows) * arch.layer_sizes[-1] + labels
+            self.picked = np.empty(rows)
 
     def block(self, key, cols: int) -> np.ndarray:
         """A (rows, cols) view of block key; views of one key share memory."""
@@ -235,9 +242,45 @@ class Workspace:
             buf = self._blocks.get(key)
             if buf is None:
                 buf = self._blocks[key] = np.empty(self.rows * self._width)
-            view = buf.view(self.dtype)[:self.rows * cols].reshape(self.rows, cols)
+            view = buf[:self.rows * cols].reshape(self.rows, cols)
             self._views[(key, cols)] = view
         return view
+
+
+class KickWorkspace:
+    """The float32 kick kernel's buffers for one fixed dataset.
+
+    Activations lie features-major, one (width, rows) block per layer, so
+    the softmax reduces over the class axis, across contiguous rows.  The
+    input block and each hidden block end in a row of ones that no call
+    writes: each layer's bias rides in its product as the last column of
+    an (n_out, n_in + 1) weight block, and the backward product against
+    the same block yields the bias gradient as the last column of the
+    weight gradient.  The layer-1 gradient runs against inputs_rows, a
+    row-major copy of the inputs and their ones, where the product is about
+    a third cheaper than against the transposed block.  A call writes every
+    buffer it reads, the ones aside, so no state survives a call.
+    """
+
+    def __init__(self, arch: NetworkArch, inputs: np.ndarray, labels):
+        rows = _rows(arch, inputs)
+        n_in, *hidden, n_classes = arch.layer_sizes
+        self.picks = _labels(arch, rows, labels) * rows + np.arange(rows)
+        self.inputs_rows = np.ones((rows, n_in + 1), np.float32)
+        self.inputs_rows[:, :n_in] = inputs
+        self.layers = [np.ascontiguousarray(self.inputs_rows.T)]
+        self.layers += [np.ones((n + 1, rows), np.float32) for n in hidden]
+        self.layers.append(np.empty((n_classes, rows), np.float32))
+        self.weights = [np.empty((n_out, n_in + 1), np.float32)
+                        for _, _, n_in, n_out in arch.layout()]
+        self.grad = np.empty(max(b.size for b in self.weights), np.float32)
+        width = max(arch.layer_sizes[1:])
+        self.blocks = [np.empty(width * rows, np.float32) for _ in range(2)]
+        self.col = np.empty(rows, np.float32)   # each row's max, then its sum
+
+    def block(self, key: int, width: int) -> np.ndarray:
+        """A (width, rows) view of block key."""
+        return self.blocks[key][:width * self.col.size].reshape(width, -1)
 
 
 def _params(arch, w):
@@ -266,10 +309,7 @@ def _forward_pass(arch, w, x, work, keep):
         np.matmul(h, w[w_sl].reshape(n_out, n_in).T, out=a)
         a += w[b_sl]
         if i < last or arch.head == LOGISTIC_SOFTMAX:
-            if work.floor is None:
-                _sigmoid(a, a, work.block("a" if keep else (i + 1) % 2, n_out))
-            else:
-                _sigmoid32(a)
+            _sigmoid(a, a, work.block("a" if keep else (i + 1) % 2, n_out))
         layers.append(a)
         h = a
     return layers
@@ -290,8 +330,7 @@ def _log_softmax(scores, work, key, scratch):
         np.maximum(top, scores[:, j], out=top)
     shifted = np.subtract(scores, work.row, out=work.block(key, cols))
     exps = work.block(scratch, cols)
-    np.exp(shifted if work.floor is None
-           else np.maximum(shifted, work.floor, out=exps), out=exps)
+    np.exp(shifted, out=exps)
     np.log(np.add.reduce(exps, axis=-1, keepdims=True, out=work.row), out=work.row)
     shifted -= work.row
     return shifted
@@ -347,18 +386,16 @@ def energy_gradient(arch: NetworkArch, w: np.ndarray, inputs: np.ndarray,
 
 
 def kick(arch: NetworkArch, w: np.ndarray, inputs: np.ndarray,
-         labels: np.ndarray, work: Workspace | None = None) -> np.ndarray:
+         labels: np.ndarray, work: KickWorkspace | None = None) -> np.ndarray:
     """The energy's gradient at w computed in float32, returned as float64.
 
-    The samplers' inner Verlet kicks (hmc.velocity_verlet).  inputs are
-    float32 and work, when given, is a float32 Workspace built for them and
-    the labels; without it the call builds a throwaway one.
+    The samplers' inner Verlet kicks (hmc.velocity_verlet).  work, when
+    given, is a KickWorkspace built for these inputs and labels; without it
+    the call builds a throwaway one.  The gradient is a new array.
     """
     if work is None:
-        inputs = np.asarray(inputs, dtype=np.float32)
-        work = Workspace(arch, inputs, labels)
-    w = _params(arch, w).astype(np.float32)
-    return _value_grad(arch, w, inputs, work)[1].astype(float)
+        work = KickWorkspace(arch, np.asarray(inputs), labels)
+    return _kick(arch, _params(arch, w), work)
 
 
 def _flush(x, scratch):
@@ -373,15 +410,68 @@ def _flush(x, scratch):
     x *= scratch
 
 
-def _value_grad(arch, w, inputs, work):
-    """(energy, gradient) in the dtype of w, inputs and work.
+def _kick(arch, w, work):
+    """The float32 gradient at float64 w, in work's buffers; see KickWorkspace.
 
-    A float32 workspace changes four steps, none of which the float64
-    path takes: the sigmoid is _sigmoid32; the exponents are floored at
-    work.floor; the labelled column of the output delta is minus the other
-    classes' sum rather than p_y - 1, which rounds to 0 in float32 once the
-    others' mass falls below 6e-8; and the output delta is flushed.
+    It differs from _value_grad in more than precision and layout: the
+    sigmoid is _sigmoid32; the exponents are floored at FLOOR32; the
+    labelled entry of the output delta is minus the other classes' sum
+    rather than p_y - 1, which rounds to 0 in float32 once the others' mass
+    falls below 6e-8; and the output delta is flushed.
     """
+    layout = arch.layout()
+    last = len(layout) - 1
+    for i, (w_sl, b_sl, n_in, n_out) in enumerate(layout):
+        weights = work.weights[i]
+        weights[:, :n_in] = w[w_sl].reshape(n_out, n_in)
+        weights[:, n_in] = w[b_sl]
+        a = np.matmul(weights, work.layers[i], out=work.layers[i + 1][:n_out])
+        if i < last or arch.head == LOGISTIC_SOFTMAX:
+            _sigmoid32(a)
+
+    # the output delta softmax - onehot, from floored log-probabilities;
+    # blocks 0 and 1 then alternate between the delta and the scratch of
+    # the layer below
+    scores = work.layers[-1]
+    classes = scores.shape[0]
+    delta, free = work.block(0, classes), 1
+    scratch = work.block(free, classes)
+    top = np.maximum.reduce(scores, axis=0, out=work.col)
+    np.subtract(scores, top, out=delta)
+    np.exp(np.maximum(delta, FLOOR32, out=scratch), out=scratch)
+    np.log(np.add.reduce(scratch, axis=0, out=work.col), out=work.col)
+    delta -= work.col
+    np.exp(np.maximum(delta, FLOOR32, out=delta), out=delta)
+    flat = delta.reshape(-1)
+    flat.put(work.picks, 0.0)
+    others = np.add.reduce(delta, axis=0, out=work.col)
+    flat.put(work.picks, np.negative(others, out=others))
+    if arch.head == LOGISTIC_SOFTMAX:
+        delta *= scores
+        delta *= np.subtract(1.0, scores, out=scratch)
+    _flush(delta, scratch)
+
+    grad = np.empty_like(w)
+    for i in range(last, -1, -1):
+        w_sl, b_sl, n_in, n_out = layout[i]
+        below = work.layers[i].T if i else work.inputs_rows
+        g = np.matmul(delta, below,
+                      out=work.grad[:n_out * (n_in + 1)].reshape(n_out, n_in + 1))
+        grad[w_sl].reshape(n_out, n_in)[...] = g[:, :n_in]
+        grad[b_sl] = g[:, n_in]
+        if i > 0:
+            back = np.matmul(work.weights[i][:, :n_in].T, delta,
+                             out=work.block(free, n_in))
+            free = 1 - free                         # delta's block is spent
+            h = work.layers[i][:n_in]
+            back *= h
+            back *= np.subtract(1.0, h, out=work.block(free, n_in))
+            delta = back
+    return grad
+
+
+def _value_grad(arch, w, inputs, work):
+    """(energy, gradient) in float64."""
     layout = arch.layout()
     layers = _forward_pass(arch, w, inputs, work, keep=True)
     scores = layers[-1]
@@ -393,22 +483,14 @@ def _value_grad(arch, w, inputs, work):
     # between the delta and the scratch of the layer below
     delta = work.block("b", classes)
     flat = delta.reshape(-1)
-    if work.floor is None:
-        np.exp(logp, out=delta)
-        flat.take(work.picks, out=work.picked, mode="clip")
-        work.picked -= 1.0
-        flat.put(work.picks, work.picked, mode="clip")
-    else:
-        np.exp(np.maximum(logp, work.floor, out=delta), out=delta)
-        flat.put(work.picks, 0.0, mode="clip")
-        others = np.add.reduce(delta, axis=-1, out=work.row[:, 0])
-        flat.put(work.picks, np.negative(others, out=others), mode="clip")
+    np.exp(logp, out=delta)
+    flat.take(work.picks, out=work.picked, mode="clip")
+    work.picked -= 1.0
+    flat.put(work.picks, work.picked, mode="clip")
     free = "a"
     if arch.head == LOGISTIC_SOFTMAX:
         delta *= scores
         delta *= np.subtract(1.0, scores, out=work.block(free, classes))
-    if work.floor is not None:
-        _flush(delta, work.block(free, classes))
 
     grad = np.empty_like(w)
     for i in range(len(layout) - 1, -1, -1):
@@ -432,14 +514,14 @@ def dataset_energy_fns(arch: NetworkArch, inputs: np.ndarray, labels: np.ndarray
     energy_fn(w) is the value alone, for observables; value_grad(w) returns
     (value, gradient) from one pass and is the potential the samplers and
     the minimiser take.  value_grad.kick(w) is the float32 gradient alone
-    (kick), for the samplers' inner Verlet steps; its float32 copy of the
-    inputs is made on the first kick.  All three share one Workspace, so
-    they must not run at the same time from two threads.
+    (kick), for the samplers' inner Verlet steps; its KickWorkspace is
+    built on the first kick.  energy_fn and value_grad share one Workspace,
+    so the closures must not run at the same time from two threads.
     """
     inputs = np.ascontiguousarray(inputs, dtype=float)
     labels = np.asarray(labels)
     work = Workspace(arch, inputs, labels)
-    single = []         # the float32 inputs and workspace, once built
+    kick_work = []      # the KickWorkspace, once built
 
     def energy_fn(w):
         return energy(arch, w, inputs, labels, work)
@@ -448,10 +530,9 @@ def dataset_energy_fns(arch: NetworkArch, inputs: np.ndarray, labels: np.ndarray
         return energy_gradient(arch, w, inputs, labels, work)
 
     def kick_fn(w):
-        if not single:
-            x = inputs.astype(np.float32)
-            single.extend((x, Workspace(arch, x, labels, share=work)))
-        return kick(arch, w, single[0], labels, single[1])
+        if not kick_work:
+            kick_work.append(KickWorkspace(arch, inputs, labels))
+        return kick(arch, w, inputs, labels, kick_work[0])
 
     value_grad.kick = kick_fn
     return energy_fn, value_grad

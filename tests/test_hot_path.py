@@ -424,6 +424,14 @@ class TestAllocations:
         energy_fn, _, w, block = closures
         assert traced_peak(energy_fn, w) <= 2 * block
 
+    def test_kick_allocates_its_gradient_alone(self, closures):
+        # the first kick builds the kernel's buffers; after that the float64
+        # gradient it returns is the one array a kick allocates (the slack
+        # covers the Python objects of one call: views, floats)
+        _, value_grad, w, _ = closures
+        value_grad.kick(w)
+        assert traced_peak(value_grad.kick, w) <= w.nbytes + 4096
+
 
 class TestInPlaceUpdates:
     @pytest.mark.parametrize("n_steps", [1, 6])
