@@ -7,28 +7,40 @@ k = n_in + 1 (the bias counts).  The fan-in sets both the standard
 initialisation range [-1/sqrt(k), 1/sqrt(k)] and the uniform prior box,
 whose full width per coordinate is 2 * width_factor / sqrt(k).
 
-The energy and its gradient are the samplers' hot path.  Each pair of
-dataset_energy_fns closures shares one Workspace, which lives as long as
-the closures do; the first energy and the first gradient call each
-allocate the blocks their path needs (rows x widest layer floats: two
-for the energy; one per layer plus two for the gradient).  After that a
-call allocates only what it returns, the gradient, besides the transient
-buffers numpy takes to broadcast or cast (at most 64 KiB).  energy and
-energy_gradient called without a workspace build a throwaway one, so
-both routes run the same code and give the same bits.
+The energy and its gradient are the samplers' hot path.  One kernel, a
+forward loop and a backward loop, serves both precisions on a Workspace
+built for one dataset in one dtype.  Activations lie features-major, a
+(layer width, rows) block per layer, so the softmax reduces over the
+class axis, across contiguous rows.  Each hidden block ends in a row of
+ones: the next layer's bias rides in its product as the last column of
+an (n_out, n_in + 1) weight block, and the backward product against the
+same block yields the bias gradient as the last column.  Only the input
+block differs between the dtypes.  A float64 workspace reads the
+caller's rows through their transpose, with no copy: layer 1 adds its
+bias after the product, and its bias gradient is a row sum.  A float32
+workspace holds a cast copy that ends in a row of ones, and its
+row-major twin, against which the layer-1 gradient is a third cheaper.
 
-value_grad.kick(w), the gradient the samplers' inner Verlet steps kick
-with, is a float32 kernel of its own, whose KickWorkspace the closure
-builds on the first kick.  It lays activations out features-major (layer
-width x rows), lets each bias ride in its layer's product through a row
-of ones, reduces the softmax over the class axis and takes the layer-1
-weight gradient against a row-major float32 copy of the inputs.  At 500
-rows it costs about half a float64 value and gradient call and at 50 rows
-about three quarters (demos/kernel_timing.py); its relative error against
-the float64 gradient is about 1e-7 at a standard start and up to about
-1e-5 in the prior box, on bench-shaped data.  It returns a float64
-gradient and keeps no state from one call to the next, so it is a fixed
-function of w, as hmc.py's exactness argument needs.
+Every call uses the workspace's two scratch blocks (rows x (widest layer
++ 1) floats), between which an energy call alternates its layers and a
+gradient call its deltas.  Only a gradient call keeps every layer's
+block, for the backward pass, and a packed weight-gradient block; the
+first gradient call allocates these, so a closure that only evaluates
+energies never holds them.  After that a call allocates only what it
+returns, the gradient, besides the transient buffers numpy takes to
+broadcast or cast (at most 64 KiB).  A call writes every buffer it reads,
+the inputs aside, so no state survives it.  energy, energy_gradient and
+kick called without a workspace build a throwaway one, so every route
+runs the same code and gives the same bits.
+
+value_grad.kick(w), the gradient of the samplers' inner Verlet steps,
+runs the same loops on a float32 workspace, built on the first kick.  At
+500 rows it costs about half a float64 value and gradient call and at 50
+rows about three quarters (demos/kernel_timing.py); its relative error
+against the float64 gradient is about 1e-7 at a standard start and up to
+about 1e-5 in the prior box, on bench-shaped data.  It returns a float64
+gradient and is a fixed function of w, as hmc.py's exactness argument
+needs.
 """
 
 from __future__ import annotations
@@ -214,188 +226,112 @@ def _labels(arch, rows, labels):
 
 
 class Workspace:
-    """Scratch blocks for float64 energy and gradient calls on one fixed dataset.
+    """One dtype's buffers for network calls on one fixed dataset.
 
-    Built for one (inputs, labels) pair, which it checks once; it also
-    holds the flat index of each row's label in the (rows, classes) scores.
-    Each block holds rows x widest-layer float64s and is allocated the
-    first time a call asks for it, so a closure that only evaluates
-    energies never holds the gradient's blocks.  A call reuses the blocks
-    of the calls before it and returns nothing that points into them.
+    Built for one (inputs, labels) pair, which it checks once; picks holds
+    the flat index of each row's label in the (classes, rows) scores.
+    blocks are the two scratch blocks, kept and grad a gradient call's (see
+    the module docstring).  weights[i] takes layer i's packed weights, but
+    a float64 layer 1 reads w as it lies, and weights[0] is None.
     """
 
-    def __init__(self, arch: NetworkArch, inputs: np.ndarray, labels=None):
+    def __init__(self, arch: NetworkArch, inputs: np.ndarray, labels=None,
+                 dtype=np.float64):
+        inputs = np.asarray(inputs, dtype=float)
         self.rows = rows = _rows(arch, inputs)
-        self._width = max(arch.layer_sizes[1:])
-        self._blocks = {}
-        self._views = {}
-        self.row = np.empty((rows, 1))   # a per-row max, then a per-row sum
-        if labels is not None:
-            labels = _labels(arch, rows, labels)
-            self.picks = np.arange(rows) * arch.layer_sizes[-1] + labels
-            self.picked = np.empty(rows)
-
-    def block(self, key, cols: int) -> np.ndarray:
-        """A (rows, cols) view of block key; views of one key share memory."""
-        view = self._views.get((key, cols))
-        if view is None:
-            buf = self._blocks.get(key)
-            if buf is None:
-                buf = self._blocks[key] = np.empty(self.rows * self._width)
-            view = buf[:self.rows * cols].reshape(self.rows, cols)
-            self._views[(key, cols)] = view
-        return view
-
-
-class KickWorkspace:
-    """The float32 kick kernel's buffers for one fixed dataset.
-
-    Activations lie features-major, one (width, rows) block per layer, so
-    the softmax reduces over the class axis, across contiguous rows.  The
-    input block and each hidden block end in a row of ones that no call
-    writes: each layer's bias rides in its product as the last column of
-    an (n_out, n_in + 1) weight block, and the backward product against
-    the same block yields the bias gradient as the last column of the
-    weight gradient.  The layer-1 gradient runs against inputs_rows, a
-    row-major copy of the inputs and their ones, where the product is about
-    a third cheaper than against the transposed block.  A call writes every
-    buffer it reads, the ones aside, so no state survives a call.
-    """
-
-    def __init__(self, arch: NetworkArch, inputs: np.ndarray, labels):
-        rows = _rows(arch, inputs)
+        self.dtype = np.dtype(dtype)
+        self.f32 = self.dtype == np.float32
         n_in, *hidden, n_classes = arch.layer_sizes
-        self.picks = _labels(arch, rows, labels) * rows + np.arange(rows)
-        self.inputs_rows = np.ones((rows, n_in + 1), np.float32)
-        self.inputs_rows[:, :n_in] = inputs
-        self.layers = [np.ascontiguousarray(self.inputs_rows.T)]
-        self.layers += [np.ones((n + 1, rows), np.float32) for n in hidden]
-        self.layers.append(np.empty((n_classes, rows), np.float32))
-        self.weights = [np.empty((n_out, n_in + 1), np.float32)
-                        for _, _, n_in, n_out in arch.layout()]
-        self.grad = np.empty(max(b.size for b in self.weights), np.float32)
-        width = max(arch.layer_sizes[1:])
-        self.blocks = [np.empty(width * rows, np.float32) for _ in range(2)]
-        self.col = np.empty(rows, np.float32)   # each row's max, then its sum
+        if self.f32:
+            self.inputs_rows = np.ones((rows, n_in + 1), np.float32)
+            self.inputs_rows[:, :n_in] = inputs
+            self.inputs = np.ascontiguousarray(self.inputs_rows.T)
+        else:
+            self.inputs_rows, self.inputs = inputs, inputs.T
+        self.heights = [n + 1 for n in hidden] + [n_classes]   # layer blocks' rows
+        self.weights = [np.empty((n_out, n_in + 1), dtype) if i or self.f32 else None
+                        for i, (_, _, n_in, n_out) in enumerate(arch.layout())]
+        width = max(arch.layer_sizes[1:]) + 1
+        self.blocks = [np.zeros(width * rows, dtype) for _ in range(2)]
+        self.col = np.empty(rows, dtype)    # a per-row max, sum or pick
+        self.kept = self.grad = None
+        self.picks = (None if labels is None
+                      else _labels(arch, rows, labels) * rows + np.arange(rows))
 
-    def block(self, key: int, width: int) -> np.ndarray:
-        """A (width, rows) view of block key."""
-        return self.blocks[key][:width * self.col.size].reshape(width, -1)
+    def block(self, key: int, height: int) -> np.ndarray:
+        """A (height, rows) view of scratch block key."""
+        return self.blocks[key][:height * self.rows].reshape(height, -1)
+
+    def layer(self, i: int, keep: bool) -> np.ndarray:
+        """The block that layer i writes: its own with keep, else a scratch one."""
+        if not keep:
+            return self.block(i % 2, self.heights[i])
+        if self.kept is None:
+            self.kept = [np.empty((n, self.rows), self.dtype) for n in self.heights]
+            self.grad = np.empty(max(b.size for b in self.weights if b is not None),
+                                 self.dtype)
+        return self.kept[i]
 
 
 def _params(arch, w):
     w = np.asarray(w, dtype=float)
     if w.shape != (arch.n_params,):
-        raise ShapeMismatch(
-            f"parameter vector length {w.shape} does not match architecture ({arch.n_params})"
-        )
+        raise ShapeMismatch(f"parameter vector length {w.shape} does not match "
+                            f"architecture ({arch.n_params})")
     return w
 
 
-def _forward_pass(arch, w, x, work, keep):
-    """Every layer's activations, written into work's blocks.
+def _exp(x, out, work):
+    """exp(x) into out; a float32 workspace floors the exponent at FLOOR32."""
+    if work.f32:
+        x = np.maximum(x, FLOOR32, out=out)
+    return np.exp(x, out=out)
 
-    With keep, layer i has block i to itself, as the gradient needs, and
-    block "a" is the sigmoid's scratch.  Otherwise the layers alternate
-    between blocks 0 and 1, and the sigmoid's scratch is the other one,
-    whose activations the layer's product has consumed.  Returns the layer
-    blocks, pre-softmax scores last.
+
+def _forward(arch, w, work, keep):
+    """(energy, log-softmax of the scores) at w, in work's buffers.
+
+    The energy is None in float32 or without labels.  With keep, every
+    layer has a block of its own, as the backward pass needs.  Otherwise
+    the layers alternate between the scratch blocks, and the float64
+    sigmoid's scratch is the other one, whose activations the layer's
+    product has consumed.  The log-softmax lands in the block the scores
+    do not hold, the exponentials in the other (blocks 0 and 1 with keep).
     """
     layout = arch.layout()
     last = len(layout) - 1
-    h, layers = x, []
+    h = work.inputs
     for i, (w_sl, b_sl, n_in, n_out) in enumerate(layout):
-        a = work.block(i if keep else i % 2, n_out)
-        np.matmul(h, w[w_sl].reshape(n_out, n_in).T, out=a)
-        a += w[b_sl]
+        out = work.layer(i, keep)
+        a = out[:n_out]
+        weights = work.weights[i]
+        if weights is None:
+            np.matmul(w[w_sl].reshape(n_out, n_in), h, out=a)
+            a += w[b_sl][:, None]
+        else:
+            weights[:, :n_in] = w[w_sl].reshape(n_out, n_in)
+            weights[:, n_in] = w[b_sl]
+            np.matmul(weights, h, out=a)
+        out[n_out:] = 1.0               # a hidden block's ones; the scores have none
         if i < last or arch.head == LOGISTIC_SOFTMAX:
-            _sigmoid(a, a, work.block("a" if keep else (i + 1) % 2, n_out))
-        layers.append(a)
-        h = a
-    return layers
+            if work.f32:
+                _sigmoid32(a)
+            else:
+                _sigmoid(a, a, work.block((i + 1) % 2, n_out))
+        h = out
 
-
-def _log_softmax(scores, work, key, scratch):
-    """Row-wise log-softmax of scores, written into block key.
-
-    Block scratch takes the exponentials; it may be the scores' own block.
-    """
-    cols = scores.shape[1]
-    # The row maxima, a column at a time: numpy reduces a short row slowly.
-    # A maximum is exact in any order, up to the sign of a tie between 0.0
-    # and -0.0, which can only flip the sign of an exactly zero log-probability.
-    top = work.row[:, 0]
-    top[:] = scores[:, 0]
-    for j in range(1, cols):
-        np.maximum(top, scores[:, j], out=top)
-    shifted = np.subtract(scores, work.row, out=work.block(key, cols))
-    exps = work.block(scratch, cols)
-    np.exp(shifted, out=exps)
-    np.log(np.add.reduce(exps, axis=-1, keepdims=True, out=work.row), out=work.row)
-    shifted -= work.row
-    return shifted
-
-
-def _scores_logp(arch, w, x, work):
-    """log-softmax of the scores, in the two alternating layer blocks alone."""
-    depth = len(arch.layout())
-    scores = _forward_pass(arch, w, x, work, keep=False)[-1]
-    return _log_softmax(scores, work, depth % 2, (depth - 1) % 2)
-
-
-def _total(logp, work):
-    """Cross-entropy of the labelled rows: minus their summed log-probabilities."""
-    logp.take(work.picks, out=work.picked, mode="clip")
-    return -float(np.add.reduce(work.picked))
-
-
-def forward(arch: NetworkArch, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Class probabilities for one input (shape (256,)) or a batch (n, 256)."""
-    w = _params(arch, w)
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    x = np.atleast_2d(x)
-    probs = np.exp(_scores_logp(arch, w, x, Workspace(arch, x)))
-    return probs[0] if single else probs
-
-
-def energy(arch: NetworkArch, w: np.ndarray, inputs: np.ndarray,
-           labels: np.ndarray, work: Workspace | None = None) -> float:
-    """Total cross-entropy of the dataset in nats (negative log-likelihood).
-
-    work, when given, is a Workspace built for these inputs and labels;
-    without it the call builds a throwaway one.
-    """
-    if work is None:
-        inputs = np.asarray(inputs, dtype=float)
-        work = Workspace(arch, inputs, labels)
-    return _total(_scores_logp(arch, _params(arch, w), inputs, work), work)
-
-
-def energy_gradient(arch: NetworkArch, w: np.ndarray, inputs: np.ndarray,
-                    labels: np.ndarray, work: Workspace | None = None):
-    """Energy and its exact reverse-accumulation gradient.
-
-    Returns (value, gradient) with gradient.shape == w.shape; the gradient
-    is a new array on every call.  work is as for energy.
-    """
-    if work is None:
-        inputs = np.asarray(inputs, dtype=float)
-        work = Workspace(arch, inputs, labels)
-    return _value_grad(arch, _params(arch, w), inputs, work)
-
-
-def kick(arch: NetworkArch, w: np.ndarray, inputs: np.ndarray,
-         labels: np.ndarray, work: KickWorkspace | None = None) -> np.ndarray:
-    """The energy's gradient at w computed in float32, returned as float64.
-
-    The samplers' inner Verlet kicks (hmc.velocity_verlet).  work, when
-    given, is a KickWorkspace built for these inputs and labels; without it
-    the call builds a throwaway one.  The gradient is a new array.
-    """
-    if work is None:
-        work = KickWorkspace(arch, np.asarray(inputs), labels)
-    return _kick(arch, _params(arch, w), work)
+    exps_block = 1 if keep else last % 2
+    classes = h.shape[0]
+    logp = work.block(1 - exps_block, classes)
+    top = np.maximum.reduce(h, axis=0, out=work.col)
+    np.subtract(h, top, out=logp)
+    exps = _exp(logp, work.block(exps_block, classes), work)
+    np.log(np.add.reduce(exps, axis=0, out=work.col), out=work.col)
+    logp -= work.col
+    value = None
+    if work.picks is not None and not work.f32:
+        value = -float(np.add.reduce(logp.take(work.picks, out=work.col, mode="clip")))
+    return value, logp
 
 
 def _flush(x, scratch):
@@ -410,102 +346,105 @@ def _flush(x, scratch):
     x *= scratch
 
 
-def _kick(arch, w, work):
-    """The float32 gradient at float64 w, in work's buffers; see KickWorkspace.
+def _gradient(arch, w, work):
+    """(energy, gradient), the energy None from a float32 workspace.
 
-    It differs from _value_grad in more than precision and layout: the
-    sigmoid is _sigmoid32; the exponents are floored at FLOOR32; the
-    labelled entry of the output delta is minus the other classes' sum
-    rather than p_y - 1, which rounds to 0 in float32 once the others' mass
-    falls below 6e-8; and the output delta is flushed.
+    Float32 differs in more than precision: the sigmoid is _sigmoid32, the
+    exponents are floored at FLOOR32, the output delta is flushed, and its
+    labelled entry is minus the other classes' sum, not p_y - 1, which
+    rounds to 0 in float32 once the others' mass falls below 6e-8.
     """
     layout = arch.layout()
-    last = len(layout) - 1
-    for i, (w_sl, b_sl, n_in, n_out) in enumerate(layout):
-        weights = work.weights[i]
-        weights[:, :n_in] = w[w_sl].reshape(n_out, n_in)
-        weights[:, n_in] = w[b_sl]
-        a = np.matmul(weights, work.layers[i], out=work.layers[i + 1][:n_out])
-        if i < last or arch.head == LOGISTIC_SOFTMAX:
-            _sigmoid32(a)
-
-    # the output delta softmax - onehot, from floored log-probabilities;
-    # blocks 0 and 1 then alternate between the delta and the scratch of
-    # the layer below
-    scores = work.layers[-1]
-    classes = scores.shape[0]
-    delta, free = work.block(0, classes), 1
-    scratch = work.block(free, classes)
-    top = np.maximum.reduce(scores, axis=0, out=work.col)
-    np.subtract(scores, top, out=delta)
-    np.exp(np.maximum(delta, FLOOR32, out=scratch), out=scratch)
-    np.log(np.add.reduce(scratch, axis=0, out=work.col), out=work.col)
-    delta -= work.col
-    np.exp(np.maximum(delta, FLOOR32, out=delta), out=delta)
+    value, delta = _forward(arch, w, work, keep=True)
     flat = delta.reshape(-1)
-    flat.put(work.picks, 0.0)
-    others = np.add.reduce(delta, axis=0, out=work.col)
-    flat.put(work.picks, np.negative(others, out=others))
+    if work.f32:
+        _exp(delta, delta, work)
+        flat.put(work.picks, 0.0)
+        others = np.add.reduce(delta, axis=0, out=work.col)
+        flat.put(work.picks, np.negative(others, out=others))
+    else:
+        np.exp(delta, out=delta)
+        picked = flat.take(work.picks, out=work.col, mode="clip")
+        picked -= 1.0
+        flat.put(work.picks, picked, mode="clip")
+    # the output delta softmax - onehot lies in scratch block 0; blocks 0
+    # and 1 then alternate between the delta and the layer below's scratch
+    free = 1
+    scratch = work.block(free, delta.shape[0])
     if arch.head == LOGISTIC_SOFTMAX:
-        delta *= scores
-        delta *= np.subtract(1.0, scores, out=scratch)
-    _flush(delta, scratch)
-
-    grad = np.empty_like(w)
-    for i in range(last, -1, -1):
-        w_sl, b_sl, n_in, n_out = layout[i]
-        below = work.layers[i].T if i else work.inputs_rows
-        g = np.matmul(delta, below,
-                      out=work.grad[:n_out * (n_in + 1)].reshape(n_out, n_in + 1))
-        grad[w_sl].reshape(n_out, n_in)[...] = g[:, :n_in]
-        grad[b_sl] = g[:, n_in]
-        if i > 0:
-            back = np.matmul(work.weights[i][:, :n_in].T, delta,
-                             out=work.block(free, n_in))
-            free = 1 - free                         # delta's block is spent
-            h = work.layers[i][:n_in]
-            back *= h
-            back *= np.subtract(1.0, h, out=work.block(free, n_in))
-            delta = back
-    return grad
-
-
-def _value_grad(arch, w, inputs, work):
-    """(energy, gradient) in float64."""
-    layout = arch.layout()
-    layers = _forward_pass(arch, w, inputs, work, keep=True)
-    scores = layers[-1]
-    classes = scores.shape[1]
-    logp = _log_softmax(scores, work, "a", "b")
-    value = _total(logp, work)
-
-    # the output delta softmax - onehot; blocks "a" and "b" then alternate
-    # between the delta and the scratch of the layer below
-    delta = work.block("b", classes)
-    flat = delta.reshape(-1)
-    np.exp(logp, out=delta)
-    flat.take(work.picks, out=work.picked, mode="clip")
-    work.picked -= 1.0
-    flat.put(work.picks, work.picked, mode="clip")
-    free = "a"
-    if arch.head == LOGISTIC_SOFTMAX:
-        delta *= scores
-        delta *= np.subtract(1.0, scores, out=work.block(free, classes))
+        delta *= work.kept[-1]
+        delta *= np.subtract(1.0, work.kept[-1], out=scratch)
+    if work.f32:
+        _flush(delta, scratch)
 
     grad = np.empty_like(w)
     for i in range(len(layout) - 1, -1, -1):
         w_sl, b_sl, n_in, n_out = layout[i]
-        h_prev = layers[i - 1] if i else inputs
-        np.matmul(delta.T, h_prev, out=grad[w_sl].reshape(n_out, n_in))
-        np.add.reduce(delta, axis=0, out=grad[b_sl])
+        if work.weights[i] is None:
+            np.matmul(delta, work.inputs_rows, out=grad[w_sl].reshape(n_out, n_in))
+            np.add.reduce(delta, axis=1, out=grad[b_sl])
+        else:
+            below = work.kept[i - 1].T if i else work.inputs_rows
+            g = np.matmul(delta, below,
+                          out=work.grad[:n_out * (n_in + 1)].reshape(n_out, n_in + 1))
+            grad[w_sl].reshape(n_out, n_in)[...] = g[:, :n_in]
+            grad[b_sl] = g[:, n_in]
         if i > 0:
-            back = np.matmul(delta, w[w_sl].reshape(n_out, n_in),
+            back = np.matmul(work.weights[i][:, :n_in].T, delta,
                              out=work.block(free, n_in))
-            free = "b" if free == "a" else "a"      # delta's block is spent
-            back *= h_prev
-            back *= np.subtract(1.0, h_prev, out=work.block(free, n_in))
+            free = 1 - free                         # delta's block is spent
+            h = work.kept[i - 1][:n_in]
+            back *= h
+            back *= np.subtract(1.0, h, out=work.block(free, n_in))
             delta = back
     return value, grad
+
+
+def forward(arch: NetworkArch, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Class probabilities for one input (shape (256,)) or a batch (n, 256)."""
+    x = np.asarray(x, dtype=float)
+    rows = np.atleast_2d(x)
+    logp = _forward(arch, _params(arch, w), Workspace(arch, rows), keep=False)[1]
+    probs = np.exp(logp.T)
+    return probs[0] if x.ndim == 1 else probs
+
+
+def energy(arch: NetworkArch, w: np.ndarray, inputs: np.ndarray,
+           labels: np.ndarray, work: Workspace | None = None) -> float:
+    """Total cross-entropy of the dataset in nats (negative log-likelihood).
+
+    work, when given, is a float64 Workspace built for these inputs and
+    labels; without it the call builds a throwaway one.
+    """
+    if work is None:
+        work = Workspace(arch, inputs, labels)
+    return _forward(arch, _params(arch, w), work, keep=False)[0]
+
+
+def energy_gradient(arch: NetworkArch, w: np.ndarray, inputs: np.ndarray,
+                    labels: np.ndarray, work: Workspace | None = None):
+    """Energy and its exact reverse-accumulation gradient.
+
+    Returns (value, gradient) with gradient.shape == w.shape; the gradient
+    is a new array on every call.  work is as for energy.
+    """
+    if work is None:
+        work = Workspace(arch, inputs, labels)
+    return _gradient(arch, _params(arch, w), work)
+
+
+def kick(arch: NetworkArch, w: np.ndarray, inputs: np.ndarray,
+         labels: np.ndarray, work: Workspace | None = None) -> np.ndarray:
+    """The energy's gradient at w computed in float32, returned as float64.
+
+    The samplers' inner Verlet kicks (hmc.velocity_verlet), with the
+    guards _gradient lists.  work, when given, is a float32 Workspace built
+    for these inputs and labels; without it the call builds a throwaway
+    one.  The gradient is a new array.
+    """
+    if work is None:
+        work = Workspace(arch, inputs, labels, np.float32)
+    return _gradient(arch, _params(arch, w), work)[1]
 
 
 def dataset_energy_fns(arch: NetworkArch, inputs: np.ndarray, labels: np.ndarray):
@@ -513,15 +452,16 @@ def dataset_energy_fns(arch: NetworkArch, inputs: np.ndarray, labels: np.ndarray
 
     energy_fn(w) is the value alone, for observables; value_grad(w) returns
     (value, gradient) from one pass and is the potential the samplers and
-    the minimiser take.  value_grad.kick(w) is the float32 gradient alone
-    (kick), for the samplers' inner Verlet steps; its KickWorkspace is
-    built on the first kick.  energy_fn and value_grad share one Workspace,
-    so the closures must not run at the same time from two threads.
+    the minimiser take.  Both share one float64 Workspace, which reads the
+    inputs in place; energy_fn alone never allocates the gradient's blocks.
+    value_grad.kick(w) is the float32 gradient alone (kick), for the inner
+    Verlet steps, on a float32 Workspace built on the first kick.  The
+    closures must not run at the same time from two threads.
     """
     inputs = np.ascontiguousarray(inputs, dtype=float)
     labels = np.asarray(labels)
     work = Workspace(arch, inputs, labels)
-    kick_work = []      # the KickWorkspace, once built
+    kick_work = []      # the float32 Workspace, once built
 
     def energy_fn(w):
         return energy(arch, w, inputs, labels, work)
@@ -531,7 +471,7 @@ def dataset_energy_fns(arch: NetworkArch, inputs: np.ndarray, labels: np.ndarray
 
     def kick_fn(w):
         if not kick_work:
-            kick_work.append(KickWorkspace(arch, inputs, labels))
+            kick_work.append(Workspace(arch, inputs, labels, np.float32))
         return kick(arch, w, inputs, labels, kick_work[0])
 
     value_grad.kick = kick_fn

@@ -16,8 +16,9 @@ ROOT = Path(__file__).resolve().parents[1]
     ["demos/minimizer_baseline.py", "--restarts", "2"],
     ["demos/peak_memory.py", "--train", "300", "--test", "100", "--size", "50"],
     ["demos/kernel_timing.py", "--calls", "3"],
+    ["demos/kernel_timing.py", "--calls", "3", "--against", "src"],
 ], ids=["temperature_sweep", "evidence_comparison", "minimizer_baseline",
-        "peak_memory", "kernel_timing"])
+        "peak_memory", "kernel_timing", "kernel_timing_against"])
 def test_demo_runs(argv, tmp_path):
     # the demos write their stand-in corpus under TMPDIR, and remove it
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))

@@ -73,7 +73,58 @@ def small_problem(head="linear-softmax", rows=30, seed=3, sizes=(4, 5, 3)):
 def plain_energy_gradient(arch, w, x, labels):
     """Energy and gradient by the plain numpy expressions, a new array each.
 
-    The reference the workspace kernel must match bit for bit.
+    The reference the workspace kernel must match bit for bit, in its
+    order: activations lie features-major, (width, rows); layer 1 takes
+    the inputs' transpose and adds its bias after the product; every later
+    layer carries its bias in the product, as the last column of a packed
+    weight block against a row of ones.
+    """
+    layout = arch.layout()
+    rows = np.arange(len(labels))
+    ones = np.ones((1, len(labels)))
+    packed, hiddens, h = [None], [], x.T
+    for i, (w_sl, b_sl, n_in, n_out) in enumerate(layout):
+        weights, bias = w[w_sl].reshape(n_out, n_in), w[b_sl]
+        if i == 0:
+            a = weights @ h + bias[:, None]
+        else:
+            packed.append(np.hstack([weights, bias[:, None]]))
+            h = np.vstack([h, ones])
+            hiddens.append(h)
+            a = packed[i] @ h
+        if i < len(layout) - 1:
+            h = masked_sigmoid(a)
+        else:
+            scores = masked_sigmoid(a) if arch.head == LOGISTIC_SOFTMAX else a
+    shifted = scores - scores.max(axis=0)
+    logp = shifted - np.log(np.sum(np.exp(shifted), axis=0))
+    value = -float(np.sum(logp[labels, rows]))
+    delta = np.exp(logp)
+    delta[labels, rows] -= 1.0
+    if arch.head == LOGISTIC_SOFTMAX:
+        delta = delta * scores * (1.0 - scores)
+    grad = np.empty_like(w)
+    for i in range(len(layout) - 1, -1, -1):
+        w_sl, b_sl, n_in, n_out = layout[i]
+        if i == 0:
+            grad[w_sl] = (delta @ x).ravel()
+            grad[b_sl] = delta.sum(axis=1)
+        else:
+            g = delta @ hiddens[i - 1].T
+            grad[w_sl] = g[:, :-1].ravel()
+            grad[b_sl] = g[:, -1]
+            h = hiddens[i - 1][:-1]
+            delta = packed[i][:, :-1].T @ delta * h * (1.0 - h)
+    return value, grad
+
+
+def rowmajor_energy_gradient(arch, w, x, labels):
+    """Energy and gradient by the row-major expressions the kernel once ran.
+
+    A second oracle, in another order: activations lie (rows, width) and
+    every bias is added after its product.  The kernel matches it to
+    rounding, so a layout error shared by the kernel and
+    plain_energy_gradient cannot pass unseen.
     """
     layout = arch.layout()
     hiddens, h = [x], x
@@ -369,6 +420,25 @@ class TestFusedClosure:
             np.testing.assert_array_equal(bits(g), bits(energy_gradient(arch, w, x, y)[1]))
             np.testing.assert_array_equal(bits(g), bits(plain_g))
 
+    @pytest.mark.parametrize("rows", [1, 7, 500])
+    @pytest.mark.parametrize("sizes", [(256, 40, 10), (256, 40, 40, 40, 10)],
+                             ids=["M1", "M3"])
+    @pytest.mark.parametrize("head", ["linear-softmax", LOGISTIC_SOFTMAX])
+    def test_close_to_rowmajor_expressions(self, head, sizes, rows):
+        # the gradient's error is measured against its largest entry.  The
+        # scales stop at 5: at 50 a logistic head saturates, and the factor
+        # 1 - s of its output delta turns the last-bit differences of the
+        # two orders' scores into relative gradient differences of 1e-12
+        arch, x, y = small_problem(head, rows, sizes=sizes)
+        _, value_grad = dataset_energy_fns(arch, x, y)
+        rng = np.random.default_rng(4)
+        for scale in (0.5, 5.0):
+            w = rng.normal(scale=scale, size=arch.n_params)
+            e, g = value_grad(w)
+            old_e, old_g = rowmajor_energy_gradient(arch, w, x, y)
+            assert abs(e - old_e) <= 1e-13 * abs(old_e)
+            assert np.max(np.abs(g - old_g)) <= 1e-13 * np.max(np.abs(old_g))
+
     def test_returned_gradient_outlives_later_calls(self):
         # chains keep g_old on reject and swaps trade gradients, so no call
         # may write into a gradient an earlier call returned
@@ -431,6 +501,27 @@ class TestAllocations:
         _, value_grad, w, _ = closures
         value_grad.kick(w)
         assert traced_peak(value_grad.kick, w) <= w.nbytes + 4096
+
+    def test_an_energy_only_closure_allocates_no_gradient_buffer(self, monkeypatch):
+        built = []
+
+        class Recorded(network.Workspace):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        # the closures build their workspaces through the module's globals
+        monkeypatch.setattr(network, "Workspace", Recorded)
+        arch = get_arch("M3")
+        _, x, y = small_problem(rows=200, sizes=arch.layer_sizes)
+        energy_fn, value_grad = dataset_energy_fns(arch, x, y)
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            energy_fn(init_standard(arch, rng))
+        (work,) = built
+        assert work.kept is None and work.grad is None
+        value_grad(init_standard(arch, rng))
+        assert len(work.kept) == len(arch.layout()) and work.grad is not None
 
 
 class TestInPlaceUpdates:

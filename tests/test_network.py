@@ -5,8 +5,8 @@ import pytest
 
 from temperhmc.errors import ShapeMismatch
 from temperhmc.minimize import rmin
-from temperhmc.network import (LINEAR_SOFTMAX, LOGISTIC_SOFTMAX, KickWorkspace,
-                               NetworkArch, dataset_energy_fns, energy,
+from temperhmc.network import (LINEAR_SOFTMAX, LOGISTIC_SOFTMAX, NetworkArch,
+                               Workspace, dataset_energy_fns, energy,
                                energy_gradient, forward, get_arch,
                                init_standard, kick, load_params,
                                prior_box, save_params)
@@ -147,12 +147,31 @@ def relative_error(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-def kick_buffers(work):
-    """Every float array a KickWorkspace holds, its lists' entries included."""
+def workspace_buffers(work):
+    """Every float array a Workspace holds, its lists' entries included."""
     arrays = []
     for value in vars(work).values():
         arrays += value if isinstance(value, list) else [value]
-    return [a for a in arrays if a is not work.picks]
+    return [a for a in arrays if isinstance(a, np.ndarray) and a is not work.picks]
+
+
+@pytest.mark.parametrize("sizes", [(256, 40, 10), (256, 40, 40, 40, 10)],
+                         ids=["M1", "M3"])
+def test_a_float64_workspace_holds_no_copy_of_the_inputs(d500, sizes):
+    # the float64 kernel reads the caller's rows through their transpose:
+    # every workspace array as large as a quarter of the inputs is a view
+    # of them
+    arch = NetworkArch(sizes)
+    train, _ = d500
+    x, y = train.inputs, train.labels
+    work = Workspace(arch, x, y)
+    w = init_standard(arch, np.random.default_rng(6))
+    energy_gradient(arch, w, x, y, work)
+    energy(arch, w, x, y, work)
+    arrays = workspace_buffers(work)
+    assert sum(np.shares_memory(a, x) for a in arrays) == 2
+    for a in arrays:
+        assert np.shares_memory(a, x) or a.nbytes < x.nbytes // 4
 
 
 class TestKick:
@@ -210,12 +229,12 @@ class TestKick:
         # subnormals slow float32 arithmetic several-fold
         arch = NetworkArch(sizes, head=head)
         train, _ = d500
-        work = KickWorkspace(arch, train.inputs, train.labels)
+        work = Workspace(arch, train.inputs, train.labels, np.float32)
         tiny = np.finfo(np.float32).tiny
         for seed in range(5):
             w = np.random.default_rng(seed).normal(scale=5.0, size=arch.n_params)
             assert kick(arch, w, train.inputs, train.labels, work).dtype == np.float64
-            blocks = kick_buffers(work)
+            blocks = workspace_buffers(work)
             assert len(blocks) >= 2 * len(arch.layer_sizes)
             assert all(b.dtype == np.float32 for b in blocks)
             for b in blocks:
