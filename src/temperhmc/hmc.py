@@ -25,6 +25,11 @@ w_{L-1}, value_grad's at w_L, read the same backwards, so the path run
 back from (w_L, -p_L) meets the same forces at the same points and ends
 at (w_0, -p_0).  A potential without a kick calls value_grad at every
 step.
+A potential may also carry value_grad.staged(w) -> (E, finish), the call
+in two halves, finish() -> gradient computing the gradient on demand.
+velocity_verlet's keyword below uses it to refuse an end point on its
+energy before its gradient is computed: the minimiser passes its current
+energy; the samplers, which accept on the Hamiltonian, pass none.
 run_chain strings trajectories together; every sampling loop drives it,
 and so does adapt_step_size, the burn-in that sets each sampler's fixed dt.
 """
@@ -63,7 +68,7 @@ class TrajectoryOutcome:
     n_kicks: int = 0       # of n_calls, those to value_grad.kick
 
 
-def velocity_verlet(w, p, g, value_grad, dt, n_steps, box=None):
+def velocity_verlet(w, p, g, value_grad, dt, n_steps, box=None, *, below=None):
     """Kick-drift-kick integration of (w, p) for n_steps >= 1 steps.
 
     g is the gradient at the starting w.  Returns (w, p, e, g, ok) with the
@@ -75,8 +80,12 @@ def velocity_verlet(w, p, g, value_grad, dt, n_steps, box=None):
     box, every drift is tested with PriorBox.inside before the potential
     sees the new w: at the first drift that leaves the box it returns ok
     False, that w, e nan and the last gradient, so a trajectory makes at
-    most n_steps calls.  The kicks and drifts go through one
-    scratch vector, in place.
+    most n_steps calls.  below, when given, bounds the end point's
+    energy: the last step takes the energy first, through
+    value_grad.staged when the potential has it, and when that is not
+    finite or not below the bound returns ok False, that w and e and the
+    last gradient, without computing the new one.  The kicks and drifts
+    go through one scratch vector, in place.
     """
     w = np.array(w, dtype=float)
     p = np.array(p, dtype=float)
@@ -91,12 +100,29 @@ def velocity_verlet(w, p, g, value_grad, dt, n_steps, box=None):
             return w, p, np.nan, g, False
         if left and kick is not None:
             g = kick(w)
-        else:
+        elif left or below is None:
             e, g = value_grad(w)
+        else:
+            e, finish = _energy_first(value_grad)(w)
+            if not (math.isfinite(e) and e < below):
+                return w, p, e, g, False
+            g = finish()
         if not np.all(np.isfinite(g)):
             return w, p, e, g, False
         p -= np.multiply(half, g, out=step)
     return w, p, e, g, True
+
+
+def _energy_first(value_grad):
+    """value_grad.staged, or a stand-in that makes the whole call at once."""
+    staged = getattr(value_grad, "staged", None)
+    if staged is not None:
+        return staged
+
+    def whole(w):
+        e, g = value_grad(w)
+        return e, lambda: g
+    return whole
 
 
 def _kinetic(p, scratch):

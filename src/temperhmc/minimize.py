@@ -11,15 +11,20 @@ DT_FACTOR are FIRE's f_inc = 1.1 and f_dec = 0.5 (Bitzek et al. 2006,
 PRL 97:170201).  Related to FIRE, but without FIRE's velocity
 re-projection: the momentum direction is never re-normalised, only reset.
 
-The potential is one call, value_grad(w) -> (E, gradient), so a step
-costs one forward and one backward pass.
+The potential is one call, value_grad(w) -> (E, gradient).  Each step
+passes the current energy to velocity_verlet as its bound below, so a
+potential with value_grad.staged, as the network's has, computes a
+step's gradient only once the step is kept: a downhill step costs one
+forward and one backward pass, an uphill one a forward pass alone, and
+one through a wall nothing.  The result carries the gradient at its w,
+so a caller that goes on from there needs no second call.
 
 Why 0.5: dt stops drifting when the accepted share a satisfies
 a * DT_INCREMENT = (1 - a) * dt * (1 - DT_FACTOR).  At dt ~ 0.1 one
 increment of 0.05 overshoots by 50% and one halving undoes it, so about
 half the steps are accepted.  At DT_FACTOR = 0.95 it takes about 8
-rejections, each costing a value_grad call and the momentum, to undo
-one overshoot, and about 90% of the steps are rejected.
+rejections, each costing a forward pass and the momentum, to undo one
+overshoot, and about 90% of the steps are rejected.
 
 Why the growth factor: the increment is the larger of the two while
 dt < DT_INCREMENT / (DT_GROWTH - 1) = 0.5, so every step at dt <= 0.5 is
@@ -62,6 +67,7 @@ class RMinResult:
     energy: float
     n_steps: int
     trace: list = field(default_factory=list)   # (step, best energy, dt)
+    grad: np.ndarray = None                     # the gradient at w
 
 
 def rmin(w0, value_grad, cfg: RMinConfig = None, *, box=None) -> RMinResult:
@@ -69,7 +75,8 @@ def rmin(w0, value_grad, cfg: RMinConfig = None, *, box=None) -> RMinResult:
 
     With a prior box, a step that would cross a wall counts as uphill and
     costs no value_grad call.  Deterministic: identical (w0, cfg,
-    value_grad, box) give identical traces.
+    value_grad, box) give identical traces, with or without
+    value_grad.staged.
     """
     cfg = cfg or RMinConfig()
     w = np.array(w0, dtype=float)
@@ -84,8 +91,9 @@ def rmin(w0, value_grad, cfg: RMinConfig = None, *, box=None) -> RMinResult:
     last_improve_step = 0
     steps_done = 0
     for step in range(cfg.n_steps):
-        w_new, p_new, e_new, g_new, ok = velocity_verlet(w, p, g, value_grad, dt, 1, box)
-        if ok and np.isfinite(e_new) and e_new < e:
+        w_new, p_new, e_new, g_new, ok = velocity_verlet(w, p, g, value_grad, dt, 1,
+                                                         box, below=e)
+        if ok:
             w, p, e, g = w_new, p_new, e_new, g_new
             dt = max(dt + DT_INCREMENT, DT_GROWTH * dt)
         else:
@@ -100,4 +108,4 @@ def rmin(w0, value_grad, cfg: RMinConfig = None, *, box=None) -> RMinResult:
             last_improve_step = step
         elif step - last_improve_step >= cfg.stall_window:
             break
-    return RMinResult(w, e, steps_done, trace)
+    return RMinResult(w, e, steps_done, trace, g)

@@ -14,39 +14,47 @@ built for one dataset in one dtype.  Activations lie features-major, a
 class axis, across contiguous rows.  Each hidden block ends in a row of
 ones: the next layer's bias rides in its product as the last column of
 an (n_out, n_in + 1) weight block, and the backward product against the
-same block yields the bias gradient as the last column.  Only the input
-block differs between the dtypes.  A float64 workspace reads the
-caller's rows through their transpose, with no copy: layer 1 adds its
-bias after the product, and its bias gradient is a row sum.  A float32
-workspace holds a cast copy that ends in a row of ones, and its
-row-major twin, against which the layer-1 gradient is a third cheaper.
+same block yields the bias gradient as the last column.  Both dtypes
+take the logistic function as (1 + tanh(a/2)) / 2, which yields no
+subnormal.  Only the input block differs between the dtypes.  A float64
+workspace reads the caller's rows through their transpose, with no copy:
+layer 1 adds its bias after the product, and its bias gradient is a row
+sum.  A float32 workspace holds a cast copy that ends in a row of ones,
+and its row-major twin, against which the layer-1 gradient is a third
+cheaper.
 
 Every call uses the workspace's two scratch blocks (rows x (widest layer
 + 1) floats), between which an energy call alternates its layers and a
-gradient call its deltas.  Only a gradient call keeps every layer's
-block, for the backward pass, and a packed weight-gradient block; the
-first gradient call allocates these, so a closure that only evaluates
-energies never holds them.  After that a call allocates only what it
-returns, the gradient, besides the transient buffers numpy takes to
-broadcast or cast (at most 64 KiB).  A call writes every buffer it reads,
-the inputs aside, so no state survives it.  energy, energy_gradient and
-kick called without a workspace build a throwaway one, so every route
-runs the same code and gives the same bits.
+gradient call its deltas.  A gradient call is a forward pass that keeps
+every layer's block (_forward with keep) and a backward pass over them
+(_backward) into a packed weight-gradient block; the first gradient call
+allocates these, so a closure that only evaluates energies never holds
+them.  After that a call allocates only what it returns, the gradient,
+besides the transient buffers numpy takes to broadcast or cast (at most
+64 KiB).  A call writes every buffer it reads, the inputs aside, so no
+state survives it.  energy, energy_gradient and kick called without a
+workspace build a throwaway one, so every route runs the same code and
+gives the same bits.  value_grad.staged runs the two passes of one
+gradient call apart, so a caller that rejects a point on its energy
+skips the backward pass.
 
 value_grad.kick(w), the gradient of the samplers' inner Verlet steps,
 runs the same loops on a float32 workspace, built on the first kick.  At
 500 rows it costs about half a float64 value and gradient call and at 50
-rows about three quarters (demos/kernel_timing.py); its relative error
-against the float64 gradient is about 1e-7 at a standard start and up to
-about 1e-5 in the prior box, on bench-shaped data.  It returns a float64
-gradient and is a fixed function of w, as hmc.py's exactness argument
-needs.
+rows about three quarters (demos/kernel_timing.py).  On bench-shaped
+data its relative error against the float64 gradient is about 1e-7 at a
+standard start and up to about 2e-5 in the 50x prior box of M1 and M3,
+but at M3star's 1000x box it reaches 1e-3 to 1e-1 at 500 rows.  It
+returns a float64 gradient and is a fixed function of w, which is all
+hmc.py's exactness argument needs; a worse kick costs acceptance, not
+exactness.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -161,32 +169,17 @@ def init_standard(arch: NetworkArch, rng) -> np.ndarray:
     return rng.uniform(-half, half)
 
 
-def _sigmoid(a, out=None, e=None):
-    """Logistic function of a, written into out (which may be a itself).
+def _sigmoid(a):
+    """Logistic function of a block, in place, as (1 + tanh(a/2)) / 2.
 
-    exp(-|a|) stays finite deep inside a very wide prior box.  Branch-free,
-    yet bit for bit 1 / (1 + exp(-a)) for a >= 0 and exp(a) / (1 + exp(a))
-    below, so no sampler's accept decision moves: 0 <= e <= 1, so
-    max(e, [a >= 0]) is exactly 1.0 for a >= 0 and e below, and NaN stays
-    NaN.  e is scratch of a's shape; both are allocated when absent.
-    """
-    out = np.empty_like(a) if out is None else out
-    e = np.empty_like(a) if e is None else e
-    np.exp(np.negative(np.abs(a, out=e), out=e), out=e)
-    np.maximum(e, np.greater_equal(a, 0.0, out=out), out=out)
-    e += 1.0
-    out /= e
-    return out
-
-
-def _sigmoid32(a):
-    """Logistic function of a float32 block, in place, as (1 + tanh(a/2)) / 2.
-
-    Half the passes of _sigmoid, and no tiny values: 1 + tanh(a/2) is 0 or
-    at least 2^-24, so the result and its complement are 0 or at least
-    2^-25, and no product of the backward pass starts from a subnormal.
-    The price is an absolute error of about 3e-8 where the exact value is
-    smaller, as at a < -17.
+    One form for both dtypes.  exp is never taken, so a deep inside a very
+    wide prior box is no trouble, and there are no tiny values: 1 +
+    tanh(a/2) is 0 or at least the gap below 1 (2^-24 in float32, 2^-53
+    in float64), so the result and its complement are 0 or at least half
+    that, and no product of the forward or backward pass starts from a
+    subnormal, which costs about a hundred cycles on x86.  The price is
+    an absolute error of up to 2^-25 or 2^-54 where the exact value is
+    smaller, as at a < -17 in float32 and a < -37 in float64.
     """
     np.multiply(a, 0.5, out=a)
     np.tanh(a, out=a)
@@ -292,11 +285,10 @@ def _forward(arch, w, work, keep):
     """(energy, log-softmax of the scores) at w, in work's buffers.
 
     The energy is None in float32 or without labels.  With keep, every
-    layer has a block of its own, as the backward pass needs.  Otherwise
-    the layers alternate between the scratch blocks, and the float64
-    sigmoid's scratch is the other one, whose activations the layer's
-    product has consumed.  The log-softmax lands in the block the scores
-    do not hold, the exponentials in the other (blocks 0 and 1 with keep).
+    layer has a block of its own, as _backward needs.  Otherwise the layers
+    alternate between the scratch blocks.  The log-softmax lands in the
+    block the scores do not hold, the exponentials in the other (blocks 0
+    and 1 with keep).
     """
     layout = arch.layout()
     last = len(layout) - 1
@@ -314,10 +306,7 @@ def _forward(arch, w, work, keep):
             np.matmul(weights, h, out=a)
         out[n_out:] = 1.0               # a hidden block's ones; the scores have none
         if i < last or arch.head == LOGISTIC_SOFTMAX:
-            if work.f32:
-                _sigmoid32(a)
-            else:
-                _sigmoid(a, a, work.block((i + 1) % 2, n_out))
+            _sigmoid(a)
         h = out
 
     exps_block = 1 if keep else last % 2
@@ -346,16 +335,16 @@ def _flush(x, scratch):
     x *= scratch
 
 
-def _gradient(arch, w, work):
-    """(energy, gradient), the energy None from a float32 workspace.
+def _backward(arch, work, delta):
+    """The gradient from the blocks _forward(keep=True) left in work.
 
-    Float32 differs in more than precision: the sigmoid is _sigmoid32, the
-    exponents are floored at FLOOR32, the output delta is flushed, and its
-    labelled entry is minus the other classes' sum, not p_y - 1, which
+    delta is the log-softmax that call returned; the pass turns it into
+    the output delta in place.  Float32 differs in more than precision:
+    the exponents are floored at FLOOR32, the output delta is flushed, and
+    its labelled entry is minus the other classes' sum, not p_y - 1, which
     rounds to 0 in float32 once the others' mass falls below 6e-8.
     """
     layout = arch.layout()
-    value, delta = _forward(arch, w, work, keep=True)
     flat = delta.reshape(-1)
     if work.f32:
         _exp(delta, delta, work)
@@ -377,7 +366,7 @@ def _gradient(arch, w, work):
     if work.f32:
         _flush(delta, scratch)
 
-    grad = np.empty_like(w)
+    grad = np.empty(arch.n_params)
     for i in range(len(layout) - 1, -1, -1):
         w_sl, b_sl, n_in, n_out = layout[i]
         if work.weights[i] is None:
@@ -397,7 +386,16 @@ def _gradient(arch, w, work):
             back *= h
             back *= np.subtract(1.0, h, out=work.block(free, n_in))
             delta = back
-    return value, grad
+    return grad
+
+
+def _staged(arch, w, work):
+    """(energy, finish): the forward pass now, finish() -> its gradient.
+
+    finish is valid until the next call on work.
+    """
+    value, logp = _forward(arch, _params(arch, w), work, keep=True)
+    return value, partial(_backward, arch, work, logp)
 
 
 def forward(arch: NetworkArch, w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -430,7 +428,8 @@ def energy_gradient(arch: NetworkArch, w: np.ndarray, inputs: np.ndarray,
     """
     if work is None:
         work = Workspace(arch, inputs, labels)
-    return _gradient(arch, _params(arch, w), work)
+    value, finish = _staged(arch, w, work)
+    return value, finish()
 
 
 def kick(arch: NetworkArch, w: np.ndarray, inputs: np.ndarray,
@@ -438,13 +437,13 @@ def kick(arch: NetworkArch, w: np.ndarray, inputs: np.ndarray,
     """The energy's gradient at w computed in float32, returned as float64.
 
     The samplers' inner Verlet kicks (hmc.velocity_verlet), with the
-    guards _gradient lists.  work, when given, is a float32 Workspace built
+    guards _backward lists.  work, when given, is a float32 Workspace built
     for these inputs and labels; without it the call builds a throwaway
     one.  The gradient is a new array.
     """
     if work is None:
         work = Workspace(arch, inputs, labels, np.float32)
-    return _gradient(arch, _params(arch, w), work)[1]
+    return _staged(arch, w, work)[1]()
 
 
 def dataset_energy_fns(arch: NetworkArch, inputs: np.ndarray, labels: np.ndarray):
@@ -454,6 +453,11 @@ def dataset_energy_fns(arch: NetworkArch, inputs: np.ndarray, labels: np.ndarray
     (value, gradient) from one pass and is the potential the samplers and
     the minimiser take.  Both share one float64 Workspace, which reads the
     inputs in place; energy_fn alone never allocates the gradient's blocks.
+    value_grad.staged(w) -> (value, finish) is value_grad in two halves:
+    the forward pass now, and finish() -> gradient, the backward pass from
+    the blocks the forward pass kept, only if the caller wants it.
+    value_grad runs the same halves back to back, so both give the same
+    bits; finish is valid until the next call on either closure.
     value_grad.kick(w) is the float32 gradient alone (kick), for the inner
     Verlet steps, on a float32 Workspace built on the first kick.  The
     closures must not run at the same time from two threads.
@@ -469,11 +473,15 @@ def dataset_energy_fns(arch: NetworkArch, inputs: np.ndarray, labels: np.ndarray
     def value_grad(w):
         return energy_gradient(arch, w, inputs, labels, work)
 
+    def staged(w):
+        return _staged(arch, w, work)
+
     def kick_fn(w):
         if not kick_work:
             kick_work.append(Workspace(arch, inputs, labels, np.float32))
         return kick(arch, w, inputs, labels, kick_work[0])
 
+    value_grad.staged = staged
     value_grad.kick = kick_fn
     return energy_fn, value_grad
 

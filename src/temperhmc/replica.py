@@ -120,7 +120,7 @@ def init_replica(index, temperature, value_grad, box, seed, arch,
     start = rmin(init_standard(arch, rng), value_grad,
                  cfg=RMinConfig(energy_tol=START_TOL_PER_T * temperature), box=box)
     w, (e, g), dt = adapt_step_size(
-        start.w, value_grad(start.w), value_grad,
+        start.w, (start.energy, start.grad), value_grad,
         HmcConfig(temperature, DT0, cfg.n_leapfrog), rng, box,
         cfg.burn_in_traj)
     return Replica(index, temperature, w, e, dt, rng, grad=g,

@@ -20,8 +20,8 @@ from temperhmc.minimize import RMinConfig, rmin
 from temperhmc.network import (LOGISTIC_SOFTMAX, NetworkArch, PriorBox,
                                dataset_energy_fns, energy, energy_gradient,
                                get_arch, init_standard, prior_box)
-from temperhmc.replica import (RemdConfig, Replica, RunTrace, attempt_swap,
-                               init_replica, run_remd)
+from temperhmc.replica import (START_TOL_PER_T, RemdConfig, Replica, RunTrace,
+                               attempt_swap, init_replica, run_remd)
 from temperhmc.ti import StiffnessDiag, TiConfig, bridge_energy_fns, run_ti
 
 
@@ -53,14 +53,9 @@ def box_guarded(value_grad, box):
     return guarded
 
 
-def masked_sigmoid(a):
-    """The two-branch form the branch-free _sigmoid replaced."""
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    return out
+def tanh_sigmoid(a):
+    """The logistic function by the plain expression of _sigmoid's form."""
+    return 0.5 * (1.0 + np.tanh(0.5 * a))
 
 
 def small_problem(head="linear-softmax", rows=30, seed=3, sizes=(4, 5, 3)):
@@ -93,9 +88,9 @@ def plain_energy_gradient(arch, w, x, labels):
             hiddens.append(h)
             a = packed[i] @ h
         if i < len(layout) - 1:
-            h = masked_sigmoid(a)
+            h = tanh_sigmoid(a)
         else:
-            scores = masked_sigmoid(a) if arch.head == LOGISTIC_SOFTMAX else a
+            scores = tanh_sigmoid(a) if arch.head == LOGISTIC_SOFTMAX else a
     shifted = scores - scores.max(axis=0)
     logp = shifted - np.log(np.sum(np.exp(shifted), axis=0))
     value = -float(np.sum(logp[labels, rows]))
@@ -131,10 +126,10 @@ def rowmajor_energy_gradient(arch, w, x, labels):
     for i, (w_sl, b_sl, n_in, n_out) in enumerate(layout):
         a = h @ w[w_sl].reshape(n_out, n_in).T + w[b_sl]
         if i < len(layout) - 1:
-            h = masked_sigmoid(a)
+            h = tanh_sigmoid(a)
             hiddens.append(h)
         else:
-            scores = masked_sigmoid(a) if arch.head == LOGISTIC_SOFTMAX else a
+            scores = tanh_sigmoid(a) if arch.head == LOGISTIC_SOFTMAX else a
     shifted = scores - scores.max(axis=-1, keepdims=True)
     logp = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
     rows = np.arange(len(labels))
@@ -178,6 +173,32 @@ def allocating_verlet(w, p, g, value_grad, dt, n_steps):
             return w, p, e, g, False
         p -= 0.5 * dt * g
     return w, p, e, g, True
+
+
+def count_network_calls(monkeypatch, *names):
+    """Count the calls of the named network functions; returns the live counts.
+
+    The closures look these functions up in the module's globals.
+    """
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name):
+        original = getattr(network, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(network, name, counted(name))
+    return counts
+
+
+def uphill_steps(res, dt0):
+    """rmin steps it did not keep: each one shrinks dt, a kept one grows it."""
+    dts = [dt0] + [dt for _, _, dt in res.trace]
+    return sum(b < a for a, b in zip(dts, dts[1:]))
 
 
 def bits(a):
@@ -306,25 +327,93 @@ class TestCallCounts:
         assert potential.calls == 0
 
     def test_network_rmin_calls_no_value_only_energy(self, monkeypatch):
+        # one whole call at the start; after it every step is a staged call,
+        # a forward pass that keeps its blocks, and only a kept step runs
+        # the backward pass
         arch, x, y = small_problem()
-        counts = {"energy": 0, "energy_gradient": 0}
-
-        def counted(name):
-            original = getattr(network, name)
-
-            def wrapper(*args):
-                counts[name] += 1
-                return original(*args)
-            return wrapper
-
-        # the closures look both functions up in the module's globals
-        monkeypatch.setattr(network, "energy", counted("energy"))
-        monkeypatch.setattr(network, "energy_gradient", counted("energy_gradient"))
+        counts = count_network_calls(monkeypatch, "energy", "energy_gradient",
+                                     "_forward", "_backward")
         _, value_grad = dataset_energy_fns(arch, x, y)
         w0 = init_standard(arch, np.random.default_rng(0))
         res = rmin(w0, value_grad, cfg=RMinConfig(n_steps=20, energy_tol=-np.inf,
                                                   stall_window=1000))
-        assert counts == {"energy": 0, "energy_gradient": 1 + res.n_steps}
+        kept = res.n_steps - uphill_steps(res, 0.1)
+        assert 0 < kept < res.n_steps == 20
+        assert counts == {"energy": 0, "energy_gradient": 1,
+                          "_forward": 1 + res.n_steps, "_backward": 1 + kept}
+
+    def test_init_replica_starts_burn_in_from_rmin_s_pair(self):
+        # rmin hands its gradient on, so the only calls are rmin's start,
+        # its steps and the burn-in's trajectories
+        arch = NetworkArch((3, 2, 2))
+        cfg = RemdConfig(n_leapfrog=4, burn_in_traj=6)
+        potential = Counting(quad)
+        rep = init_replica(0, 1e-3, potential, None, 7, arch, cfg)
+        assert rep.start_steps > 0
+        assert potential.calls == 1 + rep.start_steps + 6 * 4
+        # and it is the pair value_grad gives there, bit for bit
+        start = rmin(init_standard(arch, np.random.default_rng(7)), quad,
+                     cfg=RMinConfig(energy_tol=START_TOL_PER_T * 1e-3))
+        e, g = quad(start.w)
+        assert bits(start.energy) == bits(e)
+        np.testing.assert_array_equal(bits(start.grad), bits(g))
+
+
+class TestStagedStep:
+    """rmin's steps take the energy first and finish only the kept ones."""
+
+    @pytest.mark.parametrize("box_scale", [None, 0.1], ids=["unboxed", "boxed"])
+    def test_rmin_bits_do_not_depend_on_staged(self, monkeypatch, box_scale):
+        # an M3-shaped net from a standard start: about a quarter of its
+        # steps go uphill, and in a box a tenth of the prior's width many
+        # more stop at a wall
+        arch = get_arch("M3")
+        _, x, y = small_problem(rows=50, sizes=arch.layer_sizes)
+        _, value_grad = dataset_energy_fns(arch, x, y)
+        box = None if box_scale is None else PriorBox(box_scale * prior_box(arch).sigma)
+        w0 = init_standard(arch, np.random.default_rng(0))
+        cfg = RMinConfig(n_steps=120)
+        counts = count_network_calls(monkeypatch, "_forward", "_backward")
+        staged = rmin(w0, value_grad, cfg, box=box)
+        forwards, backwards = counts["_forward"], counts["_backward"]
+        whole = rmin(w0, lambda w: value_grad(w), cfg, box=box)
+
+        rejected = uphill_steps(staged, cfg.dt0)
+        walls = 1 + staged.n_steps - forwards
+        assert staged.n_steps == whole.n_steps == 120
+        assert rejected - walls > 0
+        assert (walls > 0) == (box is not None)
+        assert backwards == 1 + staged.n_steps - rejected
+        np.testing.assert_array_equal(bits(staged.w), bits(whole.w))
+        np.testing.assert_array_equal(bits(staged.grad), bits(whole.grad))
+        assert bits(staged.energy) == bits(whole.energy)
+        assert [tuple(map(bits, t)) for t in staged.trace] == \
+            [tuple(map(bits, t)) for t in whole.trace]
+        # the gradient rmin hands on is value_grad's at its w
+        np.testing.assert_array_equal(bits(staged.grad), bits(value_grad(staged.w)[1]))
+
+    @pytest.mark.parametrize("e_end,kept", [(0.5, True), (2.0, False), (np.nan, False)])
+    def test_below_finishes_only_a_kept_end_point(self, e_end, kept):
+        finished = []
+
+        def potential(w):
+            return e_end, np.ones_like(w)
+
+        def staged(w):
+            def finish():
+                finished.append(w.copy())
+                return np.ones_like(w)
+            return e_end, finish
+
+        potential.staged = staged
+        w, p, g = np.zeros(2), np.ones(2), np.zeros(2)
+        out = velocity_verlet(w, p, g, potential, 0.1, 1, below=1.0)
+        assert out[4] is kept and len(finished) == kept
+        assert bits(out[2]) == bits(e_end)
+        np.testing.assert_array_equal(out[0], [0.1, 0.1])
+        np.testing.assert_array_equal(out[3], np.ones(2) if kept else g)
+        # without below the same potential makes one whole call
+        assert velocity_verlet(w, p, g, potential, 0.1, 1)[4]
 
 
 class TestRunChain:
@@ -374,8 +463,7 @@ class TestSigmoid:
     def test_special_values_bit_equal(self):
         a = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0,
                       1e4, -1e4, 709.8, -709.8, 5e-324, -5e-324])
-        with np.errstate(all="ignore"):
-            old, new = masked_sigmoid(a), network._sigmoid(a)
+        old, new = tanh_sigmoid(a), network._sigmoid(a.copy())
         nan = np.isnan(old)
         np.testing.assert_array_equal(np.isnan(new), nan)
         np.testing.assert_array_equal(old[~nan].view(np.uint64),
@@ -384,8 +472,18 @@ class TestSigmoid:
     @pytest.mark.parametrize("scale", [0.1, 3.0, 50.0, 1e3])
     def test_random_blocks_bit_equal(self, scale):
         a = np.random.default_rng(int(scale * 10)).normal(scale=scale, size=(500, 40))
-        np.testing.assert_array_equal(masked_sigmoid(a).view(np.uint64),
-                                      network._sigmoid(a).view(np.uint64))
+        np.testing.assert_array_equal(tanh_sigmoid(a).view(np.uint64),
+                                      network._sigmoid(a.copy()).view(np.uint64))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_is_zero_or_normal(self, dtype):
+        # 1 + tanh(a/2) is 0 or at least the gap below 1, so no subnormal
+        a = np.concatenate([-np.logspace(-3, 4, 2000), np.logspace(-3, 4, 2000)])
+        s = network._sigmoid(a.astype(dtype))
+        tiny = np.finfo(dtype).tiny
+        assert s.dtype == dtype
+        assert np.all((s == 0) | (s >= tiny)) and np.all((s >= 0) & (s <= 1))
+        assert np.all(s[a < 0] <= 0.5) and np.all(s[a > 0] >= 0.5)
 
 
 class TestFusedClosure:

@@ -240,20 +240,27 @@ class TestKick:
             for b in blocks:
                 assert not np.any((b != 0) & (np.abs(b) < tiny))
 
-    @pytest.mark.parametrize("head", [LINEAR_SOFTMAX, LOGISTIC_SOFTMAX])
-    @pytest.mark.parametrize("sizes", SIZES, ids=["M1", "M3"])
-    def test_kick_is_a_fixed_function_of_w(self, d50, sizes, head):
+    @pytest.mark.parametrize("arch,at_prior", [
+        *(pytest.param(NetworkArch(sizes, head=head), False, id=f"{name}-{head}")
+          for sizes, name in zip(SIZES, ["M1", "M3"])
+          for head in [LINEAR_SOFTMAX, LOGISTIC_SOFTMAX]),
+        pytest.param(get_arch("M3star"), True, id="M3star-prior")])
+    def test_kick_is_a_fixed_function_of_w(self, d50, arch, at_prior):
         # the palindrome argument of hmc.py needs the kick at a point to be
         # the same whatever the closure computed before: no state survives
         # a call, so kick(w1), kick(w2), kick(w1) gives w1's bits twice,
-        # and a fresh closure gives them too
-        arch = NetworkArch(sizes, head=head)
+        # and a fresh closure gives them too.  That is all exactness needs:
+        # at an M3star prior-box point the kick is 1e-3 to 1e-1 off the
+        # float64 gradient, so there it is held to finite, repeatable bits
         train, _ = d50
         _, value_grad = dataset_energy_fns(arch, train.inputs, train.labels)
         rng = np.random.default_rng(4)
         half = prior_box(arch).half_width
         w1, w2 = init_standard(arch, rng), rng.uniform(-half, half)
+        if at_prior:
+            w1, w2 = w2, w1
         first = value_grad.kick(w1)
+        assert np.all(np.isfinite(first))
         value_grad.kick(w2)
         value_grad(w2)
         again = value_grad.kick(w1)
@@ -265,7 +272,29 @@ class TestKick:
         alone_e, alone_g = energy_gradient(arch, w1, train.inputs, train.labels)
         assert e == alone_e
         np.testing.assert_array_equal(g.view(np.uint64), alone_g.view(np.uint64))
-        assert relative_error(first, g) <= 1e-4
+        if not at_prior:
+            assert relative_error(first, g) <= 1e-4
+
+
+@pytest.mark.parametrize("head", [LINEAR_SOFTMAX, LOGISTIC_SOFTMAX])
+def test_no_subnormal_in_float64_activations_at_m3star_prior_draws(d500, head):
+    # a draw from M3star's 1000x box drives hundreds of activations per
+    # layer below -708, where exp-based sigmoids return subnormals, and a
+    # product over such a block runs many times slower
+    arch = NetworkArch(get_arch("M3star").layer_sizes, head=head,
+                       prior_width_factor=1000.0)
+    train, _ = d500
+    work = Workspace(arch, train.inputs, train.labels)
+    half = prior_box(arch).half_width
+    rng = np.random.default_rng(8)
+    tiny = np.finfo(np.float64).tiny
+    for _ in range(3):
+        e, g = energy_gradient(arch, rng.uniform(-half, half), train.inputs,
+                               train.labels, work)
+        assert np.isfinite(e) and np.all(np.isfinite(g))
+        assert len(work.kept) == len(arch.layout())
+        for block in work.kept:
+            assert not np.any((block != 0) & (np.abs(block) < tiny))
 
 
 class TestPrior:
